@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossSpec, bayes_risk, loss_alphabet_size, v_envelope
+from .losses import LossSpec, bayes_risk, v_envelope
 from .prob import (
     ConvexOracle,
     Joint,
@@ -125,7 +125,7 @@ def g_normalized(l: LossSpec, seed: int = 0) -> ConvexOracle:
     Jensen gap of G.  The subgradient is numeric (central differences on
     tangent directions), so expect kinks for matrix losses.
     """
-    n = loss_alphabet_size(l)
+    n = l.n
     if n is None:
         raise ValueError("loss has no declared alphabet size")
     a = np.array([v_envelope(l, point_mass(i, n), seed=seed) for i in range(n)])

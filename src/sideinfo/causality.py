@@ -50,6 +50,8 @@ class MarkovJointProcess:
             raise ParameterOutOfRange(
                 f"initial must have shape ({q},) and kernel ({q}, {q})"
             )
+        if not (np.isfinite(init).all() and np.isfinite(ker).all()):
+            raise ParameterOutOfRange("initial and kernel entries must be finite")
         if np.any(init < -1e-12) or abs(init.sum() - 1.0) > 1e-9:
             raise ParameterOutOfRange("initial is not a distribution")
         if np.any(ker < -1e-12) or np.any(np.abs(ker.sum(axis=1) - 1.0) > 1e-9):
@@ -82,6 +84,8 @@ class ExplicitProcess:
         t.setflags(write=False)
         if t.ndim % 2 != 0:
             raise ParameterOutOfRange("table needs an (x, y) axis pair per step")
+        if not np.isfinite(t).all():
+            raise ParameterOutOfRange("table entries must be finite")
         if abs(t.sum() - 1.0) > 1e-9 or np.any(t < -1e-12):
             raise ParameterOutOfRange("table is not a distribution")
 

@@ -33,6 +33,7 @@ from .errors import (
     NotProper,
     SideinfoError,
     UnboundedBelow,
+    WitnessVerificationFailed,
 )
 
 EXIT_OK = 0
@@ -41,6 +42,8 @@ EXIT_CONSERVATION = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
 EXIT_NUMERIC = 70
+
+WORKERS_HELP = "accepted for compatibility; has no effect (scans run sequentially)"
 
 
 class _UsageError(Exception):
@@ -74,10 +77,9 @@ def _resolve_loss(args, n: int) -> losses.LossSpec:
     fam = losses.reinstantiate(l, n)
     if fam is not None:
         return fam
-    size = losses.loss_alphabet_size(l)
-    if size is not None and size != n:
+    if l.n is not None and l.n != n:
         raise modelio.ValidationError(
-            f"loss is for {size} symbols but the joint has {n}", field="loss"
+            f"loss is for {l.n} symbols but the joint has {n}", field="loss"
         )
     return l
 
@@ -141,7 +143,7 @@ def _build_parser() -> _Parser:
     add_loss_flags(sp)
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     sp.add_argument("--pretty", action="store_true")
 
     sp = sub.add_parser("find-violation", help="scan for a data-processing violation")
@@ -150,7 +152,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--budget", type=int, default=10_000)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--tol", type=float, default=1e-9)
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     sp.add_argument("--pretty", action="store_true")
 
     sp = sub.add_parser("scoring-rule", help="evaluate a Savage-constructed proper scoring rule")
@@ -226,7 +228,7 @@ def _cmd_audit_dpa(args) -> tuple[dict, int]:
     seed = args.seed if args.seed is not None else _default_seed()
     j = _load_kind(args.joint, ("joint",))
     l = _resolve_loss(args, j.nx)
-    rep = sufficiency.audit_dpa(l, j, tol=args.tol, seed=seed, workers=args.workers)
+    rep = sufficiency.audit_dpa(l, j, tol=args.tol, seed=seed)
     report = {
         "command": "audit-dpa",
         "args": {**_loss_args(args), "joint": args.joint},
@@ -248,13 +250,8 @@ def _cmd_audit_dpa(args) -> tuple[dict, int]:
 
 def _cmd_find_violation(args) -> tuple[dict, int]:
     seed = args.seed if args.seed is not None else _default_seed()
-    if getattr(args, "builtin", None):
-        l = losses.builtin_loss(args.builtin, args.n)
-    else:
-        l = _resolve_loss(args, args.n)
-    w = sufficiency.find_violation(
-        l, args.n, budget=args.budget, seed=seed, tol=args.tol, workers=args.workers
-    )
+    l = _resolve_loss(args, args.n)
+    w = sufficiency.find_violation(l, args.n, budget=args.budget, seed=seed, tol=args.tol)
     report = {
         "command": "find-violation",
         "args": {**_loss_args(args), "n": args.n, "budget": args.budget},
@@ -405,7 +402,7 @@ def cli_dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         report, code = _HANDLERS[args.cmd](args)
-    except (UnboundedBelow, NotProper, AssertionError, FloatingPointError) as exc:
+    except (UnboundedBelow, NotProper, WitnessVerificationFailed, FloatingPointError) as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return EXIT_NUMERIC
     except (SideinfoError, FileNotFoundError, OSError) as exc:

@@ -46,6 +46,10 @@ class ConvexityViolation(SideinfoError):
     """A convex-oracle spot check failed (midpoint, hyperplane, or symmetry)."""
 
 
+class WitnessVerificationFailed(SideinfoError):
+    """A violation witness did not reproduce when recomputed (numeric instability)."""
+
+
 class AlphabetTooLarge(SideinfoError):
     """Alphabet exceeds the partition-enumeration bound."""
 

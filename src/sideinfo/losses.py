@@ -115,12 +115,6 @@ class BayesResult:
     grid_gap: Optional[float] = None
 
 
-def loss_alphabet_size(l: LossSpec) -> Optional[int]:
-    if isinstance(l, ActionMatrixLoss):
-        return l.n
-    return l.n
-
-
 def builtin_loss(name: str, n: int) -> LossSpec:
     """Instantiate a built-in loss for an n-symbol alphabet."""
     if n < 2:

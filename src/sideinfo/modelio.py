@@ -10,6 +10,7 @@ in CSV samples); the in-memory API is 0-based.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -45,13 +46,13 @@ def _enc(x: float) -> str:
 def _dec(s, field: str) -> float:
     if isinstance(s, bool) or not isinstance(s, str):
         raise ValidationError(f"expected a decimal string, got {s!r}", field=field)
-    text = s.strip().lower()
     try:
-        if text in ("inf", "+inf", "infinity"):
-            return float("inf")
-        return float(s)
+        value = float(s)  # also reads "inf", "+inf" and "infinity" in any case
     except ValueError:
-        raise ValidationError(f"not a decimal number: {s!r}", field=field) from None
+        value = math.nan
+    if math.isnan(value):
+        raise ValidationError(f"not a decimal number: {s!r}", field=field)
+    return value
 
 
 def _dec_vector(values, field: str) -> np.ndarray:

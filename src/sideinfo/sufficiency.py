@@ -12,15 +12,14 @@ losses on alphabets of three or more symbols.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .benefit import c_value
-from .errors import AlphabetTooLarge, ParameterOutOfRange
-from .losses import LossSpec, loss_alphabet_size, reinstantiate
+from .errors import AlphabetTooLarge, ParameterOutOfRange, WitnessVerificationFailed
+from .losses import LossSpec, reinstantiate
 from .prob import Joint, validate_joint
 
 
@@ -178,8 +177,7 @@ def enumerate_sufficient(
     n = j.nx
     if n > max_alphabet:
         raise AlphabetTooLarge(f"alphabet size {n} exceeds enumeration bound {max_alphabet}")
-    classes, zero = _row_classes(j, tol)
-    groups = [c for c in classes]
+    groups, zero = _row_classes(j, tol)
     if zero:
         groups.append(zero)
     merge_list: list[Transform] = []
@@ -218,7 +216,20 @@ class ViolationWitness:
     kind: str
 
 
-def _c_after(l: LossSpec, j: Joint, t: Transform, tol: float, seed: int = 0) -> float:
+def _witness_kind(t: Transform, before: float, after: float, tol: float) -> Optional[str]:
+    """The witness rule: which kind of evidence, if any, C before/after t is.
+
+    A permutation that changes C is an "asymmetry", a merge that raises C
+    is a "dpa_violation", and the identity is never a witness.
+    """
+    if t.is_permutation:
+        if abs(after - before) > tol and t.mapping != tuple(range(t.n)):
+            return "asymmetry"
+        return None
+    return "dpa_violation" if after > before + tol else None
+
+
+def _c_after(l: LossSpec, j: Joint, t: Transform, seed: int = 0) -> float:
     """Benefit after applying a sufficient transform.
 
     Named loss families are re-instantiated on the reduced alphabet; a
@@ -226,7 +237,7 @@ def _c_after(l: LossSpec, j: Joint, t: Transform, tol: float, seed: int = 0) -> 
     keeps the merged variable on the original alphabet.
     """
     m = t.image_size
-    n = loss_alphabet_size(l)
+    n = l.n
     if m == j.nx:
         return c_value(l, push_forward(j, t), seed=seed)
     fam = reinstantiate(l, m)
@@ -236,16 +247,16 @@ def _c_after(l: LossSpec, j: Joint, t: Transform, tol: float, seed: int = 0) -> 
 
 
 def verify_witness(l: LossSpec, w: ViolationWitness, tol: float = 1e-9, value_tol: float = 1e-12) -> bool:
-    """Recompute both benefits from the stored joint and transform."""
+    """Recompute both benefits from the stored joint and transform.
+
+    The witness holds only if both values reproduce within value_tol and
+    its kind is the one the witness rule gives for its transform.
+    """
     before = c_value(l, w.joint)
-    after = _c_after(l, w.joint, w.transform, tol)
+    after = _c_after(l, w.joint, w.transform)
     if abs(before - w.c_before) > value_tol or abs(after - w.c_after) > value_tol:
         return False
-    if w.kind == "dpa_violation":
-        return after > before + tol
-    if w.kind == "asymmetry":
-        return abs(after - before) > tol
-    return False
+    return _witness_kind(w.transform, before, after, tol) == w.kind
 
 
 @dataclass(frozen=True)
@@ -274,59 +285,21 @@ class DpaAuditReport:
         return not self.violations
 
 
-def audit_dpa(
-    l: LossSpec,
-    j: Joint,
-    tol: float = 1e-9,
-    seed: int = 0,
-    workers: int = 1,
-) -> DpaAuditReport:
+def audit_dpa(l: LossSpec, j: Joint, tol: float = 1e-9, seed: int = 0) -> DpaAuditReport:
     """Audit the data-processing requirement on every enumerated sufficient transform."""
     before = c_value(l, j, seed=seed)
     suff = enumerate_sufficient(j, tol=tol, seed=seed)
-    candidates = [(t, False) for t in suff.merges] + [(t, True) for t in suff.permutations]
-
-    def evaluate(item):
-        t, is_perm = item
-        return AuditEntry(transform=t, c_after=_c_after(l, j, t, tol, seed=seed)), is_perm
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, candidates))
-    else:
-        results = [evaluate(c) for c in candidates]
-
     entries: list[AuditEntry] = []
     violations: list[ViolationWitness] = []
     deviations: list[AuditEntry] = []
-    for entry, is_perm in results:
+    for t in suff.merges + suff.permutations:
+        entry = AuditEntry(transform=t, c_after=_c_after(l, j, t, seed=seed))
         entries.append(entry)
-        if is_perm:
-            if abs(entry.c_after - before) > tol and not entry.transform.mapping == tuple(
-                range(j.nx)
-            ):
-                violations.append(
-                    ViolationWitness(
-                        joint=j,
-                        transform=entry.transform,
-                        c_before=before,
-                        c_after=entry.c_after,
-                        kind="asymmetry",
-                    )
-                )
-        else:
-            if entry.c_after > before + tol:
-                violations.append(
-                    ViolationWitness(
-                        joint=j,
-                        transform=entry.transform,
-                        c_before=before,
-                        c_after=entry.c_after,
-                        kind="dpa_violation",
-                    )
-                )
-            if abs(entry.c_after - before) > tol:
-                deviations.append(entry)
+        kind = _witness_kind(t, before, entry.c_after, tol)
+        if kind is not None:
+            violations.append(ViolationWitness(j, t, before, entry.c_after, kind))
+        if not t.is_permutation and abs(entry.c_after - before) > tol:
+            deviations.append(entry)
     return DpaAuditReport(
         c_before=before,
         entries=tuple(entries),
@@ -455,7 +428,6 @@ def find_violation(
     budget: int = 10_000,
     seed: int = 0,
     tol: float = 1e-9,
-    workers: int = 1,
 ) -> Optional[ViolationWitness]:
     """Deterministic scan for a data-processing violation; None if budget is spent.
 
@@ -463,13 +435,12 @@ def find_violation(
     covered within any budget: (a) the parametric two-conditional grid with
     its built-in sufficient merge, (b) seeded random joints with duplicated
     conditional rows plus a random sufficient merge, (c) seeded random
-    joints with random permutations.  The first witness in scan order wins
-    regardless of worker count, and is re-verified before being returned.
+    joints with random permutations.  The first witness in scan order wins,
+    and is re-verified before being returned.
     """
     if n < 2:
         raise ParameterOutOfRange("alphabet size must be >= 2")
-
-    def candidate(idx: int) -> Optional[ViolationWitness]:
+    for idx in range(budget):
         phase, k = idx % 3, idx // 3
         if phase == 0:
             made = _grid_candidate(n, k, seed) if n >= 3 else None
@@ -478,36 +449,14 @@ def find_violation(
         else:
             made = _perm_candidate(n, k, seed)
         if made is None:
-            return None
+            continue
         joint, transform = made
         before = c_value(l, joint)
-        after = _c_after(l, joint, transform, tol)
-        if transform.is_permutation:
-            if abs(after - before) > tol:
-                return ViolationWitness(joint, transform, before, after, "asymmetry")
-            return None
-        if after > before + tol:
-            return ViolationWitness(joint, transform, before, after, "dpa_violation")
-        return None
-
-    def first_hit(indices) -> Optional[ViolationWitness]:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for res in pool.map(candidate, indices):
-                    if res is not None:
-                        return res
-            return None
-        for idx in indices:
-            res = candidate(idx)
-            if res is not None:
-                return res
-        return None
-
-    chunk = max(64, workers * 64)
-    for start in range(0, budget, chunk):
-        hit = first_hit(range(start, min(start + chunk, budget)))
-        if hit is not None:
+        after = _c_after(l, joint, transform)
+        kind = _witness_kind(transform, before, after, tol)
+        if kind is not None:
+            hit = ViolationWitness(joint, transform, before, after, kind)
             if not verify_witness(l, hit, tol=tol):
-                raise AssertionError("witness failed re-verification; numeric instability")
+                raise WitnessVerificationFailed("witness failed re-verification; numeric instability")
             return hit
     return None

@@ -17,6 +17,22 @@ from conftest import (
 LN2 = math.log(2)
 
 
+class TestProcessValidation:
+    def test_markov_nan_rejected(self):
+        with pytest.raises(ParameterOutOfRange):
+            si.MarkovJointProcess(2, 2, [np.nan, 0.25, 0.25, 0.5], np.full((4, 4), 0.25))
+        kernel = np.full((4, 4), 0.25)
+        kernel[1, 2] = np.nan
+        with pytest.raises(ParameterOutOfRange):
+            si.MarkovJointProcess(2, 2, np.full(4, 0.25), kernel)
+
+    def test_explicit_nan_rejected(self):
+        table = np.full((2, 2), 0.25)
+        table[0, 1] = np.nan
+        with pytest.raises(ParameterOutOfRange):
+            si.ExplicitProcess(2, 2, table)
+
+
 class TestDirectedInfo:
     def test_copy_process(self):
         assert si.directed_info(copy_process(), 3) == pytest.approx(3 * LN2, abs=1e-12)

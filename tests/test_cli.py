@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sideinfo as si
+from sideinfo import sufficiency
 from sideinfo.cli import cli_dispatch
 
 LN2 = math.log(2)
@@ -113,6 +114,14 @@ class TestFindViolationCommand:
         assert code == 0
         assert rep["results"]["witness"] is None
 
+    def test_failed_reverification_exit_seventy(self, capsys, monkeypatch):
+        monkeypatch.setattr(sufficiency, "verify_witness", lambda *a, **k: False)
+        code, rep = run_json(
+            capsys,
+            ["find-violation", "--builtin", "zero-one", "--n", "3", "--budget", "1000", "--seed", "0"],
+        )
+        assert (code, rep) == (70, None)
+
 
 class TestScoringRuleCommand:
     def test_neg_entropy_is_log_loss(self, capsys):
@@ -148,6 +157,15 @@ class TestDirectedInfoCommand:
         assert res["reverse_delayed"] == pytest.approx(0.0, abs=1e-12)
         assert res["total_mi"] == pytest.approx(3 * LN2, abs=1e-9)
         assert round(res["forward"], 6) == 2.079442
+
+    def test_nan_initial_exit_sixty_five(self, capsys, copy_model_file):
+        with open(copy_model_file) as fh:
+            doc = json.load(fh)
+        doc["initial"][0] = "nan"
+        with open(copy_model_file, "w") as fh:
+            json.dump(doc, fh)
+        code, _ = run(capsys, ["directed-info", "--model", copy_model_file, "--horizon", "3", "--conservation"])
+        assert code == 65
 
     def test_exit_three_on_conservation_failure(self, capsys, copy_model_file):
         # an absurd tolerance forces the residual check to fail deliberately

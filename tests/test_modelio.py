@@ -58,6 +58,12 @@ class TestParse:
         mf = parse_document(doc)
         assert mf.payload.matrix[0, 1] == math.inf
 
+    def test_nan_rejected(self):
+        doc = {"kind": "loss", "matrix": [["0", "nan"], ["1", "0"]]}
+        with pytest.raises(ValidationError) as exc:
+            parse_document(doc)
+        assert exc.value.field == "matrix[0][1]"
+
     def test_transform_one_based(self):
         mf = parse_document({"kind": "transform", "map": [1, 1, 2]})
         assert mf.payload.mapping == (0, 0, 1)

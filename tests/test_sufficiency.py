@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import sideinfo as si
+from sideinfo import sufficiency
 from sideinfo.errors import AlphabetTooLarge, ParameterOutOfRange
 
 from conftest import random_joint
@@ -151,12 +153,11 @@ class TestAuditDpa:
             j = si.Joint(px[:, None] * rows[assign])
             assert si.audit_dpa(si.builtin_loss("log", n), j).clean
 
-    def test_workers_agree(self, witness_joint):
-        l = si.builtin_loss("zero_one", 3)
-        r1 = si.audit_dpa(l, witness_joint, workers=1)
-        r4 = si.audit_dpa(l, witness_joint, workers=4)
-        assert [e.c_after for e in r1.entries] == [e.c_after for e in r4.entries]
-        assert len(r1.violations) == len(r4.violations)
+    def test_entries_in_scan_order(self, witness_joint):
+        # merges first, then the permutations in lexicographic order
+        rep = si.audit_dpa(si.builtin_loss("zero_one", 3), witness_joint)
+        assert [e.c_after for e in rep.entries] == [0.5] + [0.25] * 7
+        assert [(w.kind, w.transform.mapping) for w in rep.violations] == [("dpa_violation", (0, 0, 1))]
 
     def test_symmetric_g_no_asymmetry_witness(self):
         rng = np.random.default_rng(5)
@@ -246,13 +247,28 @@ class TestFindViolation:
         w = si.find_violation(si.builtin_loss("brier", 2), 2, budget=1_500, seed=0)
         assert w is None
 
-    def test_deterministic_across_workers(self):
+    def test_first_hit_in_scan_order(self):
+        w = si.find_violation(si.builtin_loss("zero_one", 3), 3, budget=2_000, seed=7)
+        assert w.kind == "dpa_violation"
+        assert w.transform.mapping == (0, 0, 1)
+        assert w.joint.table.tolist() == [
+            [0.0, 0.24930747922437674],
+            [0.0, 0.22437673130193908],
+            [0.5263157894736842, 0.0],
+        ]
+        assert (w.c_before, w.c_after) == (0.24930747922437674, 0.4736842105263158)
+
+    def test_verify_rejects_kind_not_matching_transform(self, witness_joint):
         l = si.builtin_loss("zero_one", 3)
-        w1 = si.find_violation(l, 3, budget=2_000, seed=7, workers=1)
-        w4 = si.find_violation(l, 3, budget=2_000, seed=7, workers=4)
-        assert w1.transform.mapping == w4.transform.mapping
-        assert np.array_equal(w1.joint.table, w4.joint.table)
-        assert (w1.c_before, w1.c_after) == (w4.c_before, w4.c_after)
+        (w,) = si.audit_dpa(l, witness_joint).violations
+        assert si.verify_witness(l, w)
+        # the merge raises C, but a merge is never an asymmetry witness
+        assert not si.verify_witness(l, dataclasses.replace(w, kind="asymmetry"))
+
+    def test_failed_reverification_raises(self, monkeypatch):
+        monkeypatch.setattr(sufficiency, "verify_witness", lambda *a, **k: False)
+        with pytest.raises(si.WitnessVerificationFailed):
+            si.find_violation(si.builtin_loss("zero_one", 3), 3, budget=2_000, seed=7)
 
     def test_witness_reverification_exact(self):
         l = si.builtin_loss("zero_one", 4)
