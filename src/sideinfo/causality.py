@@ -1,19 +1,22 @@
 """Directed information, the conservation law, transfer entropy, and
 Geweke's linear-Gaussian causality measure.
 
-Finite-alphabet quantities are computed by exact enumeration of the
-sequence space: a joint Markov model is unrolled into the full
-distribution over (X^n, Y^n) and every term is an exact entropy of a
-marginal.  This makes identities like the conservation law hard numeric
-tests rather than statistical ones.  Geweke's measure is the one
-continuous-valued quantity: the restricted prediction variance comes from
-exact autocovariances via Levinson-Durbin, never from simulation.
+Every finite-alphabet measure here is a form of directed information: a
+signed sum of prefix entropies H(X^a, Y^b) of the pair process (Massey
+1990).  `_prefix_entropies` computes the table of those entropies at a
+horizon by exact enumeration of the sequence space (a joint Markov model is
+unrolled into the full distribution over (X^n, Y^n)), and each measure is a
+sum of per-step terms read from that one table.  This makes identities like
+the conservation law hard numeric tests rather than statistical ones.
+Geweke's measure is the one continuous-valued quantity: the restricted
+prediction variance comes from exact autocovariances via Levinson-Durbin,
+never from simulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
@@ -82,8 +85,8 @@ class ExplicitProcess:
         t = np.asarray(self.table, dtype=float)
         object.__setattr__(self, "table", t)
         t.setflags(write=False)
-        if t.ndim % 2 != 0:
-            raise ParameterOutOfRange("table needs an (x, y) axis pair per step")
+        if t.ndim < 2 or t.shape != (self.nx, self.ny) * (t.ndim // 2):
+            raise ParameterOutOfRange(f"table shape {t.shape} is not (nx, ny) once per step")
         if not np.isfinite(t).all():
             raise ParameterOutOfRange("table entries must be finite")
         if abs(t.sum() - 1.0) > 1e-9 or np.any(t < -1e-12):
@@ -109,115 +112,80 @@ def unroll(m: MarkovJointProcess, n: int, state_limit: int = STATE_LIMIT) -> Exp
     dist = m.initial.copy()  # flat over pair states, shape (q,)*i flattened
     for _ in range(n - 1):
         dist = (dist[..., None] * m.kernel).reshape(dist.shape + (q,))
-    shape = ()
-    for _ in range(n):
-        shape += (m.nx, m.ny)
-    return ExplicitProcess(nx=m.nx, ny=m.ny, table=dist.reshape(shape))
+    return ExplicitProcess(nx=m.nx, ny=m.ny, table=dist.reshape((m.nx, m.ny) * n))
 
 
-def _prepare(m: ProcessModel, n: int, state_limit: int) -> ExplicitProcess:
-    if isinstance(m, MarkovJointProcess):
-        return unroll(m, n, state_limit=state_limit)
-    if n > m.horizon:
-        raise HorizonTooLarge(f"explicit model has horizon {m.horizon}, requested {n}")
-    if n < m.horizon:
-        keep = tuple(range(2 * n))
-        drop = tuple(ax for ax in range(m.table.ndim) if ax not in keep)
-        return ExplicitProcess(nx=m.nx, ny=m.ny, table=m.table.sum(axis=drop))
-    return m
+def _prefix_entropies(m: ProcessModel, n: int, state_limit: int) -> dict[tuple[int, int], float]:
+    """{(a, b): H(X^a, Y^b)} for every prefix a measure reads up to horizon n.
 
-
-def _h(proc: ExplicitProcess, axes: tuple[int, ...], cache: Optional[dict] = None) -> float:
-    """Entropy of the marginal on the given axes (x_i at 2i, y_i at 2i+1).
-
-    The same marginal entropies appear in several terms of each identity;
-    passing a dict as cache memoizes them for the duration of one call.
+    The keys are a = b, a = b +- 1, a = 0 and b = 0.  Each marginal is the
+    previous one with its trailing axis summed off, and only the running
+    marginals are held, so the sequence table is the one large array.
     """
-    if not axes:
-        return 0.0
-    key = tuple(sorted(axes))
-    if cache is not None and key in cache:
-        return cache[key]
-    drop = tuple(ax for ax in range(proc.table.ndim) if ax not in axes)
-    marg = proc.table.sum(axis=drop) if drop else proc.table
-    out = entropy(marg.reshape(-1))
-    if cache is not None:
-        cache[key] = out
-    return out
+    if n < 1:
+        raise ParameterOutOfRange(f"horizon must be >= 1, got {n}")
+    if isinstance(m, MarkovJointProcess):
+        table = unroll(m, n, state_limit=state_limit).table
+    elif n > m.horizon:
+        raise HorizonTooLarge(f"explicit model has horizon {m.horizon}, requested {n}")
+    else:
+        drop = tuple(range(2 * n, m.table.ndim))
+        table = m.table.sum(axis=drop) if drop else m.table
+    h = {(0, 0): 0.0}
+    pair = table  # axes x1, y1, ..., x_i, y_i
+    for i in range(n, 0, -1):
+        h[i, i] = entropy(pair.reshape(-1))
+        h[i - 1, i] = entropy(pair.sum(axis=-2).reshape(-1))
+        pair = pair.sum(axis=-1)
+        h[i, i - 1] = entropy(pair.reshape(-1))
+        pair = pair.sum(axis=-1)
+    xs = table.sum(axis=tuple(range(1, 2 * n, 2)))
+    ys = table.sum(axis=tuple(range(0, 2 * n, 2)))
+    for i in range(n, 1, -1):  # (1, 0) and (0, 1) came from the pair walk
+        h[i, 0] = entropy(xs.reshape(-1))
+        h[0, i] = entropy(ys.reshape(-1))
+        xs, ys = xs.sum(axis=-1), ys.sum(axis=-1)
+    return h
 
 
-def _x_axes(i: int) -> tuple[int, ...]:
-    return tuple(2 * k for k in range(i))
+def _di_step(h: dict, i: int) -> float:
+    """I(X^i; Y_i | Y^{i-1})."""
+    return h[i, i - 1] + h[0, i] - h[i, i] - h[0, i - 1]
 
 
-def _y_axes(i: int) -> tuple[int, ...]:
-    return tuple(2 * k + 1 for k in range(i))
+def _reverse_step(h: dict, i: int) -> float:
+    """I(Y^{i-1}; X_i | X^{i-1})."""
+    return h[i, 0] - h[i - 1, 0] - h[i, i - 1] + h[i - 1, i - 1]
+
+
+def _delayed_forward_step(h: dict, i: int) -> float:
+    """I(X^{i-1}; Y_i | Y^{i-1})."""
+    return h[i - 1, i - 1] - h[0, i - 1] - h[i - 1, i] + h[0, i]
+
+
+def _instantaneous_step(h: dict, i: int) -> float:
+    """I(X_i; Y_i | X^{i-1}, Y^{i-1})."""
+    return h[i, i - 1] + h[i - 1, i] - h[i, i] - h[i - 1, i - 1]
+
+
+def _sum_steps(h: dict, n: int, step) -> float:
+    return sum(step(h, i) for i in range(1, n + 1))
 
 
 def directed_info(m: ProcessModel, n: int, state_limit: int = STATE_LIMIT) -> float:
     """I(X^n -> Y^n) = sum_i I(X^i; Y_i | Y^{i-1}), exactly."""
-    proc = _prepare(m, n, state_limit)
-    cache: dict = {}
-    total = 0.0
-    for i in range(1, n + 1):
-        total += (
-            _h(proc, _x_axes(i) + _y_axes(i - 1), cache)
-            + _h(proc, _y_axes(i), cache)
-            - _h(proc, _x_axes(i) + _y_axes(i), cache)
-            - _h(proc, _y_axes(i - 1), cache)
-        )
-    return total
+    return _sum_steps(_prefix_entropies(m, n, state_limit), n, _di_step)
 
 
 def causally_cond_entropy(m: ProcessModel, n: int, state_limit: int = STATE_LIMIT) -> float:
     """H(Y^n || X^n) = sum_i H(Y_i | Y^{i-1}, X^i), exactly."""
-    proc = _prepare(m, n, state_limit)
-    cache: dict = {}
-    total = 0.0
-    for i in range(1, n + 1):
-        total += _h(proc, _x_axes(i) + _y_axes(i), cache) - _h(proc, _x_axes(i) + _y_axes(i - 1), cache)
-    return total
+    h = _prefix_entropies(m, n, state_limit)
+    return sum(h[i, i] - h[i, i - 1] for i in range(1, n + 1))
 
 
 def reverse_delayed_di(m: ProcessModel, n: int, state_limit: int = STATE_LIMIT) -> float:
     """I(Y^{n-1} -> X^n) = sum_i [H(X_i | X^{i-1}) - H(X_i | X^{i-1}, Y^{i-1})]."""
-    proc = _prepare(m, n, state_limit)
-    cache: dict = {}
-    total = 0.0
-    for i in range(1, n + 1):
-        total += (
-            _h(proc, _x_axes(i), cache)
-            - _h(proc, _x_axes(i - 1), cache)
-            - _h(proc, _x_axes(i) + _y_axes(i - 1), cache)
-            + _h(proc, _x_axes(i - 1) + _y_axes(i - 1), cache)
-        )
-    return total
-
-
-def _delayed_forward_di(proc: ExplicitProcess, n: int, cache: Optional[dict] = None) -> float:
-    """I(X^{n-1} -> Y^n) = sum_i I(X^{i-1}; Y_i | Y^{i-1})."""
-    total = 0.0
-    for i in range(1, n + 1):
-        total += (
-            _h(proc, _x_axes(i - 1) + _y_axes(i - 1), cache)
-            - _h(proc, _y_axes(i - 1), cache)
-            - _h(proc, _x_axes(i - 1) + _y_axes(i), cache)
-            + _h(proc, _y_axes(i), cache)
-        )
-    return total
-
-
-def _instantaneous(proc: ExplicitProcess, n: int, cache: Optional[dict] = None) -> float:
-    """sum_i I(X_i; Y_i | X^{i-1}, Y^{i-1})."""
-    total = 0.0
-    for i in range(1, n + 1):
-        total += (
-            _h(proc, _x_axes(i) + _y_axes(i - 1), cache)
-            + _h(proc, _x_axes(i - 1) + _y_axes(i), cache)
-            - _h(proc, _x_axes(i) + _y_axes(i), cache)
-            - _h(proc, _x_axes(i - 1) + _y_axes(i - 1), cache)
-        )
-    return total
+    return _sum_steps(_prefix_entropies(m, n, state_limit), n, _reverse_step)
 
 
 @dataclass(frozen=True)
@@ -239,18 +207,18 @@ class DIReport:
 
 
 def conservation_check(m: ProcessModel, n: int, state_limit: int = STATE_LIMIT) -> DIReport:
-    """Both forms of the conservation law, with the two sides computed independently."""
-    proc = _prepare(m, n, state_limit)
-    forward = directed_info(proc, n)
-    reverse = reverse_delayed_di(proc, n)
-    cache: dict = {}
-    inst = _instantaneous(proc, n, cache)
-    delayed_fwd = _delayed_forward_di(proc, n, cache)
-    total = (
-        _h(proc, _x_axes(n), cache)
-        + _h(proc, _y_axes(n), cache)
-        - _h(proc, _x_axes(n) + _y_axes(n), cache)
-    )
+    """Both forms of the conservation law at horizon n.
+
+    Both sides of each identity are sums over one table of prefix entropies,
+    so the law holds as a telescoping identity; the residuals measure the
+    floating-point rounding of that sum, not a second computation.
+    """
+    h = _prefix_entropies(m, n, state_limit)
+    forward = _sum_steps(h, n, _di_step)
+    reverse = _sum_steps(h, n, _reverse_step)
+    inst = _sum_steps(h, n, _instantaneous_step)
+    delayed_fwd = _sum_steps(h, n, _delayed_forward_step)
+    total = h[n, 0] + h[0, n] - h[n, n]
     return DIReport(
         forward=forward,
         reverse_delayed=reverse,
@@ -267,32 +235,29 @@ def granger_noncausal(m: ProcessModel, n: int, tol: float = 1e-9) -> bool:
     return reverse_delayed_di(m, n) <= tol
 
 
-def transfer_entropy(m: MarkovJointProcess, direction: str = "y->x", tol: float = 1e-9) -> float:
-    """Schreiber's single-stage stationary term, e.g. I(Y_0; X_1 | X_0) for y->x.
+def _flow_step(m: MarkovJointProcess, direction: str, tol: float = 1e-9):
+    """Check a stationary-flow input; return the per-step DI term of its direction.
 
-    Requires the model to start in its stationary law; at stationarity this
-    is the one-step causal information flow.
+    The x->y (delayed forward) step is the y->x (reverse) step with X and Y swapped.
     """
     if not isinstance(m, MarkovJointProcess):
-        raise ParameterOutOfRange("transfer entropy needs a Markov joint model")
+        raise ParameterOutOfRange("a stationary flow measure needs a Markov joint model")
     if not m.is_stationary(tol=tol):
         raise NotStationary("initial distribution is not stationary for the kernel")
     if direction not in ("y->x", "x->y"):
         raise ParameterOutOfRange(f"direction must be 'y->x' or 'x->y', got {direction!r}")
-    # joint of (X_0, Y_0, X_1, Y_1)
-    two = (m.initial[:, None] * m.kernel).reshape(m.nx, m.ny, m.nx, m.ny)
-    if direction == "y->x":
-        j = two.sum(axis=3)  # axes (cond=x0, b=y0, c=x1)
-    else:
-        j = two.sum(axis=2).transpose(1, 0, 2)  # axes (cond=y0, b=x0, c=y1)
+    return _reverse_step if direction == "y->x" else _delayed_forward_step
 
-    def h(t, keep):
-        drop = tuple(ax for ax in range(t.ndim) if ax not in keep)
-        s = t.sum(axis=drop) if drop else t
-        return entropy(s.reshape(-1))
 
-    # I(B; C | A) with axes (A, B, C)
-    return h(j, (0, 1)) + h(j, (0, 2)) - h(j, (0, 1, 2)) - h(j, (0,))
+def transfer_entropy(m: MarkovJointProcess, direction: str = "y->x", tol: float = 1e-9) -> float:
+    """Schreiber's single-stage stationary term, e.g. I(Y_0; X_1 | X_0) for y->x.
+
+    Requires the model to start in its stationary law; at stationarity this
+    is the one-step causal information flow, step 2 of the delayed reverse
+    (y->x) or delayed forward (x->y) directed-information sum.
+    """
+    step = _flow_step(m, direction, tol)
+    return step(_prefix_entropies(m, 2, STATE_LIMIT), 2)
 
 
 @dataclass(frozen=True)
@@ -314,57 +279,28 @@ def di_rate(
 ) -> DiRateResult:
     """lim (1/n) of the delayed directed information, via stabilized increments.
 
-    The prefix distribution is grown one step at a time and the per-step
-    increment of I(Y^{n-1} -> X^n) read off it, so horizon n costs one
-    kernel extension rather than a fresh unroll.  Returns the latest
-    increment once consecutive increments agree within tol; if the horizon
-    cap or the enumeration bound is hit first, the best estimate is
-    returned with converged=False.
+    The increment at horizon n is step n of I(Y^{n-1} -> X^n) for y->x, or
+    of I(X^{n-1} -> Y^n) for x->y.  Returns the latest increment once
+    consecutive increments agree within tol; if the horizon cap or the
+    enumeration bound is hit first, the latest increment is returned with
+    converged=False.  last_gap is the last measured distance between
+    consecutive increments, inf when fewer than two were measured.
     """
-    if not m.is_stationary():
-        raise NotStationary("initial distribution is not stationary for the kernel")
-    if direction not in ("y->x", "x->y"):
-        raise ParameterOutOfRange(f"direction must be 'y->x' or 'x->y', got {direction!r}")
+    step = _flow_step(m, direction)
     if max_n < 2:
         raise ParameterOutOfRange(f"max_n must be >= 2, got {max_n}")
-    model = m if direction == "y->x" else _swap_roles(m)
-    q = model.nx * model.ny
-    dist = model.initial.copy()  # flat over pair states, length q**i
-    prev_inc: Optional[float] = None
-    inc = 0.0
-    horizon = 1
+    rate, gap, horizon = 0.0, np.inf, 1
     for n in range(2, max_n + 1):
-        if q**n > state_limit:
-            return DiRateResult(rate=inc, converged=False, horizon=horizon, last_gap=np.inf)
-        dist = (dist[..., None] * model.kernel).reshape(dist.shape + (q,))
-        shape = ()
-        for _ in range(n):
-            shape += (model.nx, model.ny)
-        proc = ExplicitProcess(nx=model.nx, ny=model.ny, table=dist.reshape(shape))
-        inc_n = (
-            _h(proc, _x_axes(n))
-            - _h(proc, _x_axes(n - 1))
-            - _h(proc, _x_axes(n) + _y_axes(n - 1))
-            + _h(proc, _x_axes(n - 1) + _y_axes(n - 1))
-        )
-        if prev_inc is not None and abs(inc_n - prev_inc) <= tol:
-            return DiRateResult(rate=inc_n, converged=True, horizon=n, last_gap=abs(inc_n - prev_inc))
-        prev_inc, inc, horizon = inc_n, inc_n, n
-    gap = np.inf if prev_inc is None else 0.0
-    return DiRateResult(rate=inc, converged=False, horizon=horizon, last_gap=gap)
-
-
-def _swap_roles(m: MarkovJointProcess) -> MarkovJointProcess:
-    """The same process with X and Y exchanged."""
-    perm = (
-        np.arange(m.nx * m.ny).reshape(m.nx, m.ny).T.reshape(-1)
-    )  # z=(x,y) -> z'=(y,x)
-    return MarkovJointProcess(
-        nx=m.ny,
-        ny=m.nx,
-        initial=m.initial[perm],
-        kernel=m.kernel[np.ix_(perm, perm)],
-    )
+        try:
+            inc = step(_prefix_entropies(m, n, state_limit), n)
+        except HorizonTooLarge:
+            break
+        if horizon > 1:  # an earlier increment was measured
+            gap = abs(inc - rate)
+            if gap <= tol:
+                return DiRateResult(rate=inc, converged=True, horizon=n, last_gap=gap)
+        rate, horizon = inc, n
+    return DiRateResult(rate=rate, converged=False, horizon=horizon, last_gap=gap)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import sideinfo as si
+
+# One deterministic profile: the same examples on every run, no wall-clock deadline.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture
@@ -49,11 +54,14 @@ def independent_process() -> si.MarkovJointProcess:
     return si.MarkovJointProcess(2, 2, np.full(4, 0.25), np.tile(np.full(4, 0.25), (4, 1)))
 
 
-def random_stationary_markov(seed: int, conc: float | None = None) -> si.MarkovJointProcess:
-    """A seeded random 2x2 joint Markov model started in its stationary law."""
+def random_stationary_markov(
+    seed: int, conc: float | None = None, nx: int = 2, ny: int = 2
+) -> si.MarkovJointProcess:
+    """A seeded random nx-by-ny joint Markov model started in its stationary law."""
     rng = np.random.default_rng(seed)
     alpha = conc if conc is not None else rng.uniform(0.5, 3.0)
-    kernel = rng.dirichlet(np.ones(4) * alpha, size=4)
-    base = si.MarkovJointProcess(2, 2, np.full(4, 0.25), kernel)
+    q = nx * ny
+    kernel = rng.dirichlet(np.ones(q) * alpha, size=q)
+    base = si.MarkovJointProcess(nx, ny, np.full(q, 1.0 / q), kernel)
     pi = base.stationary()
-    return si.MarkovJointProcess(2, 2, pi, kernel)
+    return si.MarkovJointProcess(nx, ny, pi, kernel)

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import sideinfo as si
+from sideinfo.causality import ProcessModel
 from sideinfo.errors import HorizonTooLarge, NotStationary, ParameterOutOfRange
 
 from conftest import (
@@ -31,6 +34,24 @@ class TestProcessValidation:
         table[0, 1] = np.nan
         with pytest.raises(ParameterOutOfRange):
             si.ExplicitProcess(2, 2, table)
+
+    def test_explicit_shape_must_match_alphabets(self):
+        with pytest.raises(ParameterOutOfRange):
+            si.ExplicitProcess(2, 2, np.full((3, 2, 3, 2), 1 / 36))
+        with pytest.raises(ParameterOutOfRange):
+            si.ExplicitProcess(2, 2, np.array(1.0))
+
+    def test_explicit_nonpositive_horizon_rejected(self):
+        proc = si.unroll(copy_process(), 3)
+        for n in (0, -1):
+            with pytest.raises(ParameterOutOfRange):
+                si.directed_info(proc, n)
+            with pytest.raises(ParameterOutOfRange):
+                si.granger_noncausal(proc, n)
+
+    def test_di_rate_needs_markov_model(self):
+        with pytest.raises(ParameterOutOfRange):
+            si.di_rate(si.unroll(independent_process(), 3))
 
 
 class TestDirectedInfo:
@@ -215,6 +236,151 @@ class TestDiRate:
         )
         with pytest.raises(NotStationary):
             si.di_rate(m, "y->x")
+
+    def test_last_gap_at_horizon_cap(self):
+        m = random_stationary_markov(0)
+        r = si.di_rate(m, "y->x", max_n=3, tol=1e-15)
+        incs = [si.reverse_delayed_di(m, n) - si.reverse_delayed_di(m, n - 1) for n in (2, 3)]
+        assert not r.converged
+        assert r.last_gap > 0
+        assert r.last_gap == pytest.approx(abs(incs[1] - incs[0]), abs=1e-12)
+
+    def test_last_gap_at_enumeration_bound(self):
+        m = random_stationary_markov(0)
+        r = si.di_rate(m, "y->x", max_n=12, tol=1e-15, state_limit=4**4)
+        incs = [si.reverse_delayed_di(m, n) - si.reverse_delayed_di(m, n - 1) for n in (3, 4)]
+        assert (r.converged, r.horizon) == (False, 4)
+        assert r.last_gap == pytest.approx(abs(incs[1] - incs[0]), abs=1e-12)
+        # one measured increment leaves nothing to compare
+        assert si.di_rate(m, "y->x", max_n=12, state_limit=4**2).last_gap == math.inf
+
+
+def _axes_entropy(table: np.ndarray, axes: frozenset) -> float:
+    """Entropy of the marginal on `axes`, by one direct sum over every other axis."""
+    if not axes:
+        return 0.0
+    drop = tuple(ax for ax in range(table.ndim) if ax not in axes)
+    return si.entropy(table.sum(axis=drop).reshape(-1))
+
+
+def _cmi(table: np.ndarray, a: frozenset, b: frozenset, c: frozenset = frozenset()) -> float:
+    """I(A; B | C) for disjoint axis sets, from its definition."""
+    h = lambda axes: _axes_entropy(table, axes)  # noqa: E731
+    return h(a | c) + h(b | c) - h(a | b | c) - h(c)
+
+
+def reference_measures(table: np.ndarray, n: int) -> dict[str, float]:
+    """Each finite-alphabet measure at horizon n from its definition, by brute force.
+
+    Axes are ordered x1, y1, x2, y2, ...; X^i and Y^i are prefixes, X_i and
+    Y_i single steps.
+    """
+    t = table.sum(axis=tuple(range(2 * n, table.ndim)))
+    xs = lambda i: frozenset(range(0, 2 * i, 2))  # noqa: E731
+    ys = lambda i: frozenset(range(1, 2 * i, 2))  # noqa: E731
+    x = lambda i: frozenset({2 * i - 2})  # noqa: E731
+    y = lambda i: frozenset({2 * i - 1})  # noqa: E731
+    steps = range(1, n + 1)
+    return {
+        "forward": sum(_cmi(t, xs(i), y(i), ys(i - 1)) for i in steps),
+        "causal_cond": sum(
+            _axes_entropy(t, xs(i) | ys(i)) - _axes_entropy(t, xs(i) | ys(i - 1)) for i in steps
+        ),
+        "reverse": sum(_cmi(t, ys(i - 1), x(i), xs(i - 1)) for i in steps),
+        "delayed_forward": sum(_cmi(t, xs(i - 1), y(i), ys(i - 1)) for i in steps),
+        "instantaneous": sum(_cmi(t, x(i), y(i), xs(i - 1) | ys(i - 1)) for i in steps),
+        "total": _cmi(t, xs(n), ys(n)),
+    }
+
+
+def _assert_matches_reference(m: ProcessModel, n: int, ref: dict[str, float]) -> None:
+    assert si.directed_info(m, n) == pytest.approx(ref["forward"], abs=1e-12)
+    assert si.causally_cond_entropy(m, n) == pytest.approx(ref["causal_cond"], abs=1e-12)
+    assert si.reverse_delayed_di(m, n) == pytest.approx(ref["reverse"], abs=1e-12)
+    assert si.granger_noncausal(m, n) == (ref["reverse"] <= 1e-9)
+    rep = si.conservation_check(m, n)
+    assert rep.forward == pytest.approx(ref["forward"], abs=1e-12)
+    assert rep.reverse_delayed == pytest.approx(ref["reverse"], abs=1e-12)
+    assert rep.delayed_forward == pytest.approx(ref["delayed_forward"], abs=1e-12)
+    assert rep.instantaneous == pytest.approx(ref["instantaneous"], abs=1e-12)
+    assert rep.total_mi == pytest.approx(ref["total"], abs=1e-12)
+    assert rep.residual == pytest.approx(
+        abs(ref["total"] - ref["forward"] - ref["reverse"]), abs=1e-12
+    )
+    assert rep.residual_refined == pytest.approx(
+        abs(ref["total"] - ref["delayed_forward"] - ref["reverse"] - ref["instantaneous"]),
+        abs=1e-12,
+    )
+
+
+ORACLE_MODELS = [(seed, nx, ny) for seed in range(2) for nx, ny in ((2, 2), (3, 2), (2, 3))]
+
+
+class TestReferenceOracle:
+    @pytest.mark.parametrize("seed,nx,ny", ORACLE_MODELS)
+    def test_markov_measures(self, seed, nx, ny):
+        m = random_stationary_markov(seed, nx=nx, ny=ny)
+        refs = {}
+        for n in range(1, 7):
+            refs[n] = reference_measures(si.unroll(m, n).table, n)
+            _assert_matches_reference(m, n, refs[n])
+        for direction, key in (("y->x", "reverse"), ("x->y", "delayed_forward")):
+            r = si.di_rate(m, direction, max_n=6, tol=1e-12)
+            inc = refs[r.horizon][key] - refs[r.horizon - 1][key]
+            assert r.rate == pytest.approx(inc, abs=1e-12)
+
+    def test_non_markov_explicit_table(self):
+        rng = np.random.default_rng(12)
+        table = rng.dirichlet(np.full(6**3, 0.5))
+        table[rng.random(table.size) < 0.3] = 0.0  # zero cells exercise 0 log 0
+        table = (table / table.sum()).reshape((2, 3) * 3)
+        proc = si.ExplicitProcess(2, 3, table)
+        for n in range(1, 4):
+            _assert_matches_reference(proc, n, reference_measures(table, n))
+
+    @pytest.mark.parametrize("seed,nx,ny", ORACLE_MODELS)
+    def test_transfer_entropy_closed_form(self, seed, nx, ny):
+        m = random_stationary_markov(seed, nx=nx, ny=ny)
+        two = (m.initial[:, None] * m.kernel).reshape(nx, ny, nx, ny)  # x0, y0, x1, y1
+        te_yx = _cmi(two, frozenset({1}), frozenset({2}), frozenset({0}))  # I(Y_0; X_1 | X_0)
+        te_xy = _cmi(two, frozenset({0}), frozenset({3}), frozenset({1}))  # I(X_0; Y_1 | Y_0)
+        assert si.transfer_entropy(m, "y->x") == pytest.approx(te_yx, abs=1e-12)
+        assert si.transfer_entropy(m, "x->y") == pytest.approx(te_xy, abs=1e-12)
+
+
+@st.composite
+def processes(draw) -> tuple[ProcessModel, int]:
+    """A random joint Markov model or explicit table, with a horizon it supports."""
+    nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    q = nx * ny
+
+    def dist(size: int) -> np.ndarray:
+        w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
+        return w / w.sum() if w.sum() > 0 else np.full(size, 1.0 / size)
+
+    if draw(st.booleans()):
+        n = draw(st.integers(1, max(k for k in range(1, 7) if q**k <= 64)))
+        return si.ExplicitProcess(nx, ny, dist(q**n).reshape((nx, ny) * n)), n
+    kernel = np.stack([dist(q) for _ in range(q)])
+    n = draw(st.integers(1, max(k for k in range(1, 7) if q**k <= 10**4)))
+    return si.MarkovJointProcess(nx, ny, dist(q), kernel), n
+
+
+class TestConservationProperties:
+    @given(processes())
+    def test_conservation_law_and_nonnegativity(self, case):
+        m, n = case
+        rep = si.conservation_check(m, n)
+        assert abs(rep.total_mi - rep.forward - rep.reverse_delayed) <= 1e-9
+        assert abs(
+            rep.total_mi - rep.delayed_forward - rep.reverse_delayed - rep.instantaneous
+        ) <= 1e-9
+        measures = [
+            rep.forward, rep.reverse_delayed, rep.instantaneous, rep.total_mi,
+            rep.delayed_forward, si.directed_info(m, n), si.causally_cond_entropy(m, n),
+            si.reverse_delayed_di(m, n),
+        ]
+        assert min(measures) >= -1e-12
 
 
 class TestGeweke:
