@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParameterOutOfRange
 from .losses import LossSpec, bayes_risk, v_envelope
 from .prob import (
     ConvexOracle,
@@ -127,7 +128,7 @@ def g_normalized(l: LossSpec, seed: int = 0) -> ConvexOracle:
     """
     n = l.n
     if n is None:
-        raise ValueError("loss has no declared alphabet size")
+        raise ParameterOutOfRange("loss has no declared alphabet size; pass n= to savage_from_G")
     a = np.array([v_envelope(l, point_mass(i, n), seed=seed) for i in range(n)])
 
     def value(q: np.ndarray) -> float:

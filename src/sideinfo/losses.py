@@ -12,12 +12,18 @@ Three loss shapes are supported:
 * SavageRuleLoss: a proper rule built from a convex oracle G via
   supporting hyperplanes; its negative Bayes envelope is G itself.
 
+Simplex-action rules share one batched contract: `loss_vector` maps a
+forecast (n,) or a batch (K, n) to the same shape, row k holding ell(x, Q_k)
+for every x.  The numeric search and the propriety audit evaluate their
+forecasts as batches through it.
+
 Built-ins: log, zero_one, brier, spherical, absolute_ordered.  All symbols
 are 0-based here; 1-based indexing lives only at the file/CLI boundary.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -25,7 +31,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import NotProper, ParameterOutOfRange, UnboundedBelow, UnknownLoss
-from .prob import ConvexOracle, Dist, _as_probs, point_mass
+from .prob import ConvexOracle, Dist, _as_probs
 
 BUILTIN_LOSSES = ("log", "zero_one", "brier", "spherical", "absolute_ordered")
 
@@ -64,7 +70,13 @@ class ActionMatrixLoss:
 
 @dataclass(frozen=True)
 class ScoringRuleLoss:
-    """Loss over simplex-valued actions: eval_fn(x, Q) -> extended real."""
+    """Loss over simplex-valued actions: eval_fn(x, Q) -> extended real.
+
+    `vector_fn`, if given, must be row-wise: (n,) -> (n,) and (K, n) -> (K, n),
+    row k depending on forecast k alone.  A batch returned in another shape,
+    or whose first row is off by more than 1e-12 from that forecast alone,
+    raises ParameterOutOfRange.  Without it, `eval_fn` runs per outcome and row.
+    """
 
     eval_fn: Callable[[int, np.ndarray], float]
     n: int
@@ -73,10 +85,19 @@ class ScoringRuleLoss:
     vector_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def loss_vector(self, q: np.ndarray) -> np.ndarray:
-        """ell(x, q) for every outcome x."""
-        if self.vector_fn is not None:
-            return np.asarray(self.vector_fn(q), dtype=float)
-        return np.array([float(self.eval_fn(x, q)) for x in range(len(q))], dtype=float)
+        """ell(x, q) for every outcome x; a (K, n) batch gives one row per forecast."""
+        q = np.asarray(q, dtype=float)
+        if self.vector_fn is None:
+            rows = q.reshape(-1, q.shape[-1])
+            out = [[float(self.eval_fn(x, r)) for x in range(r.shape[0])] for r in rows]
+            return np.array(out, dtype=float).reshape(q.shape)
+        out = np.asarray(self.vector_fn(q), dtype=float)
+        if out.shape != q.shape:
+            raise ParameterOutOfRange(f"vector_fn returned shape {out.shape} for forecasts {q.shape}")
+        if q.ndim == 2 and len(q) > 1:
+            if not np.allclose(out[0], self.vector_fn(q[0]), rtol=0.0, atol=1e-12, equal_nan=True):
+                raise ParameterOutOfRange("vector_fn is not row-wise: a batch row differs from its forecast alone")
+        return out
 
 
 @dataclass(frozen=True)
@@ -87,7 +108,10 @@ class SavageRuleLoss:
     n: Optional[int] = None
 
     def loss_vector(self, q: np.ndarray) -> np.ndarray:
+        """ell(x, q) for every outcome x; a (K, n) batch gives one row per forecast."""
         q = np.asarray(q, dtype=float)
+        if q.ndim == 2:  # the oracle takes one forecast at a time
+            return np.array([self.loss_vector(r) for r in q], dtype=float).reshape(q.shape)
         sub = np.asarray(self.g.subgradient(q), dtype=float)
         mask = q != 0.0
         pairing = float((sub[mask] * q[mask]).sum())  # 0 * LOG_ZERO = 0
@@ -106,7 +130,9 @@ class BayesResult:
 
     `minimizer` is an action index for matrix losses and a Dist for
     simplex-action rules.  `grid_gap` reports search-minus-grid slack for
-    the numeric tier (None when the exact tiers apply).
+    the numeric tier, whose result is checked against the step-1/200
+    simplex lattice for n <= 4; it is None above n = 4 and when the exact
+    tiers apply.
     """
 
     risk: float
@@ -120,51 +146,30 @@ def builtin_loss(name: str, n: int) -> LossSpec:
     if n < 2:
         raise ParameterOutOfRange(f"alphabet size must be >= 2, got {n}")
     key = name.replace("-", "_").lower()
+    if key == "zero_one":
+        return ActionMatrixLoss(matrix=1.0 - np.eye(n), name=key)
+    if key == "absolute_ordered":
+        idx = np.arange(n)
+        return ActionMatrixLoss(matrix=np.abs(idx[:, None] - idx[None, :]).astype(float), name=key)
     if key == "log":
-        def ev(x, q):
-            q = _as_probs(q)
-            return float(-np.log(q[x])) if q[x] > 0 else np.inf
-
         def vec(q):
             q = _as_probs(q)
             out = np.full(q.shape, np.inf)
             m = q > 0
             out[m] = -np.log(q[m])
             return out
-
-        return ScoringRuleLoss(eval_fn=ev, n=n, proper=True, name="log", vector_fn=vec)
-    if key == "zero_one":
-        return ActionMatrixLoss(matrix=1.0 - np.eye(n), name="zero_one")
-    if key == "brier":
-        def ev(x, q):
-            q = _as_probs(q)
-            e = -q.copy()
-            e[x] += 1.0
-            return float((e * e).sum())
-
+    elif key == "brier":
         def vec(q):
             q = _as_probs(q)
-            base = float((q * q).sum())
-            return base - 2.0 * q + 1.0
-
-        return ScoringRuleLoss(eval_fn=ev, n=n, proper=True, name="brier", vector_fn=vec)
-    if key == "spherical":
-        def ev(x, q):
-            q = _as_probs(q)
-            return float(-q[x] / np.linalg.norm(q))
-
+            return (q * q).sum(axis=-1, keepdims=True) - 2.0 * q + 1.0
+    elif key == "spherical":
         def vec(q):
             q = _as_probs(q)
-            return -q / np.linalg.norm(q)
-
-        return ScoringRuleLoss(eval_fn=ev, n=n, proper=True, name="spherical", vector_fn=vec)
-    if key == "absolute_ordered":
-        idx = np.arange(n)
-        return ActionMatrixLoss(
-            matrix=np.abs(idx[:, None] - idx[None, :]).astype(float),
-            name="absolute_ordered",
-        )
-    raise UnknownLoss(f"unknown built-in loss {name!r}")
+            # a batched matmul reaches the same BLAS dot as np.linalg.norm(q) on one forecast
+            return -q / np.sqrt(q[..., None, :] @ q[..., :, None])[..., 0]
+    else:
+        raise UnknownLoss(f"unknown built-in loss {name!r}")
+    return ScoringRuleLoss(eval_fn=lambda x, q: float(vec(q)[x]), n=n, proper=True, name=key, vector_fn=vec)
 
 
 def reinstantiate(l: LossSpec, n: int) -> Optional[LossSpec]:
@@ -175,13 +180,20 @@ def reinstantiate(l: LossSpec, n: int) -> Optional[LossSpec]:
     return None
 
 
-def _expected_scoring_loss(l, p: np.ndarray, q: np.ndarray) -> float:
-    """E_P[ell(X, q)] with the 0 * inf = 0 convention."""
-    vec = l.loss_vector(q)
+def _expected_scoring_loss(l, p: np.ndarray, q: np.ndarray):
+    """E_P[ell(X, q)], a float for one forecast and an array for a batch.
+
+    0 * inf = 0; a loss that is inf or >= HUGE where p > 0 makes the row inf.
+    """
     m = p > 0
-    if np.any(np.isinf(vec[m]) | (vec[m] >= HUGE)):
-        return np.inf
-    return float((p[m] * vec[m]).sum())
+    # compress keeps the rows C-contiguous, so each row sums as a lone forecast would
+    vec = l.loss_vector(q).compress(m, axis=-1)
+    bad = np.isinf(vec) | (vec >= HUGE)
+    if bad.any():
+        risk = np.where(bad.any(axis=-1), np.inf, (p[m] * np.where(bad, 0.0, vec)).sum(axis=-1))
+    else:
+        risk = (p[m] * vec).sum(axis=-1)
+    return float(risk) if risk.ndim == 0 else risk
 
 
 def _matrix_column_values(matrix: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -200,54 +212,43 @@ def _matrix_column_values(matrix: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _simplex_project(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the unit simplex."""
-    n = v.shape[0]
-    u = np.sort(v)[::-1]
-    css = (np.cumsum(u) - 1.0) / np.arange(1, n + 1)
-    k = np.nonzero(u > css)[0][-1]
-    return np.maximum(v - css[k], 0.0)
+    """Euclidean projection of a point, or of each row of a batch, onto the unit simplex."""
+    n = v.shape[-1]
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = (np.cumsum(u, axis=-1) - 1.0) / np.arange(1, n + 1)
+    k = n - 1 - np.argmax((u > css)[..., ::-1], axis=-1)  # the last index where u > css
+    return np.maximum(v - np.take_along_axis(css, k[..., None], axis=-1), 0.0)
 
 
 def simplex_grid(n: int, steps: int) -> np.ndarray:
-    """All points of the simplex lattice {c/steps : c in Z^n_{>=0}, sum c = steps}."""
-    if n == 1:
-        return np.ones((1, 1))
-    pts = []
-
-    def rec(prefix, remaining, axes_left):
-        if axes_left == 1:
-            pts.append(prefix + [remaining])
-            return
-        for c in range(remaining + 1):
-            rec(prefix + [c], remaining - c, axes_left - 1)
-
-    rec([], steps, n)
-    return np.array(pts, dtype=float) / steps
+    """All points of the simplex lattice {c/steps : c in Z^n_{>=0}, sum c = steps}, c ascending."""
+    # stars and bars: the n - 1 bar slots among steps + n - 1, in lexicographic order
+    bars = np.array(list(itertools.combinations(range(steps + n - 1), n - 1)), dtype=float)
+    edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1.0, steps + n - 1.0))
+    return (np.diff(edges, axis=1) - 1.0) / steps
 
 
-def _numeric_bayes(l: ScoringRuleLoss, p: np.ndarray, seed: int, grid_check: bool) -> BayesResult:
+def _numeric_bayes(l: ScoringRuleLoss, p: np.ndarray, seed: int) -> BayesResult:
     n = p.shape[0]
     rng = np.random.default_rng(seed)
 
     def f(q):
         return _expected_scoring_loss(l, p, q)
 
-    # multi-start projected (numeric) gradient descent
-    starts = [p.copy(), np.full(n, 1.0 / n)]
-    while len(starts) < 16:
-        starts.append(rng.dirichlet(np.ones(n)))
+    # multi-start projected (numeric) gradient descent; the central
+    # differences along +-h e_i are one batch of 2n projected points
+    starts = [p.copy(), np.full(n, 1.0 / n), *rng.dirichlet(np.ones(n), size=14)]
     best_q, best_v = None, np.inf
     h = 1e-6
+    steps = np.concatenate([np.eye(n), -np.eye(n)]) * h
     for q0 in starts:
         q = q0.copy()
         val = f(q)
         lr = 0.25
         for it in range(120):
-            grad = np.zeros(n)
-            for i in range(n):
-                e = np.zeros(n)
-                e[i] = h
-                grad[i] = (f(_simplex_project(q + e)) - f(_simplex_project(q - e))) / (2 * h)
+            vals = f(_simplex_project(q + steps))
+            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf ends this start below
+                grad = (vals[:n] - vals[n:]) / (2 * h)
             if not np.all(np.isfinite(grad)):
                 break
             q_new = _simplex_project(q - lr * grad)
@@ -272,9 +273,9 @@ def _numeric_bayes(l: ScoringRuleLoss, p: np.ndarray, seed: int, grid_check: boo
         best_q, best_v = _simplex_project(res.x), float(res.fun)
 
     gap = None
-    if grid_check and n <= 4:
+    if n <= 4:
         grid = simplex_grid(n, 200)
-        gvals = np.array([f(q) for q in grid])
+        gvals = f(grid)
         gi = int(np.argmin(gvals))
         gap = best_v - float(gvals[gi])
         if gvals[gi] < best_v:
@@ -284,19 +285,18 @@ def _numeric_bayes(l: ScoringRuleLoss, p: np.ndarray, seed: int, grid_check: boo
     return BayesResult(risk=best_v, minimizer=Dist(best_q), method="numeric-search", grid_gap=gap)
 
 
-def bayes_risk(l: LossSpec, p, seed: int = 0, grid_check: bool = True) -> BayesResult:
+def bayes_risk(l: LossSpec, p, seed: int = 0) -> BayesResult:
     """Minimal expected loss against distribution p, with its minimizer.
 
     Exact for action matrices (column minimum, ties to the lowest index) and
     for proper rules (evaluate at Q = P); approximate multi-start search for
-    arbitrary scoring rules.
+    arbitrary scoring rules.  A p whose length differs from the loss's
+    declared alphabet size raises ParameterOutOfRange.
     """
     pv = _as_probs(p)
+    if l.n is not None and pv.shape[0] != l.n:
+        raise ParameterOutOfRange(f"distribution has {pv.shape[0]} symbols but loss expects {l.n}")
     if isinstance(l, ActionMatrixLoss):
-        if pv.shape[0] != l.n:
-            raise ParameterOutOfRange(
-                f"distribution has {pv.shape[0]} symbols but loss expects {l.n}"
-            )
         vals = _matrix_column_values(l.matrix, pv)
         a = int(np.argmin(vals))  # argmin takes the lowest index on ties
         risk = float(vals[a])
@@ -308,7 +308,7 @@ def bayes_risk(l: LossSpec, p, seed: int = 0, grid_check: bool = True) -> BayesR
         if not np.isfinite(risk):
             raise UnboundedBelow("expected loss at the honest report is not finite")
         return BayesResult(risk=risk, minimizer=Dist(pv), method="proper-fixed-point")
-    return _numeric_bayes(l, pv, seed=seed, grid_check=grid_check)
+    return _numeric_bayes(l, pv, seed=seed)
 
 
 def v_envelope(l: LossSpec, p, seed: int = 0) -> float:
@@ -351,21 +351,20 @@ def audit_propriety(
     if size is None:
         raise ParameterOutOfRange("alphabet size unknown; pass n=")
     rng = np.random.default_rng(seed)
-    fixed: list[np.ndarray] = [np.full(size, 1.0 / size)]
-    fixed.extend(point_mass(i, size).probs for i in range(size))
+    fixed = [np.full((1, size), 1.0 / size), np.eye(size)]
     if size <= 3:
-        fixed.extend(simplex_grid(size, 20))
+        fixed.append(simplex_grid(size, 20))
     worst = np.inf
     worst_p = worst_q = None
     for _ in range(trials):
         p = rng.dirichlet(np.ones(size))
         honest = _expected_scoring_loss(l, p, p)
-        candidates = [rng.dirichlet(np.ones(size)) for _ in range(8)] + fixed
-        for q in candidates:
-            other = _expected_scoring_loss(l, p, q)
-            margin = other - honest
-            if margin < worst:
-                worst, worst_p, worst_q = margin, p, q
-            if margin < -tol:
-                raise NotProper(p=p, q=q, margin=margin)
+        candidates = np.concatenate([rng.dirichlet(np.ones(size), size=8)] + fixed)
+        margins = _expected_scoring_loss(l, p, candidates) - honest
+        hits = np.flatnonzero(margins < -tol)
+        if hits.size:  # the first dishonest report in candidate order
+            raise NotProper(p=p, q=candidates[hits[0]], margin=float(margins[hits[0]]))
+        i = int(np.argmin(np.where(np.isnan(margins), np.inf, margins)))  # NaN margins never count
+        if margins[i] < worst:
+            worst, worst_p, worst_q = margins[i], p, candidates[i]
     return ProprietyReport(trials=trials, worst_margin=float(worst), worst_p=worst_p, worst_q=worst_q)

@@ -125,8 +125,7 @@ def serialize_model(obj, kind: str | None = None) -> dict:
         }
     if getattr(obj, "name", None) in BUILTIN_LOSSES:
         doc = {"version": SCHEMA_VERSION, "kind": "loss", "builtin": obj.name}
-        n = obj.n if not isinstance(obj, ActionMatrixLoss) else obj.matrix.shape[0]
-        doc["n"] = int(n)
+        doc["n"] = int(obj.n)
         return doc
     if isinstance(obj, Transform):
         return {

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -7,6 +10,18 @@ import sideinfo as si
 # One deterministic profile: the same examples on every run, no wall-clock deadline.
 settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
 settings.load_profile("deterministic")
+
+
+def package_env() -> dict:
+    """os.environ with the absolute package root first on PYTHONPATH.
+
+    Child processes run in a temporary directory, where a relative entry
+    such as `src` resolves to nothing.
+    """
+    root = str(Path(si.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture

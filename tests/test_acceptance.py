@@ -6,11 +6,9 @@ pytest -s or in failure output); stated runtime bounds are asserted.
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +18,7 @@ from sideinfo.prob import LOG_ZERO
 
 from conftest import (
     copy_process,
+    package_env,
     random_joint,
     random_joint3,
     random_stationary_markov,
@@ -266,16 +265,11 @@ def test_criterion_09_corollary1_conditional_benefit():
 
 
 def _run_cli(args, tmp_path) -> bytes:
-    # The child runs in tmp_path, where a relative PYTHONPATH entry such as
-    # `src` resolves to nothing; put the absolute package root first.
-    root = str(Path(si.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-m", "sideinfo.cli", *args],
         capture_output=True,
         cwd=tmp_path,
-        env=env,
+        env=package_env(),
     )
     assert out.returncode in (0, 2, 3), f"{args}: {out.stderr.decode()}"
     return out.stdout

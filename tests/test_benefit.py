@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sideinfo as si
+from sideinfo.benefit import c_value
 
 from conftest import random_joint, random_joint3
 
@@ -64,6 +65,14 @@ class TestBenefit:
 
 
 class TestGNormalized:
+    def test_savage_rule_without_n(self):
+        # c_value never needs the alphabet size; the normalized envelope does
+        rule = si.savage_from_G(si.neg_entropy_oracle())
+        j = si.validate_joint([[0.3, 0.2], [0.1, 0.4]])
+        assert c_value(rule, j) == pytest.approx(si.mutual_information(j), abs=1e-12)
+        with pytest.raises(si.ParameterOutOfRange, match="savage_from_G"):
+            si.benefit(rule, j)
+
     def test_log_gives_neg_entropy(self):
         g = si.g_normalized(si.builtin_loss("log", 3))
         rng = np.random.default_rng(3)

@@ -4,10 +4,28 @@ import numpy as np
 import pytest
 
 import sideinfo as si
-from sideinfo.errors import NotProper, UnboundedBelow, UnknownLoss
+from sideinfo.errors import NotProper, ParameterOutOfRange, UnboundedBelow, UnknownLoss
 from sideinfo.losses import simplex_grid
 
 LN2 = math.log(2)
+
+
+def unflagged_rule(kind: str, n: int) -> si.ScoringRuleLoss:
+    """A proper=False rule whose vector_fn takes a forecast or a (K, n) batch.
+
+    `linear` is the improper score -q_x; `brier` is the Brier score without
+    its proper flag.
+    """
+
+    def vector_fn(q):
+        q = np.asarray(q, dtype=float)
+        if kind == "linear":
+            return -q
+        return (q * q).sum(axis=-1, keepdims=True) - 2.0 * q + 1.0
+
+    return si.ScoringRuleLoss(
+        eval_fn=lambda x, q: float(vector_fn(q)[x]), n=n, proper=False, vector_fn=vector_fn
+    )
 
 
 class TestBuiltinLoss:
@@ -103,6 +121,63 @@ class TestBayesRisk:
         r = si.bayes_risk(rule, [0.6, 0.4])
         assert r.risk == pytest.approx(-0.6, abs=1e-9)
 
+    def test_length_must_match_declared_n(self):
+        rule = si.ScoringRuleLoss(eval_fn=lambda x, q: -float(q[x]), n=2, proper=True)
+        with pytest.raises(ParameterOutOfRange):
+            si.bayes_risk(rule, [0.2, 0.3, 0.5])
+        with pytest.raises(ParameterOutOfRange):
+            si.bayes_risk(si.savage_from_G(si.neg_entropy_oracle(), n=2), [0.2, 0.3, 0.5])
+
+    def test_numeric_search_pinned(self):
+        # exact values, so a change in evaluation order or batching shows
+        cases = [
+            (unflagged_rule("brier", 3), [0.2, 0.3, 0.5], 0, 0.6199999999999999,
+             [0.19999999999306553, 0.3000000000247075, 0.499999999982227], -1.1102230246251565e-16),
+            (unflagged_rule("brier", 2), [0.7, 0.3], 4, 0.41999999999999993,
+             [0.6999999999943297, 0.30000000000567023], -1.1102230246251565e-16),
+            (unflagged_rule("linear", 3), [0.2, 0.5, 0.3], 1, -0.5, [0.0, 1.0, 0.0], 0.0),
+            (si.ScoringRuleLoss(eval_fn=lambda x, q: -float(q[x]), n=2), [0.35, 0.65], 2,
+             -0.65, [0.0, 1.0], 0.0),
+        ]
+        for rule, p, seed, risk, minimizer, gap in cases:
+            r = si.bayes_risk(rule, p, seed=seed)
+            assert r.method == "numeric-search"
+            assert (r.risk, r.minimizer.probs.tolist(), r.grid_gap) == (risk, minimizer, gap)
+
+
+class TestLossVectorBatch:
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            si.builtin_loss("log", 3),
+            si.builtin_loss("brier", 3),
+            si.builtin_loss("spherical", 3),
+            si.ScoringRuleLoss(eval_fn=lambda x, q: float(q[x] ** 2 - q.sum()), n=3),
+            si.savage_from_G(si.neg_entropy_oracle(), n=3),
+        ],
+        ids=["log", "brier", "spherical", "eval_fn-only", "savage"],
+    )
+    def test_batch_equals_stacked_single_calls(self, rule):
+        rng = np.random.default_rng(8)
+        batch = np.vstack([rng.dirichlet(np.ones(3), size=6), np.eye(3), simplex_grid(3, 4)])
+        out = rule.loss_vector(batch)
+        assert out.shape == batch.shape
+        assert np.array_equal(out, np.array([rule.loss_vector(q) for q in batch]))
+
+    @pytest.mark.parametrize(
+        "vector_fn",
+        [lambda q: -q / np.linalg.norm(q), lambda q: -np.atleast_2d(q)[0]],
+        ids=["not-row-wise", "wrong-shape"],
+    )
+    def test_bad_vector_fn_rejected(self, vector_fn):
+        rule = si.ScoringRuleLoss(
+            eval_fn=lambda x, q: float(vector_fn(q)[x]), n=3, proper=False, vector_fn=vector_fn
+        )
+        with pytest.raises(ParameterOutOfRange):
+            si.bayes_risk(rule, [0.2, 0.3, 0.5])
+        with pytest.raises(ParameterOutOfRange):
+            si.audit_propriety(rule, trials=5)
+
 
 class TestVEnvelope:
     def test_log_is_neg_entropy(self):
@@ -187,6 +262,21 @@ class TestAuditPropriety:
             si.audit_propriety(rule, trials=100, seed=0)
         assert exc.value.margin < -1e-9
         assert exc.value.p is not None and exc.value.q is not None
+
+    def test_report_pinned(self):
+        rep = si.audit_propriety(si.builtin_loss("spherical", 3), trials=20, seed=11)
+        assert rep.worst_margin == 5.1019178613165295e-05
+        assert rep.worst_p.tolist() == [0.001037553783724521, 0.45553265688821176, 0.5434297893280637]
+        assert rep.worst_q.tolist() == [0.0, 0.45, 0.55]
+
+    def test_not_proper_witness_pinned(self):
+        rule = si.ScoringRuleLoss(eval_fn=lambda x, q: -float(q[x]), n=2, proper=False)
+        with pytest.raises(NotProper) as exc:
+            si.audit_propriety(rule, trials=100, seed=0)
+        assert exc.value.p.tolist() == [0.4000707853732506, 0.5999292146267494]
+        assert exc.value.q.tolist() == [0.25241805539539025, 0.7475819446046097]
+        assert exc.value.margin == -0.0295096426883662
+        assert type(exc.value.margin) is float
 
 
 def test_simplex_grid_counts():
