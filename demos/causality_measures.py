@@ -4,8 +4,8 @@
 Directed information, its conservation law, transfer entropy, and
 Geweke's linear-feedback measure all quantify "how much does Y's past
 help predict X" in some costume.  On finite alphabets everything here is
-computed by exact enumeration; for Gaussian VAR models, from exact
-autocovariances.
+computed exactly (by a forward recursion for Markov models); for Gaussian
+VAR models, from exact autocovariances.
 """
 
 import numpy as np

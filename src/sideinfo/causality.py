@@ -4,19 +4,27 @@ Geweke's linear-Gaussian causality measure.
 Every finite-alphabet measure here is a form of directed information: a
 signed sum of prefix entropies H(X^a, Y^b) of the pair process (Massey
 1990).  `_prefix_entropies` computes the table of those entropies at a
-horizon by exact enumeration of the sequence space (a joint Markov model is
-unrolled into the full distribution over (X^n, Y^n)), and each measure is a
-sum of per-step terms read from that one table.  This makes identities like
-the conservation law hard numeric tests rather than statistical ones.
-Geweke's measure is the one continuous-valued quantity: the restricted
-prediction variance comes from exact autocovariances via Levinson-Durbin,
-never from simulation.
+horizon exactly, and each measure is a sum of per-step terms read from that
+one table.  For a joint Markov model the table comes from a forward
+recursion, never from the sequence space: the pair terms H(X^i, Y^i),
+H(X^i, Y^{i-1}) and H(X^{i-1}, Y^i) are the running pair marginal dotted
+with row entropies of the kernel, and H(X^i) and H(Y^i) come from forward
+arrays P(X^{i-1}, X_i, Y_i) and their mirror (Rabiner 1989).  Their size is
+at most max(nx, ny)^n * nx * ny, and that is the enumeration bound checked
+against state_limit.  An explicit table is
+summed directly; `unroll` only converts a Markov model into one (and serves
+the tests as an oracle).  Exactness makes identities like the conservation
+law hard numeric tests rather than statistical ones.  Geweke's measure is
+the one continuous-valued quantity: the restricted prediction variance
+comes from exact autocovariances via Levinson-Durbin, never from
+simulation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from itertools import islice
+from typing import Iterator, Union
 
 import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
@@ -101,7 +109,11 @@ ProcessModel = Union[MarkovJointProcess, ExplicitProcess]
 
 
 def unroll(m: MarkovJointProcess, n: int, state_limit: int = STATE_LIMIT) -> ExplicitProcess:
-    """Expand a Markov model into the explicit sequence distribution at horizon n."""
+    """Expand a Markov model into the explicit sequence distribution at horizon n.
+
+    The measures never call this; it converts a Markov model into an
+    ExplicitProcess, bounded by its (nx * ny)^n sequence space.
+    """
     if n < 1:
         raise ParameterOutOfRange(f"horizon must be >= 1, got {n}")
     q = m.nx * m.ny
@@ -115,23 +127,88 @@ def unroll(m: MarkovJointProcess, n: int, state_limit: int = STATE_LIMIT) -> Exp
     return ExplicitProcess(nx=m.nx, ny=m.ny, table=dist.reshape((m.nx, m.ny) * n))
 
 
+def _forward_size(m: MarkovJointProcess, n: int) -> int:
+    """max(nx, ny)^n * nx * ny, a bound on the entries of either forward array at horizon n."""
+    return max(m.nx, m.ny) ** n * m.nx * m.ny
+
+
+def _row_entropies(rows: np.ndarray) -> np.ndarray:
+    """Shannon entropy of each row in nats (0 ln 0 = 0)."""
+    return -(rows * np.log(np.where(rows > 0, rows, 1.0))).sum(axis=1)
+
+
+def _coordinate_entropies(nc: int, no: int, initial: np.ndarray, kernel: np.ndarray) -> Iterator[float]:
+    """Yield H(C^i) for i = 1, 2, ..., where C is the leading coordinate of each pair state.
+
+    The forward array holds P(C_i, C^{i-1} = s, O_i), shape (nc, nc^{i-1}, no),
+    with the prefixes s in a fixed order of no meaning to the entropy.
+    """
+    k3 = kernel.reshape(nc, no, nc * no)
+    ones = np.ones(no)  # a product with ones sums the short o axis far faster than .sum(axis=2)
+    fwd = initial.reshape(nc, 1, no)
+    while True:
+        yield entropy(fwd @ ones)
+        # sum o_i out of P(c_i, s, o_i) K[(c_i, o_i), (c', o')]; the prefixes become (c_i, s)
+        fwd = (fwd @ k3).reshape(-1, nc, no).transpose(1, 0, 2)
+
+
+def _markov_steps(m: MarkovJointProcess, state_limit: int) -> Iterator[dict]:
+    """Yield the prefix entropies new at horizon i = 1, 2, ..., while i is within the bound.
+
+    Horizon i adds the keys (i, i), (i, i - 1), (i - 1, i), (i, 0) and (0, i).
+    """
+    nx, ny, q = m.nx, m.ny, m.nx * m.ny
+    k4 = m.kernel.reshape(nx, ny, nx, ny)
+    # H(X_{i+1} | Z_i = z), H(Y_{i+1} | Z_i = z) and H(Z_{i+1} | Z_i = z), one column each
+    cond = np.array([
+        _row_entropies(k4.sum(axis=3).reshape(q, nx)),
+        _row_entropies(k4.sum(axis=2).reshape(q, ny)),
+        _row_entropies(m.kernel),
+    ]).T
+    xs = _coordinate_entropies(nx, ny, m.initial, m.kernel)
+    ys = _coordinate_entropies(
+        ny, nx, m.initial.reshape(nx, ny).T.reshape(q), k4.transpose(1, 0, 3, 2).reshape(q, q)
+    )
+    if _forward_size(m, 1) > state_limit:
+        return
+    mu, hz = m.initial, entropy(m.initial)  # law of Z_i and H(Z^i)
+    yield {(1, 0): next(xs), (0, 1): next(ys), (1, 1): hz}
+    i = 2
+    while _forward_size(m, i) <= state_limit:
+        hx, hy, hp = (mu @ cond).tolist()
+        step = {(i, i - 1): hz + hx, (i - 1, i): hz + hy}
+        hz += hp
+        mu = mu @ m.kernel
+        step[i, i], step[i, 0], step[0, i] = hz, next(xs), next(ys)
+        yield step
+        i += 1
+
+
 def _prefix_entropies(m: ProcessModel, n: int, state_limit: int) -> dict[tuple[int, int], float]:
     """{(a, b): H(X^a, Y^b)} for every prefix a measure reads up to horizon n.
 
-    The keys are a = b, a = b +- 1, a = 0 and b = 0.  Each marginal is the
-    previous one with its trailing axis summed off, and only the running
-    marginals are held, so the sequence table is the one large array.
+    The keys are a = b, a = b +- 1, a = 0 and b = 0.  A Markov model runs the
+    forward recursion, which raises HorizonTooLarge when its forward arrays
+    (max(nx, ny)^n * nx * ny entries) exceed state_limit.  An explicit table
+    has each marginal taken from the previous one by summing off its trailing
+    axis, so the table is the one large array.
     """
     if n < 1:
         raise ParameterOutOfRange(f"horizon must be >= 1, got {n}")
-    if isinstance(m, MarkovJointProcess):
-        table = unroll(m, n, state_limit=state_limit).table
-    elif n > m.horizon:
-        raise HorizonTooLarge(f"explicit model has horizon {m.horizon}, requested {n}")
-    else:
-        drop = tuple(range(2 * n, m.table.ndim))
-        table = m.table.sum(axis=drop) if drop else m.table
     h = {(0, 0): 0.0}
+    if isinstance(m, MarkovJointProcess):
+        if _forward_size(m, n) > state_limit:
+            raise HorizonTooLarge(
+                f"forward arrays of max({m.nx}, {m.ny})**{n} * {m.nx * m.ny} entries "
+                f"exceed the enumeration bound {state_limit}"
+            )
+        for step in islice(_markov_steps(m, state_limit), n):
+            h.update(step)
+        return h
+    if n > m.horizon:
+        raise HorizonTooLarge(f"explicit model has horizon {m.horizon}, requested {n}")
+    drop = tuple(range(2 * n, m.table.ndim))
+    table = m.table.sum(axis=drop) if drop else m.table
     pair = table  # axes x1, y1, ..., x_i, y_i
     for i in range(n, 0, -1):
         h[i, i] = entropy(pair.reshape(-1))
@@ -280,21 +357,23 @@ def di_rate(
     """lim (1/n) of the delayed directed information, via stabilized increments.
 
     The increment at horizon n is step n of I(Y^{n-1} -> X^n) for y->x, or
-    of I(X^{n-1} -> Y^n) for x->y.  Returns the latest increment once
-    consecutive increments agree within tol; if the horizon cap or the
-    enumeration bound is hit first, the latest increment is returned with
-    converged=False.  last_gap is the last measured distance between
-    consecutive increments, inf when fewer than two were measured.
+    of I(X^{n-1} -> Y^n) for x->y, read from one prefix-entropy table that
+    grows a horizon at a time.  Returns the latest increment once
+    consecutive increments agree within tol; if the horizon cap is reached,
+    or the next horizon's forward arrays would exceed state_limit, the
+    latest increment is returned with converged=False.  last_gap is the last
+    measured distance between consecutive increments, inf when fewer than
+    two were measured.
     """
     step = _flow_step(m, direction)
     if max_n < 2:
         raise ParameterOutOfRange(f"max_n must be >= 2, got {max_n}")
+    steps = _markov_steps(m, state_limit)
+    h = {(0, 0): 0.0, **next(steps, {})}
     rate, gap, horizon = 0.0, np.inf, 1
-    for n in range(2, max_n + 1):
-        try:
-            inc = step(_prefix_entropies(m, n, state_limit), n)
-        except HorizonTooLarge:
-            break
+    for n, new in zip(range(2, max_n + 1), steps):  # the table grows only while n is in range
+        h.update(new)
+        inc = step(h, n)
         if horizon > 1:  # an earlier increment was measured
             gap = abs(inc - rate)
             if gap <= tol:

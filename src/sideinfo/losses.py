@@ -343,10 +343,14 @@ def audit_propriety(
     """Check E_P[ell(X,P)] <= E_P[ell(X,Q)] + tol on random P against random and grid Q.
 
     Returns the worst (most negative) margin seen; raises NotProper with the
-    offending (P, Q) witness if any dishonest report strictly wins.
+    offending (P, Q) witness if any dishonest report strictly wins.  An `n`
+    that differs from the rule's declared alphabet size raises
+    ParameterOutOfRange, as in `bayes_risk`.
     """
     if isinstance(l, ActionMatrixLoss):
         raise ParameterOutOfRange("propriety is defined for simplex-action rules")
+    if n is not None and l.n is not None and n != l.n:
+        raise ParameterOutOfRange(f"audit asked for {n} symbols but loss expects {l.n}")
     size = n or l.n
     if size is None:
         raise ParameterOutOfRange("alphabet size unknown; pass n=")

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sideinfo as si
-from sideinfo.causality import ProcessModel
+from sideinfo.causality import STATE_LIMIT, ProcessModel, _prefix_entropies
 from sideinfo.errors import HorizonTooLarge, NotStationary, ParameterOutOfRange
 
 from conftest import (
@@ -72,7 +72,7 @@ class TestDirectedInfo:
 
     def test_horizon_bound(self):
         with pytest.raises(HorizonTooLarge):
-            si.directed_info(copy_process(), 4, state_limit=100)
+            si.directed_info(copy_process(), 4, state_limit=63)
 
     def test_degenerate_horizon_rejected(self):
         with pytest.raises(ParameterOutOfRange):
@@ -247,12 +247,12 @@ class TestDiRate:
 
     def test_last_gap_at_enumeration_bound(self):
         m = random_stationary_markov(0)
-        r = si.di_rate(m, "y->x", max_n=12, tol=1e-15, state_limit=4**4)
+        r = si.di_rate(m, "y->x", max_n=12, tol=1e-15, state_limit=2**4 * 4)
         incs = [si.reverse_delayed_di(m, n) - si.reverse_delayed_di(m, n - 1) for n in (3, 4)]
         assert (r.converged, r.horizon) == (False, 4)
         assert r.last_gap == pytest.approx(abs(incs[1] - incs[0]), abs=1e-12)
         # one measured increment leaves nothing to compare
-        assert si.di_rate(m, "y->x", max_n=12, state_limit=4**2).last_gap == math.inf
+        assert si.di_rate(m, "y->x", max_n=12, state_limit=2**2 * 4).last_gap == math.inf
 
 
 def _axes_entropy(table: np.ndarray, axes: frozenset) -> float:
@@ -315,6 +315,17 @@ def _assert_matches_reference(m: ProcessModel, n: int, ref: dict[str, float]) ->
 
 ORACLE_MODELS = [(seed, nx, ny) for seed in range(2) for nx, ny in ((2, 2), (3, 2), (2, 3))]
 
+# (label, model, largest horizon) for the forward recursion against the unrolled table
+ENGINE_MODELS = [
+    *[(f"2x2-seed{seed}", random_stationary_markov(seed), 10) for seed in range(2)],
+    *[
+        (f"{nx}x{ny}", random_stationary_markov(0, nx=nx, ny=ny), 6)
+        for nx, ny in ((3, 2), (2, 3), (3, 3), (1, 2), (2, 1), (1, 3), (1, 1))
+    ],
+    ("copy", copy_process(), 10),
+    ("delayed-copy", delayed_copy_process(), 10),
+]
+
 
 class TestReferenceOracle:
     @pytest.mark.parametrize("seed,nx,ny", ORACLE_MODELS)
@@ -328,6 +339,22 @@ class TestReferenceOracle:
             r = si.di_rate(m, direction, max_n=6, tol=1e-12)
             inc = refs[r.horizon][key] - refs[r.horizon - 1][key]
             assert r.rate == pytest.approx(inc, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "m,horizon", [case[1:] for case in ENGINE_MODELS], ids=[case[0] for case in ENGINE_MODELS]
+    )
+    def test_engine_matches_unrolled_table(self, m, horizon):
+        for n in range(1, horizon + 1):
+            engine = _prefix_entropies(m, n, STATE_LIMIT)
+            oracle = _prefix_entropies(si.unroll(m, n), n, STATE_LIMIT)
+            assert engine.keys() == oracle.keys()
+            assert max(abs(engine[k] - oracle[k]) for k in engine) <= 1e-12
+
+    def test_conservation_at_horizon_twenty_two(self):
+        # the forward arrays reach 2**22 * 4 entries; the sequence space would be 4**22
+        rep = si.conservation_check(random_stationary_markov(0), 22, state_limit=2**22 * 4)
+        assert rep.residual <= 1e-9
+        assert rep.residual_refined <= 1e-9
 
     def test_non_markov_explicit_table(self):
         rng = np.random.default_rng(12)

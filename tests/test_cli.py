@@ -158,6 +158,25 @@ class TestDirectedInfoCommand:
         assert res["total_mi"] == pytest.approx(3 * LN2, abs=1e-9)
         assert round(res["forward"], 6) == 2.079442
 
+    def test_horizon_twelve_conservation(self, capsys, copy_model_file):
+        code, rep = run_json(
+            capsys,
+            ["directed-info", "--model", copy_model_file, "--horizon", "12", "--conservation"],
+        )
+        assert code == 0
+        res = rep["results"]
+        assert res["forward"] == pytest.approx(12 * LN2, abs=1e-9)
+        assert max(res["conservation_residual"], res["conservation_residual_refined"]) <= 1e-9
+
+    def test_horizon_past_bound_exit_sixty_five(self, capsys, copy_model_file):
+        # 2**22 * 4 forward-array entries exceed the default bound of 10**7
+        code = cli_dispatch(
+            ["directed-info", "--model", copy_model_file, "--horizon", "22", "--conservation"]
+        )
+        err = capsys.readouterr().err
+        assert code == 65
+        assert "enumeration bound 10000000" in err
+
     def test_nan_initial_exit_sixty_five(self, capsys, copy_model_file):
         with open(copy_model_file) as fh:
             doc = json.load(fh)

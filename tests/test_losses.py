@@ -269,6 +269,12 @@ class TestAuditPropriety:
         assert rep.worst_p.tolist() == [0.001037553783724521, 0.45553265688821176, 0.5434297893280637]
         assert rep.worst_q.tolist() == [0.0, 0.45, 0.55]
 
+    def test_n_must_match_declared_n(self):
+        with pytest.raises(ParameterOutOfRange):
+            si.audit_propriety(si.builtin_loss("log", 3), n=4, trials=5)
+        rep = si.audit_propriety(si.builtin_loss("log", 3), n=3, trials=5)
+        assert rep.worst_p.shape == (3,)
+
     def test_not_proper_witness_pinned(self):
         rule = si.ScoringRuleLoss(eval_fn=lambda x, q: -float(q[x]), n=2, proper=False)
         with pytest.raises(NotProper) as exc:
