@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -53,6 +54,34 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to exit code 64
         raise _UsageError(message)
+
+
+def _parsed(kind, text: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+
+
+def _nonnegative(value, text: str):
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
+def _finite(text: str) -> float:
+    value = _parsed(float, text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    return _nonnegative(_finite(text), text)
+
+
+def _budget(text: str) -> int:
+    return _nonnegative(_parsed(int, text), text)
 
 
 def _digest(path: str) -> str:
@@ -133,7 +162,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--joint", required=True)
     add_loss_flags(sp)
     sp.add_argument("--cond-w", action="store_true", help="joint file is 3-axis; condition on W")
-    sp.add_argument("--scale", type=float, default=1.0,
+    sp.add_argument("--scale", type=_finite, default=1.0,
                     help="report-level multiplier on the computed values (units only)")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--pretty", action="store_true")
@@ -141,7 +170,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("audit-dpa", help="audit the data processing requirement")
     sp.add_argument("--joint", required=True)
     add_loss_flags(sp)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=_tolerance, default=1e-9)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     sp.add_argument("--pretty", action="store_true")
@@ -149,9 +178,9 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("find-violation", help="scan for a data-processing violation")
     add_loss_flags(sp)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--budget", type=int, default=10_000)
+    sp.add_argument("--budget", type=_budget, default=10_000)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=_tolerance, default=1e-9)
     sp.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     sp.add_argument("--pretty", action="store_true")
 
@@ -167,7 +196,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--horizon", type=int, required=True)
     sp.add_argument("--conservation", action="store_true")
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=_finite, default=1e-9)
     sp.add_argument("--pretty", action="store_true")
 
     sp = sub.add_parser("geweke", help="Geweke causality measure F_{Y->X} of a VAR model")

@@ -23,7 +23,6 @@ are 0-based here; 1-based indexing lives only at the file/CLI boundary.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -222,10 +221,16 @@ def _simplex_project(v: np.ndarray) -> np.ndarray:
 
 def simplex_grid(n: int, steps: int) -> np.ndarray:
     """All points of the simplex lattice {c/steps : c in Z^n_{>=0}, sum c = steps}, c ascending."""
-    # stars and bars: the n - 1 bar slots among steps + n - 1, in lexicographic order
-    bars = np.array(list(itertools.combinations(range(steps + n - 1), n - 1)), dtype=float)
-    edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1.0, steps + n - 1.0))
-    return (np.diff(edges, axis=1) - 1.0) / steps
+    # grow the prefixes (c_1..c_i) in lexicographic order; `rest` is steps - sum(prefix)
+    prefix = np.zeros((1, 0), dtype=np.int64)
+    rest = np.array([steps], dtype=np.int64)
+    for _ in range(n - 1):
+        reps = rest + 1
+        parent = np.repeat(np.arange(len(rest)), reps)
+        part = np.arange(parent.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        prefix = np.column_stack([prefix[parent], part])
+        rest = rest[parent] - part
+    return np.column_stack([prefix, rest]) / steps
 
 
 def _numeric_bayes(l: ScoringRuleLoss, p: np.ndarray, seed: int) -> BayesResult:

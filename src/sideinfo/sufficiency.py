@@ -7,11 +7,19 @@ benefit of side information for a well-behaved loss; `audit_dpa` checks
 that, and `find_violation` searches for counterexamples using the
 two-class parametric family that witnesses failures for non-logarithmic
 losses on alphabets of three or more symbols.
+
+The search screens candidates in chunks: C before and after each one comes
+from one batched evaluation per table shape, for action matrices and for
+proper rules with a `vector_fn`, and only a candidate whose screened margin
+lies within a rounding slack of the witness threshold, past it, or is not
+finite goes through the scalar path that decides and reports it.  Rules
+without an exact batched tier send every candidate through that path.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -19,7 +27,7 @@ import numpy as np
 
 from .benefit import c_value
 from .errors import AlphabetTooLarge, ParameterOutOfRange, WitnessVerificationFailed
-from .losses import LossSpec, reinstantiate
+from .losses import HUGE, ActionMatrixLoss, LossSpec, ScoringRuleLoss, reinstantiate
 from .prob import Joint, validate_joint
 
 
@@ -216,6 +224,11 @@ class ViolationWitness:
     kind: str
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ParameterOutOfRange(f"tol must be finite and >= 0, got {tol}")
+
+
 def _witness_kind(t: Transform, before: float, after: float, tol: float) -> Optional[str]:
     """The witness rule: which kind of evidence, if any, C before/after t is.
 
@@ -229,21 +242,26 @@ def _witness_kind(t: Transform, before: float, after: float, tol: float) -> Opti
     return "dpa_violation" if after > before + tol else None
 
 
-def _c_after(l: LossSpec, j: Joint, t: Transform, seed: int = 0) -> float:
-    """Benefit after applying a sufficient transform.
+def _after(l: LossSpec, j: Joint, t: Transform) -> tuple[LossSpec, Joint]:
+    """The loss and the joint that the benefit after a sufficient transform is taken on.
 
     Named loss families are re-instantiated on the reduced alphabet; a
     fixed-size loss is evaluated on the padded push-forward instead, which
     keeps the merged variable on the original alphabet.
     """
     m = t.image_size
-    n = l.n
     if m == j.nx:
-        return c_value(l, push_forward(j, t), seed=seed)
+        return l, push_forward(j, t)
     fam = reinstantiate(l, m)
-    if fam is not None and (n is None or n == j.nx):
-        return c_value(fam, push_forward(j, t), seed=seed)
-    return c_value(l, padded_push_forward(j, t), seed=seed)
+    if fam is not None and (l.n is None or l.n == j.nx):
+        return fam, push_forward(j, t)
+    return l, padded_push_forward(j, t)
+
+
+def _c_after(l: LossSpec, j: Joint, t: Transform, seed: int = 0) -> float:
+    """Benefit after applying a sufficient transform, on the loss and joint `_after` picks."""
+    loss, pushed = _after(l, j, t)
+    return c_value(loss, pushed, seed=seed)
 
 
 def verify_witness(l: LossSpec, w: ViolationWitness, tol: float = 1e-9, value_tol: float = 1e-12) -> bool:
@@ -286,7 +304,11 @@ class DpaAuditReport:
 
 
 def audit_dpa(l: LossSpec, j: Joint, tol: float = 1e-9, seed: int = 0) -> DpaAuditReport:
-    """Audit the data-processing requirement on every enumerated sufficient transform."""
+    """Audit the data-processing requirement on every enumerated sufficient transform.
+
+    Raises ParameterOutOfRange for a tol that is negative or not finite.
+    """
+    _check_tol(tol)
     before = c_value(l, j, seed=seed)
     suff = enumerate_sufficient(j, tol=tol, seed=seed)
     entries: list[AuditEntry] = []
@@ -422,6 +444,94 @@ def _perm_candidate(n: int, k: int, seed: int) -> Optional[tuple[Joint, Transfor
     return validate_joint(table), Transform(tuple(int(v) for v in perm))
 
 
+def _candidate(n: int, idx: int, seed: int) -> Optional[tuple[Joint, Transform]]:
+    """Scan candidate idx: the three streams interleave round-robin."""
+    phase, k = idx % 3, idx // 3
+    if phase == 0:
+        return _grid_candidate(n, k, seed) if n >= 3 else None
+    if phase == 1:
+        return _merge_candidate(n, k, seed)
+    return _perm_candidate(n, k, seed)
+
+
+# The screen's slack (see find_violation): absolute, and per unit of loss
+# magnitude and alphabet size.
+_SLACK_ABS = 1e-10
+_SLACK_REL = 1e-13
+_MAX_CHUNK = 256
+
+
+def _batched_risk(l: LossSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact-tier Bayes risk of each row of a (R, n) batch, and a bound on sum_x p_x |ell|.
+
+    The bound scales the risk's rounding; for a matrix it is the largest
+    finite |entry|.
+
+    Action matrices take one product and a column minimum, where a 0 * inf
+    entry gives NaN.  Proper rules score each row at itself through one
+    `loss_vector` batch, with 0 * inf = 0 and the HUGE cut.
+    """
+    if isinstance(l, ActionMatrixLoss):
+        m = l.matrix
+        return (rows @ m).min(axis=1), np.full(len(rows), np.abs(m[np.isfinite(m)]).max())
+    vec = l.loss_vector(rows)
+    pos = rows > 0.0
+    bad = ((np.isinf(vec) | (vec >= HUGE)) & pos).any(axis=1)
+    terms = np.where(pos, rows * vec, 0.0)
+    return np.where(bad, np.inf, terms.sum(axis=1)), np.abs(terms).sum(axis=1)
+
+
+def _batched_c(l: LossSpec, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C for a stack of same-shape joints (K, a, b), as c_value takes it, and its rounding scale.
+
+    C = R(P_X) - sum_y P_Y(y) R(P_X|Y=y) over the positive-mass y; the scale is
+    the same sum with every term replaced by |P_Y(y)| sum_x p_x |ell|.
+    """
+    k, a, b = tables.shape
+    px = tables.sum(axis=2)
+    py = tables.sum(axis=1)
+    live = py > 0.0
+    conds = (tables / np.where(live, py, 1.0)[:, None, :]).transpose(0, 2, 1)
+    conds = np.where(live[:, :, None], conds, px[:, None, :])  # zero-mass y: weight 0 below
+    weights = np.concatenate([np.ones((k, 1)), np.where(live, -py, 0.0)], axis=1)
+    with np.errstate(invalid="ignore"):  # 0 * inf: masked for proper rules, else NaN and so confirmed
+        risk, mag = _batched_risk(l, np.concatenate([px[:, None, :], conds], axis=1).reshape(-1, a))
+        c = (weights * risk.reshape(k, b + 1)).sum(axis=1)
+        return c, (np.abs(weights) * mag.reshape(k, b + 1)).sum(axis=1)
+
+
+def _stacked_c(pairs: list[tuple[LossSpec, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """`_batched_c` over (loss, table) pairs, one batch per table shape.
+
+    A shape fixes the loss: the scan's own loss on the full alphabet, its
+    re-instantiated family below it.
+    """
+    c = np.empty(len(pairs))
+    scale = np.empty(len(pairs))
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, (_, table) in enumerate(pairs):
+        groups.setdefault(table.shape, []).append(i)
+    for idx in groups.values():
+        c[idx], scale[idx] = _batched_c(pairs[idx[0]][0], np.stack([pairs[i][1] for i in idx]))
+    return c, scale
+
+
+def _screen(l: LossSpec, made: list[tuple[Joint, Transform]], n: int, tol: float) -> np.ndarray:
+    """Which candidates the scalar path must decide: near or past the threshold, or non-finite."""
+    batchable = isinstance(l, ActionMatrixLoss) or (
+        isinstance(l, ScoringRuleLoss) and l.proper and l.vector_fn is not None
+    )
+    if not batchable:
+        return np.ones(len(made), dtype=bool)
+    before, s_before = _stacked_c([(l, j.table) for j, _ in made])
+    after, s_after = _stacked_c([(loss, pushed.table) for loss, pushed in (_after(l, j, t) for j, t in made)])
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, and NaN is confirmed
+        d = after - before
+    slack = _SLACK_ABS + _SLACK_REL * (n + 4) * (s_before + s_after + tol)
+    margin = np.where([t.is_permutation for _, t in made], np.abs(d), d)
+    return ~(np.isfinite(d) & (margin <= tol - slack))
+
+
 def find_violation(
     l: LossSpec,
     n: int,
@@ -437,26 +547,56 @@ def find_violation(
     conditional rows plus a random sufficient merge, (c) seeded random
     joints with random permutations.  The first witness in scan order wins,
     and is re-verified before being returned.
+
+    The scan runs in chunks of 1, 2, 4, ... up to 256 candidates, so a scan
+    that hits early stays cheap.  Each chunk is screened: C before and after
+    every candidate comes from one batch per table shape (`_batched_c`),
+    following `_c_after`'s choice of loss and push-forward.  A candidate
+    goes through the scalar path (`c_value`, `_c_after`, `_witness_kind`,
+    `verify_witness`), in scan order, when its screened margin (after -
+    before, or its absolute value for a permutation) exceeds tol - slack,
+    or when a screened value is not finite.  Every reported number comes
+    from the scalar path.
+
+    The slack bounds how far screen and scalar path can differ, with a wide
+    margin.  Each path rounds a risk sum_x p_x ell(x) by at most
+    n u sum_x p_x |ell(x)| (u = 2**-53) and combines the risks into C with at
+    most (|Y| + 1) u S more, S being the scale `_batched_c` returns.  With
+    |Y| <= 3 for every candidate, the two margins differ by at most
+    (2n + 8) u (S_before + S_after), plus u (S_before + S_after) for
+    after - before and u (|before| + tol) for the threshold before + tol:
+    under (2n + 10) u (S_before + S_after + tol) in all.  The slack's
+    relative part, 1e-13 (n + 4) (S_before + S_after + tol), is over 380
+    times that; its absolute part, 1e-10, is 25 times the 4e-12 by which
+    `loss_vector`'s row-wise contract (1e-12 per entry) lets a custom
+    `vector_fn` move the two C values.  Rules without an exact batched tier
+    (numeric-search rules, Savage rules, `eval_fn`-only rules) confirm every
+    candidate, in the same loop.
+
+    Raises ParameterOutOfRange for n < 2, a negative budget, a tol that is
+    negative or not finite, and a loss declared for another alphabet size.
     """
     if n < 2:
         raise ParameterOutOfRange("alphabet size must be >= 2")
-    for idx in range(budget):
-        phase, k = idx % 3, idx // 3
-        if phase == 0:
-            made = _grid_candidate(n, k, seed) if n >= 3 else None
-        elif phase == 1:
-            made = _merge_candidate(n, k, seed)
-        else:
-            made = _perm_candidate(n, k, seed)
-        if made is None:
-            continue
-        joint, transform = made
-        before = c_value(l, joint)
-        after = _c_after(l, joint, transform)
-        kind = _witness_kind(transform, before, after, tol)
-        if kind is not None:
-            hit = ViolationWitness(joint, transform, before, after, kind)
-            if not verify_witness(l, hit, tol=tol):
-                raise WitnessVerificationFailed("witness failed re-verification; numeric instability")
-            return hit
+    if budget < 0:
+        raise ParameterOutOfRange(f"budget must be >= 0, got {budget}")
+    _check_tol(tol)
+    if l.n is not None and l.n != n:
+        raise ParameterOutOfRange(f"loss expects {l.n} symbols but the scan is over {n}")
+    start, size = 0, 1
+    while start < budget:
+        stop = min(start + size, budget)
+        made = [c for c in (_candidate(n, idx, seed) for idx in range(start, stop)) if c is not None]
+        for (joint, transform), confirm in zip(made, _screen(l, made, n, tol)):
+            if not confirm:
+                continue
+            before = c_value(l, joint)
+            after = _c_after(l, joint, transform)
+            kind = _witness_kind(transform, before, after, tol)
+            if kind is not None:
+                hit = ViolationWitness(joint, transform, before, after, kind)
+                if not verify_witness(l, hit, tol=tol):
+                    raise WitnessVerificationFailed("witness failed re-verification; numeric instability")
+                return hit
+        start, size = stop, min(2 * size, _MAX_CHUNK)
     return None

@@ -252,6 +252,25 @@ class TestExitCodes:
         assert cli_dispatch(["frobnicate"]) == 64
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["find-violation", "--builtin", "log", "--n", "3", "--tol", "nan"],
+            ["find-violation", "--builtin", "log", "--n", "3", "--tol", "inf"],
+            ["find-violation", "--builtin", "log", "--n", "3", "--tol", "-1"],
+            ["find-violation", "--builtin", "log", "--n", "3", "--budget", "-5"],
+            ["audit-dpa", "--joint", "{joint}", "--builtin", "log", "--tol", "nan"],
+            ["audit-dpa", "--joint", "{joint}", "--builtin", "log", "--tol=-1e-9"],
+            ["directed-info", "--model", "{model}", "--horizon", "3", "--tol", "nan"],
+            ["directed-info", "--model", "{model}", "--horizon", "3", "--tol=-inf"],
+            ["benefit", "--joint", "{joint}", "--builtin", "log", "--scale", "inf"],
+            ["benefit", "--joint", "{joint}", "--builtin", "log", "--scale", "nan"],
+        ],
+    )
+    def test_number_out_of_range_exit_sixty_four(self, capsys, flags, witness_file, copy_model_file):
+        argv = [f.format(joint=witness_file, model=copy_model_file) for f in flags]
+        assert run(capsys, argv) == (64, "")
+
     def test_missing_file(self, capsys, tmp_path):
         code = cli_dispatch(["mi", "--joint", str(tmp_path / "nope.json")])
         assert code == 65

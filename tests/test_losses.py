@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -177,6 +179,10 @@ class TestLossVectorBatch:
             si.bayes_risk(rule, [0.2, 0.3, 0.5])
         with pytest.raises(ParameterOutOfRange):
             si.audit_propriety(rule, trials=5)
+        # flagged proper, the rule meets the batch in the violation scan's screen
+        proper = dataclasses.replace(rule, proper=True)
+        with pytest.raises(ParameterOutOfRange):
+            si.find_violation(proper, 3, budget=30)
 
 
 class TestVEnvelope:
@@ -283,6 +289,22 @@ class TestAuditPropriety:
         assert exc.value.q.tolist() == [0.25241805539539025, 0.7475819446046097]
         assert exc.value.margin == -0.0295096426883662
         assert type(exc.value.margin) is float
+
+
+def _stars_and_bars(n: int, steps: int) -> np.ndarray:
+    """The lattice from its definition: the n - 1 bar slots among steps + n - 1, lexicographic."""
+    rows = [
+        [b - a - 1 for a, b in zip((-1,) + bars, bars + (steps + n - 1,))]
+        for bars in itertools.combinations(range(steps + n - 1), n - 1)
+    ]
+    return np.array(rows, dtype=float) / steps
+
+
+@pytest.mark.parametrize("n, steps", [(2, 5), (3, 200), (4, 30)])
+def test_simplex_grid_matches_stars_and_bars(n, steps):
+    grid = simplex_grid(n, steps)
+    assert grid.dtype == np.float64
+    assert np.array_equal(grid, _stars_and_bars(n, steps))
 
 
 def test_simplex_grid_counts():

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sideinfo as si
 from sideinfo import sufficiency
-from sideinfo.errors import AlphabetTooLarge, ParameterOutOfRange
+from sideinfo.errors import AlphabetTooLarge, ParameterOutOfRange, UnboundedBelow
 
 from conftest import random_joint
 
@@ -276,6 +278,160 @@ class TestFindViolation:
         assert w is not None
         before = si.benefit(l, w.joint).c_value
         assert abs(before - w.c_before) <= 1e-12
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+    def test_tol_out_of_range(self, tol, witness_joint):
+        with pytest.raises(ParameterOutOfRange):
+            si.find_violation(si.builtin_loss("log", 3), 3, budget=300, tol=tol)
+        with pytest.raises(ParameterOutOfRange):
+            si.audit_dpa(si.builtin_loss("log", 3), witness_joint, tol=tol)
+
+    def test_negative_budget(self):
+        with pytest.raises(ParameterOutOfRange):
+            si.find_violation(si.builtin_loss("log", 3), 3, budget=-5)
+
+    def test_loss_for_other_alphabet(self):
+        with pytest.raises(ParameterOutOfRange):
+            si.find_violation(si.builtin_loss("zero_one", 3), 4, budget=300)
+
+
+def _scalar_scan(l, n, budget, seed=0, tol=1e-9):
+    """The scan without the screen: every candidate through the scalar path, in scan order."""
+    for idx in range(budget):
+        phase, k = idx % 3, idx // 3
+        if phase == 0:
+            made = sufficiency._grid_candidate(n, k, seed) if n >= 3 else None
+        elif phase == 1:
+            made = sufficiency._merge_candidate(n, k, seed)
+        else:
+            made = sufficiency._perm_candidate(n, k, seed)
+        if made is None:
+            continue
+        joint, transform = made
+        before = sufficiency.c_value(l, joint)
+        after = sufficiency._c_after(l, joint, transform)
+        kind = sufficiency._witness_kind(transform, before, after, tol)
+        if kind is not None:
+            return sufficiency.ViolationWitness(joint, transform, before, after, kind)
+    return None
+
+
+def _unnamed_scaled_brier(n):
+    brier = si.builtin_loss("brier", n)
+    return si.ScoringRuleLoss(
+        eval_fn=lambda x, q: 3.0 * brier.eval_fn(x, q), n=n, proper=True, vector_fn=lambda q: 3.0 * brier.loss_vector(q)
+    )
+
+
+def _cubic_savage(n):
+    # G(q) = q_1^3 is convex on the simplex and not symmetric
+    g = si.ConvexOracle(
+        value=lambda q: float(q[0] ** 3),
+        subgradient=lambda q: np.concatenate([[3.0 * q[0] ** 2], np.zeros(len(q) - 1)]),
+    )
+    return si.savage_from_G(g, n=n)
+
+
+SCAN_LOSSES = [*si.losses.BUILTIN_LOSSES, "unnamed", "weighted_zero_one", "savage"]
+
+
+def _scan_loss(name, n):
+    if name == "unnamed":
+        return _unnamed_scaled_brier(n)
+    if name == "weighted_zero_one":  # unnamed and not symmetric: permutations move C
+        return si.ActionMatrixLoss((1.0 - np.eye(n)) * np.arange(1.0, n + 1.0)[:, None])
+    if name == "savage":
+        return _cubic_savage(n)
+    return si.builtin_loss(name, n)
+
+
+def _inf_at_full_support(q):
+    return np.where(np.min(q, axis=-1, keepdims=True) > 0.0, np.inf, 1.0 - q)
+
+
+class TestScreen:
+    @pytest.mark.parametrize("name", SCAN_LOSSES)
+    @settings(max_examples=25)
+    @given(n=st.integers(2, 5), seed=st.integers(0, 2**16), budget=st.integers(0, 300))
+    def test_matches_scalar_scan(self, name, n, seed, budget):
+        l = _scan_loss(name, n)
+        assert repr(si.find_violation(l, n, budget=budget, seed=seed)) == repr(_scalar_scan(l, n, budget, seed))
+
+    def test_near_threshold_tolerances(self):
+        # the witness's own gap, one ulp either side, and offsets inside the slack
+        l = si.builtin_loss("zero_one", 3)
+        w = si.find_violation(l, 3, budget=2_000, seed=7)
+        gap = w.c_after - w.c_before
+        tols = [np.nextafter(gap, 0.0), gap, np.nextafter(gap, 1.0), gap - 1e-13, gap + 1e-13, gap - 1e-11]
+        for tol in map(float, tols):
+            expect = _scalar_scan(l, 3, 2_000, seed=7, tol=tol)
+            assert repr(si.find_violation(l, 3, budget=2_000, seed=7, tol=tol)) == repr(expect)
+
+    @pytest.mark.parametrize(
+        "l",
+        [
+            # every full-support P meets an inf in each action
+            si.ActionMatrixLoss(np.array([[0.0, np.inf, 1.0], [1.0, 0.0, np.inf], [np.inf, 1.0, 0.0]])),
+            # inf at full-support forecasts only: C before is inf, C after a merge is finite
+            si.ScoringRuleLoss(
+                eval_fn=lambda x, q: float(_inf_at_full_support(q)[x]), n=3, proper=True, vector_fn=_inf_at_full_support
+            ),
+        ],
+        ids=["matrix", "proper-rule"],
+    )
+    def test_nonfinite_screen_goes_to_scalar_path(self, l, monkeypatch):
+        made = [c for c in (sufficiency._candidate(3, idx, 0) for idx in range(30)) if c is not None]
+        assert sufficiency._screen(l, made, 3, 1e-9)[0]
+        seen = []
+        monkeypatch.setattr(sufficiency, "c_value", lambda *a, **k: seen.append(a) or si.benefit(*a, **k).c_value)
+        with pytest.raises(UnboundedBelow):  # raised by the scalar path, as without the screen
+            si.find_violation(l, 3, budget=300)
+        assert np.array_equal(seen[0][1].table, made[0][0].table)
+
+    def test_zero_times_inf_screened_as_nonfinite(self):
+        # 0 * inf is 0 in the scalar tier and NaN in the screen: those candidates are confirmed
+        l = si.ActionMatrixLoss(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, np.inf], [1.0, np.inf, 0.0]]))
+        w = si.find_violation(l, 3, budget=300, seed=2)
+        assert repr(w) == repr(_scalar_scan(l, 3, 300, seed=2))
+
+
+def _joint_stack(seeds, n, m, zero_frac):
+    """Same-shape random joints with some cells, rows and columns of zero mass."""
+    tables = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        table = rng.dirichlet(np.ones(n * m)).reshape(n, m) * (rng.uniform(size=(n, m)) >= zero_frac)
+        if table.sum() == 0.0:
+            table[0, 0] = 1.0
+        tables.append(table / table.sum())
+    return np.stack(tables)
+
+
+joint_stacks = st.builds(
+    _joint_stack,
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+    n=st.integers(2, 5),
+    m=st.integers(1, 3),
+    zero_frac=st.sampled_from([0.0, 0.3, 0.6]),
+)
+
+
+class TestBatchedC:
+    @given(tables=joint_stacks)
+    def test_log_is_mutual_information(self, tables):
+        c, _ = sufficiency._batched_c(si.builtin_loss("log", tables.shape[1]), tables)
+        for ck, table in zip(c, tables):
+            assert abs(ck - si.mutual_information(si.Joint(table))) <= 1e-12
+
+    @given(tables=joint_stacks, name=st.sampled_from(si.losses.BUILTIN_LOSSES))
+    def test_nonnegative_and_within_slack_of_c_value(self, tables, name):
+        n = tables.shape[1]
+        l = si.builtin_loss(name, n)
+        c, scale = sufficiency._batched_c(l, tables)
+        slack = sufficiency._SLACK_ABS + sufficiency._SLACK_REL * (n + 4) * scale
+        for ck, sk, table in zip(c, slack, tables):
+            assert ck >= -1e-12
+            assert abs(ck - sufficiency.c_value(l, si.Joint(table))) <= sk
 
 
 def test_permutation_invariance_for_symmetric_losses():
