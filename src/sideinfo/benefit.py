@@ -1,10 +1,12 @@
 """Benefit of side information C(loss, P_XY) and its convex-function form.
 
-Two routes to the same number: the defining difference of optimal risks
-(without vs. with access to Y), and the Jensen gap of the normalized
-convex function G built from the Bayes envelope.  `benefit` computes both
-and reports the residual between them; `benefit_from_G` exposes the gap
-route for an arbitrary convex oracle.
+C = R(P_X) - sum_y P_Y(y) R(P_{X|Y=y}), the drop in optimal risk from
+observing Y, equals the Jensen gap of the normalized convex function G
+built from the Bayes envelope.  `c_value` and `benefit` form C from one
+solve of each point; `benefit` evaluates the gap route on those same
+solves, so its residual measures rounding of the normalized-G form, not a
+second computation.  `benefit_from_G` is the gap route for any convex
+oracle; `benefit_from_G(g_normalized(l), j)` is the independent check.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ class BenefitReport:
 
     c_value = risk_no_side - risk_with_side, in nats for log loss and in
     loss units otherwise.  decomposition_residual is the absolute gap
-    between this and the Jensen-gap route through the normalized convex
-    function; it should sit at float-rounding scale.
+    between this and the Jensen gap of the normalized G on the same Bayes
+    solves, so it measures float rounding and should sit at that scale.
     """
 
     c_value: float
@@ -43,6 +45,29 @@ class BenefitReport:
     risk_with_side: float
     per_y_minimizers: dict
     decomposition_residual: float
+
+
+def _conditionals(j: Joint, py) -> list:
+    """(y, P_Y(y), P_{X|Y=y}) for every y of positive mass; no other y is conditioned on."""
+    return [(y, py.probs[y], condition_on_y(j, y)) for y in range(j.ny) if py.probs[y] > 0.0]
+
+
+def _solve(l: LossSpec, j: Joint, seed: int):
+    """C with its points, each solved once: (c, P_X, R(P_X), [(y, P_Y(y), P_{X|Y=y}, result)])."""
+    px, py = marginals(j)
+    base = bayes_risk(l, px, seed=seed)
+    solved = [(y, w, q, bayes_risk(l, q, seed=seed)) for y, w, q in _conditionals(j, py)]
+    c = base.risk
+    for _, w, _, r in solved:
+        c -= w * r.risk
+    return c, px, base, solved
+
+
+def _vertex_risks(l: LossSpec, seed: int) -> np.ndarray:
+    """R(delta_i) for each outcome i; G(P) = -R(P) + sum_i R(delta_i) p_i."""
+    if l.n is None:
+        raise ParameterOutOfRange("loss has no declared alphabet size; pass n= to savage_from_G")
+    return np.array([bayes_risk(l, point_mass(i, l.n), seed=seed).risk for i in range(l.n)])
 
 
 def benefit(l: LossSpec, j: Joint, seed: int = 0, scale: float = 1.0) -> BenefitReport:
@@ -53,41 +78,25 @@ def benefit(l: LossSpec, j: Joint, seed: int = 0, scale: float = 1.0) -> Benefit
     loss units otherwise); `scale` multiplies the reported numbers for
     callers who want another unit, and is never baked into the arithmetic.
     """
-    px, py = marginals(j)
-    base = bayes_risk(l, px, seed=seed)
-    with_side = 0.0
-    minimizers = {}
-    conds = []
-    weights = []
-    for y in range(j.ny):
-        if py.probs[y] <= 0.0:
-            continue
-        pxy = condition_on_y(j, y)
-        r = bayes_risk(l, pxy, seed=seed)
-        with_side += py.probs[y] * r.risk
-        minimizers[y] = r.minimizer
-        conds.append(pxy)
-        weights.append(py.probs[y])
-    c = base.risk - with_side
-    g = g_normalized(l, seed=seed)
-    via_gap = jensen_gap(g, np.array(weights), conds)
+    a = _vertex_risks(l, seed)
+    c, px, base, solved = _solve(l, j, seed)
+    with_side = mixed_g = 0.0
+    for _, w, q, r in solved:
+        with_side += w * r.risk
+        mixed_g += w * (-r.risk + float(np.dot(a, q.probs)))
+    via_gap = mixed_g - (-base.risk + float(np.dot(a, px.probs)))
     return BenefitReport(
         c_value=scale * c,
         risk_no_side=scale * base.risk,
         risk_with_side=scale * with_side,
-        per_y_minimizers=minimizers,
+        per_y_minimizers={y: r.minimizer for y, _, _, r in solved},
         decomposition_residual=abs(scale) * abs(c - via_gap),
     )
 
 
 def c_value(l: LossSpec, j: Joint, seed: int = 0) -> float:
     """Fast path: just the scalar C, skipping the cross-check and report."""
-    px, py = marginals(j)
-    c = bayes_risk(l, px, seed=seed).risk
-    for y in range(j.ny):
-        if py.probs[y] > 0.0:
-            c -= py.probs[y] * bayes_risk(l, condition_on_y(j, y), seed=seed).risk
-    return c
+    return _solve(l, j, seed)[0]
 
 
 def numeric_subgradient(fn, p, step: float = 1e-6) -> tuple[np.ndarray, float]:
@@ -126,10 +135,7 @@ def g_normalized(l: LossSpec, seed: int = 0) -> ConvexOracle:
     Jensen gap of G.  The subgradient is numeric (central differences on
     tangent directions), so expect kinks for matrix losses.
     """
-    n = l.n
-    if n is None:
-        raise ParameterOutOfRange("loss has no declared alphabet size; pass n= to savage_from_G")
-    a = np.array([v_envelope(l, point_mass(i, n), seed=seed) for i in range(n)])
+    a = -_vertex_risks(l, seed)  # V(delta_i)
 
     def value(q: np.ndarray) -> float:
         qv = _as_probs(q)
@@ -143,13 +149,7 @@ def g_normalized(l: LossSpec, seed: int = 0) -> ConvexOracle:
 
 def benefit_from_G(g: ConvexOracle, j: Joint) -> float:
     """C via Theorem-form: sum_y P_Y(y) G(P_{X|Y=y}) - G(P_X)."""
-    _, py = marginals(j)
-    conds = []
-    weights = []
-    for y in range(j.ny):
-        if py.probs[y] > 0.0:
-            conds.append(condition_on_y(j, y))
-            weights.append(py.probs[y])
+    _, weights, conds = zip(*_conditionals(j, marginals(j)[1]))
     return jensen_gap(g, np.array(weights), conds)
 
 

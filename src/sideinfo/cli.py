@@ -22,10 +22,10 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
+from functools import partial
 from pathlib import Path
-
-import numpy as np
 
 from . import causality, losses, modelio, prob, sufficiency
 from .benefit import benefit as compute_benefit
@@ -52,6 +52,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no flag starts with a digit, ".", inf or nan, so "-1e-9" and "-inf" are values
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):  # route argparse failures to exit code 64
         raise _UsageError(message)
 
@@ -63,9 +68,9 @@ def _parsed(kind, text: str):
         raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
 
 
-def _nonnegative(value, text: str):
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+def _at_least(low: int, value, text: str):
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
     return value
 
 
@@ -77,19 +82,15 @@ def _finite(text: str) -> float:
 
 
 def _tolerance(text: str) -> float:
-    return _nonnegative(_finite(text), text)
+    return _at_least(0, _finite(text), text)
 
 
-def _budget(text: str) -> int:
-    return _nonnegative(_parsed(int, text), text)
+def _count(low: int, text: str) -> int:
+    return _at_least(low, _parsed(int, text), text)
 
 
 def _digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("SIDEINFO_SEED", "0"))
 
 
 def _load_kind(path: str, kinds: tuple[str, ...]):
@@ -152,6 +153,7 @@ def _emit_pretty(report: dict, indent: int = 0) -> None:
 def _build_parser() -> _Parser:
     p = _Parser(prog="sideinfo", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", required=True)
+    seed = {"type": partial(_count, 0), "default": os.environ.get("SIDEINFO_SEED", "0")}
 
     def add_loss_flags(sp):
         grp = sp.add_mutually_exclusive_group(required=True)
@@ -164,22 +166,22 @@ def _build_parser() -> _Parser:
     sp.add_argument("--cond-w", action="store_true", help="joint file is 3-axis; condition on W")
     sp.add_argument("--scale", type=_finite, default=1.0,
                     help="report-level multiplier on the computed values (units only)")
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", **seed)
     sp.add_argument("--pretty", action="store_true")
 
     sp = sub.add_parser("audit-dpa", help="audit the data processing requirement")
     sp.add_argument("--joint", required=True)
     add_loss_flags(sp)
     sp.add_argument("--tol", type=_tolerance, default=1e-9)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", **seed)
     sp.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     sp.add_argument("--pretty", action="store_true")
 
     sp = sub.add_parser("find-violation", help="scan for a data-processing violation")
     add_loss_flags(sp)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--budget", type=_budget, default=10_000)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--budget", type=partial(_count, 0), default=10_000)
+    sp.add_argument("--seed", **seed)
     sp.add_argument("--tol", type=_tolerance, default=1e-9)
     sp.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     sp.add_argument("--pretty", action="store_true")
@@ -205,8 +207,8 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("estimate", help="empirical joint from CSV samples")
     sp.add_argument("--csv", required=True)
-    sp.add_argument("--nx", type=int, required=True)
-    sp.add_argument("--ny", type=int, required=True)
+    sp.add_argument("--nx", type=partial(_count, 1), required=True)
+    sp.add_argument("--ny", type=partial(_count, 1), required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--pretty", action="store_true")
 
@@ -222,16 +224,15 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_benefit(args) -> tuple[dict, int]:
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.cond_w:
         j = _load_kind(args.joint, ("joint3",))
     else:
         j = _load_kind(args.joint, ("joint",))
     l = _resolve_loss(args, j.nx)
     if args.cond_w:
-        results = {"c_value": conditional_benefit(l, j, seed=seed, scale=args.scale)}
+        results = {"c_value": conditional_benefit(l, j, seed=args.seed, scale=args.scale)}
     else:
-        rep = compute_benefit(l, j, seed=seed, scale=args.scale)
+        rep = compute_benefit(l, j, seed=args.seed, scale=args.scale)
         results = {
             "c_value": rep.c_value,
             "risk_no_side": rep.risk_no_side,
@@ -246,7 +247,7 @@ def _cmd_benefit(args) -> tuple[dict, int]:
         "command": "benefit",
         "args": {**_loss_args(args), "joint": args.joint, "cond_w": args.cond_w, "scale": args.scale},
         "inputs": {"joint": _digest(args.joint)},
-        "seed": seed,
+        "seed": args.seed,
         "tolerances": {},
         "results": results,
     }
@@ -254,15 +255,14 @@ def _cmd_benefit(args) -> tuple[dict, int]:
 
 
 def _cmd_audit_dpa(args) -> tuple[dict, int]:
-    seed = args.seed if args.seed is not None else _default_seed()
     j = _load_kind(args.joint, ("joint",))
     l = _resolve_loss(args, j.nx)
-    rep = sufficiency.audit_dpa(l, j, tol=args.tol, seed=seed)
+    rep = sufficiency.audit_dpa(l, j, tol=args.tol, seed=args.seed)
     report = {
         "command": "audit-dpa",
         "args": {**_loss_args(args), "joint": args.joint},
         "inputs": {"joint": _digest(args.joint)},
-        "seed": seed,
+        "seed": args.seed,
         "tolerances": {"tol": args.tol},
         "results": {
             "c_before": rep.c_before,
@@ -278,14 +278,13 @@ def _cmd_audit_dpa(args) -> tuple[dict, int]:
 
 
 def _cmd_find_violation(args) -> tuple[dict, int]:
-    seed = args.seed if args.seed is not None else _default_seed()
     l = _resolve_loss(args, args.n)
-    w = sufficiency.find_violation(l, args.n, budget=args.budget, seed=seed, tol=args.tol)
+    w = sufficiency.find_violation(l, args.n, budget=args.budget, seed=args.seed, tol=args.tol)
     report = {
         "command": "find-violation",
         "args": {**_loss_args(args), "n": args.n, "budget": args.budget},
         "inputs": {},
-        "seed": seed,
+        "seed": args.seed,
         "tolerances": {"tol": args.tol},
         "results": {"witness": _witness_doc(w) if w is not None else None},
     }
@@ -293,11 +292,10 @@ def _cmd_find_violation(args) -> tuple[dict, int]:
 
 
 def _cmd_scoring_rule(args) -> tuple[dict, int]:
+    q = prob.validate_dist(modelio._dec_vector(args.eval[1].split(","), "eval")).probs
+    if not args.eval[0].isdecimal() or not 1 <= int(args.eval[0]) <= q.shape[0]:
+        raise modelio.ValidationError(f"outcome {args.eval[0]!r} is not in 1..{q.shape[0]}", field="eval")
     x = int(args.eval[0]) - 1
-    q = np.array([float(v) for v in args.eval[1].split(",")])
-    q = prob.validate_dist(q).probs
-    if x < 0 or x >= q.shape[0]:
-        raise modelio.ValidationError(f"outcome {x + 1} outside the forecast alphabet", field="eval")
     inputs = {}
     if args.g:
         key = args.g.replace("-", "_").lower()

@@ -90,10 +90,10 @@ def _strict_probs(arr: np.ndarray, field: str, tol: float = SIMPLEX_TOL) -> np.n
     return np.where(arr < 0, 0.0, arr)
 
 
-def serialize_model(obj, kind: str | None = None) -> dict:
+def serialize_model(obj) -> dict:
     """Render a model object as a JSON-ready document."""
     if isinstance(obj, ModelFile):
-        return serialize_model(obj.payload, kind=obj.kind)
+        return serialize_model(obj.payload)
     if isinstance(obj, Dist):
         return {
             "version": SCHEMA_VERSION,
@@ -150,7 +150,7 @@ def serialize_model(obj, kind: str | None = None) -> dict:
             "a": [[[_enc(v) for v in row] for row in a.tolist()] for a in obj.coeffs],
             "sigma": [[_enc(v) for v in row] for row in obj.sigma.tolist()],
         }
-    raise SchemaError(f"cannot serialize object of type {type(obj).__name__}" + (f" as {kind}" if kind else ""))
+    raise SchemaError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def parse_document(doc: dict) -> ModelFile:
@@ -240,8 +240,8 @@ def parse_model(path) -> ModelFile:
     return parse_model_text(Path(path).read_text())
 
 
-def write_model(obj, path, kind: str | None = None) -> None:
-    doc = serialize_model(obj, kind=kind)
+def write_model(obj, path) -> None:
+    doc = serialize_model(obj)
     Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 

@@ -369,9 +369,6 @@ def proof_family(
     return validate_joint(np.stack([col1, col2], axis=1))
 
 
-MERGE_FIRST_TWO = "merge-x1-x2"
-
-
 def _center_out(values: np.ndarray) -> np.ndarray:
     order = np.argsort(np.abs(values - 0.5), kind="stable")
     return values[order]

@@ -1,9 +1,11 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 import sideinfo as si
+from sideinfo import sufficiency
 from sideinfo.benefit import c_value
 
 from conftest import random_joint, random_joint3
@@ -54,6 +56,43 @@ class TestBenefit:
             j = random_joint(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)))
             rep = si.benefit(si.builtin_loss("log", j.nx), j)
             assert rep.c_value == pytest.approx(si.mutual_information(j), abs=1e-9)
+
+    def test_c_value_is_the_scalar_path_bit_for_bit(self):
+        for name in ("log", "zero_one", "brier", "spherical", "absolute_ordered"):
+            for n in range(2, 6):
+                l = si.builtin_loss(name, n)
+                for idx in range(60):
+                    cand = sufficiency._candidate(n, idx, 0)
+                    if cand is not None:
+                        assert si.benefit(l, cand[0]).c_value == c_value(l, cand[0])
+
+    def test_witness_c_before_reproduced_bit_for_bit(self):
+        for name in ("zero_one", "brier", "spherical", "absolute_ordered"):
+            for n in range(3, 6):
+                l = si.builtin_loss(name, n)
+                for seed in (0, 1, 2):
+                    w = si.find_violation(l, n, budget=300, seed=seed)
+                    assert si.benefit(l, w.joint).c_value == w.c_before
+
+    def test_each_point_solved_once(self, monkeypatch):
+        # numeric-tier rule: P_X, each P_{X|Y=y} of positive mass and each vertex
+        proper = si.builtin_loss("brier", 3)
+        blind = si.ScoringRuleLoss(
+            eval_fn=proper.eval_fn, n=3, proper=False, vector_fn=proper.vector_fn
+        )
+        j = si.validate_joint([[0.2, 0.1, 0.0], [0.1, 0.2, 0.0], [0.1, 0.3, 0.0]])
+        module = importlib.import_module("sideinfo.benefit")  # the package exports the function
+        real = module.bayes_risk
+        methods = []
+
+        def counted(l, p, seed=0):
+            r = real(l, p, seed=seed)
+            methods.append(r.method)
+            return r
+
+        monkeypatch.setattr(module, "bayes_risk", counted)
+        si.benefit(blind, j)
+        assert methods == ["numeric-search"] * (1 + 2 + 3)
 
     def test_scale_is_report_level_only(self):
         j = si.validate_joint([[0.5, 0.0], [0.0, 0.5]])

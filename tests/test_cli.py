@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ import pytest
 import sideinfo as si
 from sideinfo import sufficiency
 from sideinfo.cli import cli_dispatch
+
+from conftest import package_env
 
 LN2 = math.log(2)
 
@@ -81,6 +85,15 @@ class TestBenefitCommand:
         assert code == 0
         assert rep["results"]["c_value"] == pytest.approx(1.0, abs=1e-12)
         assert rep["args"]["scale"] == 4.0
+
+    def test_negative_exponent_scale(self, capsys, witness_file):
+        code, rep = run_json(
+            capsys,
+            ["benefit", "--joint", witness_file, "--builtin", "zero-one", "--scale", "-2.5e-1"],
+        )
+        assert code == 0
+        assert rep["results"]["c_value"] == pytest.approx(-0.0625, abs=1e-12)
+        assert rep["args"]["scale"] == -0.25
 
 
 class TestAuditCommand:
@@ -203,6 +216,14 @@ class TestDirectedInfoCommand:
         )
         assert code == 3
 
+    def test_negative_exponent_tol_is_a_value(self, capsys, copy_model_file):
+        base = ["directed-info", "--model", copy_model_file, "--horizon", "3", "--conservation"]
+        spaced = run(capsys, base + ["--tol", "-1e-9"])
+        assert spaced == run(capsys, base + ["--tol=-1e-9"])
+        assert spaced[0] == 3
+        assert cli_dispatch(base + ["--tol", "-inf"]) == 64
+        assert "must be finite" in capsys.readouterr().err
+
 
 class TestGewekeCommand:
     def test_closed_form(self, capsys, tmp_path):
@@ -270,6 +291,37 @@ class TestExitCodes:
     def test_number_out_of_range_exit_sixty_four(self, capsys, flags, witness_file, copy_model_file):
         argv = [f.format(joint=witness_file, model=copy_model_file) for f in flags]
         assert run(capsys, argv) == (64, "")
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            (["scoring-rule", "--g", "neg-entropy", "--eval", "a", "0.5,0.5"], 65),
+            (["scoring-rule", "--g", "neg-entropy", "--eval", "1", "0.5,abc"], 65),
+            (["scoring-rule", "--g", "neg-entropy", "--eval", "1", "0.5,,0.5"], 65),
+            (["estimate", "--csv", "s.csv", "--nx", "-1", "--ny", "2", "--out", "j.json"], 64),
+            (["estimate", "--csv", "s.csv", "--nx", "2", "--ny", "0", "--out", "j.json"], 64),
+            (["benefit", "--joint", "{joint}", "--builtin", "log", "--scale", "-2.5e-1"], 0),
+            (["directed-info", "--model", "{model}", "--horizon", "3", "--conservation",
+              "--tol", "-1e-9"], 3),
+            (["directed-info", "--model", "{model}", "--horizon", "3", "--tol", "-inf"], 64),
+            (["find-violation", "--builtin", "log", "--n", "3", "--budget", "5", "--seed", "-3"], 64),
+        ],
+    )
+    def test_exit_code_contract(self, tmp_path, flags, expected, witness_file, copy_model_file):
+        # a child process, so an uncaught exception shows as exit 1 with a traceback
+        argv = [f.format(joint=witness_file, model=copy_model_file) for f in flags]
+        out = subprocess.run(
+            [sys.executable, "-m", "sideinfo.cli", *argv],
+            capture_output=True, text=True, cwd=tmp_path, env=package_env(),
+        )
+        assert out.returncode in (0, 2, 3, 64, 65, 70)
+        assert "Traceback" not in out.stderr
+        assert out.returncode == expected
+
+    def test_malformed_seed_env_exit_sixty_four(self, capsys, monkeypatch, witness_file):
+        monkeypatch.setenv("SIDEINFO_SEED", "abc")
+        assert cli_dispatch(["benefit", "--joint", witness_file, "--builtin", "log"]) == 64
+        assert "--seed" in capsys.readouterr().err
 
     def test_missing_file(self, capsys, tmp_path):
         code = cli_dispatch(["mi", "--joint", str(tmp_path / "nope.json")])
