@@ -15,7 +15,9 @@ Three loss shapes are supported:
 Simplex-action rules share one batched contract: `loss_vector` maps a
 forecast (n,) or a batch (K, n) to the same shape, row k holding ell(x, Q_k)
 for every x.  The numeric search and the propriety audit evaluate their
-forecasts as batches through it.
+forecasts as batches through it; the search's multi-start gradient descent
+runs its 16 starts in lockstep, one finite-difference batch and one step
+batch per iteration, each start following the path it would take alone.
 
 Built-ins: log, zero_one, brier, spherical, absolute_ordered.  All symbols
 are 0-based here; 1-based indexing lives only at the file/CLI boundary.
@@ -240,32 +242,37 @@ def _numeric_bayes(l: ScoringRuleLoss, p: np.ndarray, seed: int) -> BayesResult:
     def f(q):
         return _expected_scoring_loss(l, p, q)
 
-    # multi-start projected (numeric) gradient descent; the central
-    # differences along +-h e_i are one batch of 2n projected points
-    starts = [p.copy(), np.full(n, 1.0 / n), *rng.dirichlet(np.ones(n), size=14)]
-    best_q, best_v = None, np.inf
+    # multi-start projected (numeric) gradient descent, all starts in
+    # lockstep: per iteration, one batch of central differences along +-h e_i
+    # (2n projected points per active start) and one batch of steps.  Every
+    # operation is row-wise, so each start follows its lone path bit for bit.
+    qs = np.vstack([p, np.full(n, 1.0 / n), rng.dirichlet(np.ones(n), size=14)])
+    vals = f(qs)
+    lr = np.full(len(qs), 0.25)
+    active = np.arange(len(qs))
     h = 1e-6
     steps = np.concatenate([np.eye(n), -np.eye(n)]) * h
-    for q0 in starts:
-        q = q0.copy()
-        val = f(q)
-        lr = 0.25
-        for it in range(120):
-            vals = f(_simplex_project(q + steps))
-            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf ends this start below
-                grad = (vals[:n] - vals[n:]) / (2 * h)
-            if not np.all(np.isfinite(grad)):
-                break
-            q_new = _simplex_project(q - lr * grad)
-            v_new = f(q_new)
-            if v_new <= val:
-                q, val = q_new, v_new
-            else:
-                lr *= 0.5
-                if lr < 1e-8:
-                    break
-        if val < best_v:
-            best_q, best_v = q, val
+    for _ in range(120):
+        fd = f(_simplex_project((qs[active, None, :] + steps).reshape(-1, n))).reshape(-1, 2 * n)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf ends that start below
+            grad = (fd[:, :n] - fd[:, n:]) / (2 * h)
+        finite = np.isfinite(grad).all(axis=1)
+        active, grad = active[finite], grad[finite]
+        if not active.size:
+            break
+        q_new = _simplex_project(qs[active] - lr[active, None] * grad)
+        v_new = f(q_new)
+        better = v_new <= vals[active]
+        qs[active[better]], vals[active[better]] = q_new[better], v_new[better]
+        lr[active[~better]] *= 0.5
+        active = active[lr[active] >= 1e-8]
+        if not active.size:
+            break
+    # the first start with the lowest value; NaN never counts
+    i = int(np.argmin(np.where(np.isnan(vals), np.inf, vals)))
+    if not vals[i] < np.inf:
+        raise UnboundedBelow("numeric search found no finite expected loss")
+    best_q, best_v = qs[i], float(vals[i])
 
     # Nelder-Mead refinement through the projection
     res = minimize(
@@ -296,7 +303,9 @@ def bayes_risk(l: LossSpec, p, seed: int = 0) -> BayesResult:
     Exact for action matrices (column minimum, ties to the lowest index) and
     for proper rules (evaluate at Q = P); approximate multi-start search for
     arbitrary scoring rules.  A p whose length differs from the loss's
-    declared alphabet size raises ParameterOutOfRange.
+    declared alphabet size raises ParameterOutOfRange; a risk with no finite
+    value (for the numeric search, no start with a finite expected loss)
+    raises UnboundedBelow.
     """
     pv = _as_probs(p)
     if l.n is not None and pv.shape[0] != l.n:

@@ -147,7 +147,7 @@ def test_criterion_04_lemma_invariants():
                 lam * si.v_envelope(l, p) + (1 - lam) * si.v_envelope(l, q) + 1e-9
             )
             assert si.v_envelope(l, p) <= cap + 1e-9
-    _report(4, f"two-path residual worst {worst:.2e}; G(delta)=0; V convex and vertex-bounded")
+    _report(4, f"normalized-G rounding residual (same solves as C) worst {worst:.2e}; G(delta)=0; V convex and vertex-bounded")
 
 
 def test_criterion_05_savage_representation():

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import sideinfo as si
 from sideinfo.errors import NotProper, ParameterOutOfRange, UnboundedBelow, UnknownLoss
-from sideinfo.losses import simplex_grid
+from sideinfo.losses import _expected_scoring_loss, _simplex_project, simplex_grid
 
 LN2 = math.log(2)
 
@@ -15,14 +16,17 @@ LN2 = math.log(2)
 def unflagged_rule(kind: str, n: int) -> si.ScoringRuleLoss:
     """A proper=False rule whose vector_fn takes a forecast or a (K, n) batch.
 
-    `linear` is the improper score -q_x; `brier` is the Brier score without
-    its proper flag.
+    `linear` is the improper score -q_x; `brier` and `log` are the Brier and
+    log scores without their proper flag.
     """
 
     def vector_fn(q):
         q = np.asarray(q, dtype=float)
         if kind == "linear":
             return -q
+        if kind == "log":
+            with np.errstate(divide="ignore"):
+                return -np.log(q)
         return (q * q).sum(axis=-1, keepdims=True) - 2.0 * q + 1.0
 
     return si.ScoringRuleLoss(
@@ -145,6 +149,92 @@ class TestBayesRisk:
             r = si.bayes_risk(rule, p, seed=seed)
             assert r.method == "numeric-search"
             assert (r.risk, r.minimizer.probs.tolist(), r.grid_gap) == (risk, minimizer, gap)
+
+    def test_numeric_search_matches_per_start_oracle(self):
+        # the lockstep multi-start descent against one start after another
+        corpus = []
+        rng = np.random.default_rng(909)
+        for n in range(2, 6):
+            face, near_face = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+            face[-1], near_face[0] = 0.0, 1e-9
+            # an eval_fn-only rule at n = 4 would spend ~20 s per call on the grid check
+            kinds = ("linear", "brier", "log") + (("eval_fn",) if n != 4 else ())
+            for p in (rng.dirichlet(np.ones(n)), face / face.sum()):
+                corpus += [(kind, p) for kind in kinds]
+            # near a face, unflagged log ends starts early through a non-finite gradient
+            corpus.append(("log", near_face / near_face.sum()))
+        assert len(corpus) == 34
+        for seed, (kind, p) in enumerate(corpus):
+            n = len(p)
+            rule = _eval_fn_rule(n) if kind == "eval_fn" else unflagged_rule(kind, n)
+            r = si.bayes_risk(rule, p, seed=seed % 5)
+            assert r.method == "numeric-search"
+            expect = _per_start_numeric_bayes(rule, p, seed % 5)
+            assert (r.risk, r.minimizer.probs.tolist(), r.grid_gap) == expect, (kind, p)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_numeric_search_without_finite_start(self, value):
+        rule = si.ScoringRuleLoss(eval_fn=lambda x, q: value, n=3)
+        with pytest.raises(UnboundedBelow):
+            si.bayes_risk(rule, [0.2, 0.3, 0.5])
+
+
+def _eval_fn_rule(n: int) -> si.ScoringRuleLoss:
+    """An improper rule given only per-outcome evaluation, no vector_fn."""
+    return si.ScoringRuleLoss(eval_fn=lambda x, q: float(q[x] ** 2 - q.sum()), n=n)
+
+
+def _per_start_numeric_bayes(l, p, seed):
+    """The numeric tier with its descent run one start after another: the reference oracle."""
+    p = np.asarray(p, dtype=float)
+    n = p.shape[0]
+    rng = np.random.default_rng(seed)
+
+    def f(q):
+        return _expected_scoring_loss(l, p, q)
+
+    starts = [p.copy(), np.full(n, 1.0 / n), *rng.dirichlet(np.ones(n), size=14)]
+    best_q, best_v = None, np.inf
+    h = 1e-6
+    steps = np.concatenate([np.eye(n), -np.eye(n)]) * h
+    for q0 in starts:
+        q = q0.copy()
+        val = f(q)
+        lr = 0.25
+        for _ in range(120):
+            vals = f(_simplex_project(q + steps))
+            with np.errstate(invalid="ignore", over="ignore"):
+                grad = (vals[:n] - vals[n:]) / (2 * h)
+            if not np.all(np.isfinite(grad)):
+                break
+            q_new = _simplex_project(q - lr * grad)
+            v_new = f(q_new)
+            if v_new <= val:
+                q, val = q_new, v_new
+            else:
+                lr *= 0.5
+                if lr < 1e-8:
+                    break
+        if val < best_v:
+            best_q, best_v = q, val
+
+    res = minimize(
+        lambda z: f(_simplex_project(z)),
+        best_q,
+        method="Nelder-Mead",
+        options={"maxiter": 400 * n, "xatol": 1e-10, "fatol": 1e-12},
+    )
+    if np.isfinite(res.fun) and res.fun < best_v:
+        best_q, best_v = _simplex_project(res.x), float(res.fun)
+    gap = None
+    if n <= 4:
+        grid = simplex_grid(n, 200)
+        gvals = f(grid)
+        gi = int(np.argmin(gvals))
+        gap = best_v - float(gvals[gi])
+        if gvals[gi] < best_v:
+            best_q, best_v = grid[gi], float(gvals[gi])
+    return best_v, np.asarray(best_q, dtype=float).tolist(), gap
 
 
 class TestLossVectorBatch:

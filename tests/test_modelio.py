@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import sideinfo as si
 from sideinfo.errors import EmptySample, SchemaError, UnknownSymbol, ValidationError
@@ -145,6 +148,71 @@ class TestRoundTrip:
 
     def test_version_field_present(self, witness_joint):
         assert serialize_model(witness_joint)["version"] == 1
+
+
+def _simplex_rows(shape):
+    """Arrays whose last-axis rows are probability vectors, with zeros and subnormals."""
+    return (
+        arrays(np.float64, shape, elements=st.floats(0.0, 1.0))
+        .filter(lambda a: np.all(a.sum(axis=-1) > 0))
+        .map(lambda a: a / a.sum(axis=-1, keepdims=True))
+    )
+
+
+@st.composite
+def joints(draw):
+    shape = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+    flat = draw(_simplex_rows((int(np.prod(shape)),)))
+    return si.validate_joint(flat.reshape(shape))
+
+
+@st.composite
+def markov_models(draw):
+    nx, ny = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    q = nx * ny
+    return si.MarkovJointProcess(nx, ny, draw(_simplex_rows((q,))), draw(_simplex_rows((q, q))))
+
+
+def _entry_paths(node, path=()):
+    """Paths to the decimal-string leaves of a nested payload list."""
+    if isinstance(node, list):
+        return [leaf for i, v in enumerate(node) for leaf in _entry_paths(v, path + (i,))]
+    return [path]
+
+
+class TestProperties:
+    @given(joint=joints())
+    def test_joint_round_trip_bit_exact(self, joint):
+        again = parse_document(json.loads(json.dumps(serialize_model(joint)))).payload
+        assert again.table.shape == joint.table.shape
+        assert again.table.tobytes() == joint.table.tobytes()
+
+    @given(model=markov_models())
+    def test_markov_round_trip_bit_exact(self, model):
+        again = parse_document(json.loads(json.dumps(serialize_model(model)))).payload
+        assert (again.nx, again.ny) == (model.nx, model.ny)
+        assert again.initial.tobytes() == model.initial.tobytes()
+        assert again.kernel.tobytes() == model.kernel.tobytes()
+
+    @given(
+        model=st.one_of(joints(), markov_models(), _simplex_rows((3,)).map(si.Dist)),
+        bad=st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "-INF"]),
+        data=st.data(),
+    )
+    def test_non_finite_entry_rejected(self, model, bad, data):
+        doc = serialize_model(model)
+        key = data.draw(st.sampled_from([k for k in ("p", "initial", "kernel") if k in doc]))
+        path = data.draw(st.sampled_from(_entry_paths(doc[key])))
+        node = doc[key]
+        for i in path[:-1]:
+            node = node[i]
+        node[path[-1]] = bad
+        with pytest.raises(ValidationError) as exc:
+            parse_document(doc)
+        if bad.lower() == "nan":  # NaN never decodes, so the error names the entry
+            assert exc.value.field == key + "".join(f"[{i}]" for i in path)
+        else:
+            assert exc.value.field in (key, "markov_process")
 
 
 class TestEmpiricalJoint:
