@@ -17,17 +17,18 @@ the tests as an oracle).  Exactness makes identities like the conservation
 law hard numeric tests rather than statistical ones.  Geweke's measure is
 the one continuous-valued quantity: the restricted prediction variance
 comes from exact autocovariances via Levinson-Durbin, never from
-simulation.
+simulation; the lags are computed one at a time, as the recursion reads
+them.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Union
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
 
 from .errors import HorizonTooLarge, NotStationary, ParameterOutOfRange
 from .prob import entropy
@@ -410,6 +411,8 @@ class VarModel:
         s.setflags(write=False)
         if a.ndim != 3 or a.shape[1:] != (2, 2):
             raise ParameterOutOfRange("coeffs must have shape (p, 2, 2)")
+        if not (np.isfinite(a).all() and np.isfinite(s).all()):
+            raise ParameterOutOfRange("coeffs and sigma entries must be finite")
         if s.shape != (2, 2) or abs(s[0, 1] - s[1, 0]) > 1e-12:
             raise ParameterOutOfRange("sigma must be symmetric 2x2")
         if np.any(np.linalg.eigvalsh(s) <= 0):
@@ -430,35 +433,49 @@ class VarModel:
         return f
 
 
-def var_autocovariances(v: VarModel, lags: int) -> np.ndarray:
-    """Exact autocovariance matrices Gamma(0..lags) of the stationary VAR."""
+def _autocovariances(v: VarModel) -> Iterator[np.ndarray]:
+    """Yield the exact autocovariance matrices Gamma(0), Gamma(1), ... of the stationary VAR.
+
+    Gamma(0..p-1) come from the discrete Lyapunov equation of the companion
+    form; every later lag is Gamma(h) = sum_k A_k Gamma(h - k - 1).
+    """
+    from scipy.linalg import solve_discrete_lyapunov  # loaded on first use
+
     p = v.order
-    f = v.companion()
     q = np.zeros((2 * p, 2 * p))
     q[:2, :2] = v.sigma
-    s = solve_discrete_lyapunov(f, q)
-    gammas = [s[:2, 2 * h: 2 * h + 2].copy() for h in range(min(p, lags + 1))]
-    while len(gammas) <= lags:
-        h = len(gammas)
+    s = solve_discrete_lyapunov(v.companion(), q)
+    recent = deque((s[:2, 2 * h: 2 * h + 2].copy() for h in range(p)), maxlen=p)
+    yield from recent
+    while True:
         g = np.zeros((2, 2))
         for k in range(p):
-            g += v.coeffs[k] @ gammas[h - k - 1]
-        gammas.append(g)
-    return np.array(gammas[: lags + 1])
+            g += v.coeffs[k] @ recent[-k - 1]
+        recent.append(g)
+        yield g
 
 
-def _levinson_variance(r: np.ndarray, k_tol: float) -> tuple[float, bool]:
+def var_autocovariances(v: VarModel, lags: int) -> np.ndarray:
+    """Exact autocovariance matrices Gamma(0..lags) of the stationary VAR."""
+    return np.array(list(islice(_autocovariances(v), max(lags + 1, 0))))
+
+
+def _levinson_variance(r: Iterator[float], k_tol: float, max_order: int) -> float:
     """Infinite-order linear prediction error variance via Levinson-Durbin.
 
-    Runs over the supplied autocovariances r[0..L]; returns (variance,
-    settled) where settled means the reflection coefficient magnitude fell
-    below k_tol before the lags ran out (the remaining orders cannot move
-    the variance materially).
+    Reads the autocovariances r(0), r(1), ... one lag per order, until the
+    reflection coefficient magnitude falls below k_tol (the remaining orders
+    cannot move the variance materially) or max_order lags have been read.
     """
-    err = float(r[0])
+    buf = np.empty(64)  # r(0), r(1), ... as read; doubled when full
+    buf[0] = next(r)
+    err = float(buf[0])
     a = np.zeros(0)
-    for m in range(1, len(r)):
-        acc = float(r[m]) - float(np.dot(a, r[m - 1: 0: -1]))
+    for m in range(1, max_order + 1):
+        if m == buf.size:
+            buf = np.concatenate([buf, np.empty(buf.size)])
+        buf[m] = next(r)
+        acc = float(buf[m]) - float(np.dot(a, buf[m - 1: 0: -1]))
         k = acc / err
         new_a = np.empty(m)
         new_a[m - 1] = k
@@ -469,8 +486,8 @@ def _levinson_variance(r: np.ndarray, k_tol: float) -> tuple[float, bool]:
         if err <= 0:
             raise NotStationary("prediction error variance hit zero; model is degenerate")
         if abs(k) < k_tol:
-            return err, True
-    return err, False
+            break
+    return err
 
 
 def geweke_F(
@@ -484,7 +501,8 @@ def geweke_F(
     The full-model residual variance is the x-component of the innovation
     covariance; the restricted variance comes from the exact stationary
     autocovariance sequence of x alone, run through Levinson-Durbin until
-    the reflection coefficients die out (capped at max_order lags).
+    the reflection coefficients die out.  Lags are computed on demand, one
+    per order, and at most max_order of them are read.
 
     Units: Geweke's log variance ratio.  For jointly Gaussian processes
     this equals twice the directed-information rate in nats per step; no
@@ -494,12 +512,6 @@ def geweke_F(
         raise ParameterOutOfRange(f"direction must be 'y->x' or 'x->y', got {direction!r}")
     comp = 0 if direction == "y->x" else 1
     full = float(v.sigma[comp, comp])
-    # Autocovariances are extended in blocks until the recursion stops on its own.
-    lags = 64
-    while True:
-        r = var_autocovariances(v, lags)[:, comp, comp]
-        restricted, settled = _levinson_variance(r, k_tol=k_tol)
-        if settled or lags >= max_order:
-            break
-        lags = min(max_order, lags * 4)
+    r = (g[comp, comp] for g in _autocovariances(v))
+    restricted = _levinson_variance(r, k_tol=k_tol, max_order=max_order)
     return float(np.log(restricted / full))

@@ -12,7 +12,8 @@ follow a CI-friendly contract:
     70  internal numeric failure
 
 `--pretty` renders a human table instead of the JSON document and is never
-parsed by tests.  `SIDEINFO_SEED` supplies the default seed.
+parsed by tests.  `SIDEINFO_SEED` supplies the default seed; it is read at
+every dispatch, while the argument parser is built once per process.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import os
 import re
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import causality, losses, modelio, prob, sufficiency
@@ -150,10 +151,12 @@ def _emit_pretty(report: dict, indent: int = 0) -> None:
             sys.stdout.write(f"{pad}{key}: {value}\n")
 
 
-def _build_parser() -> _Parser:
+@cache
+def _parser() -> tuple[_Parser, list[argparse.Action]]:
+    """The argparse tree and its --seed actions, built on the first dispatch and reused."""
     p = _Parser(prog="sideinfo", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="cmd", required=True)
-    seed = {"type": partial(_count, 0), "default": os.environ.get("SIDEINFO_SEED", "0")}
+    seeds = []
 
     def add_loss_flags(sp):
         grp = sp.add_mutually_exclusive_group(required=True)
@@ -166,22 +169,22 @@ def _build_parser() -> _Parser:
     sp.add_argument("--cond-w", action="store_true", help="joint file is 3-axis; condition on W")
     sp.add_argument("--scale", type=_finite, default=1.0,
                     help="report-level multiplier on the computed values (units only)")
-    sp.add_argument("--seed", **seed)
+    seeds.append(sp.add_argument("--seed", type=partial(_count, 0)))
     sp.add_argument("--pretty", action="store_true")
 
     sp = sub.add_parser("audit-dpa", help="audit the data processing requirement")
     sp.add_argument("--joint", required=True)
     add_loss_flags(sp)
     sp.add_argument("--tol", type=_tolerance, default=1e-9)
-    sp.add_argument("--seed", **seed)
+    seeds.append(sp.add_argument("--seed", type=partial(_count, 0)))
     sp.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     sp.add_argument("--pretty", action="store_true")
 
     sp = sub.add_parser("find-violation", help="scan for a data-processing violation")
     add_loss_flags(sp)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=partial(_count, 2), required=True)
     sp.add_argument("--budget", type=partial(_count, 0), default=10_000)
-    sp.add_argument("--seed", **seed)
+    seeds.append(sp.add_argument("--seed", type=partial(_count, 0)))
     sp.add_argument("--tol", type=_tolerance, default=1e-9)
     sp.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     sp.add_argument("--pretty", action="store_true")
@@ -196,7 +199,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("directed-info", help="directed information report for a process model")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--horizon", type=int, required=True)
+    sp.add_argument("--horizon", type=partial(_count, 1), required=True)
     sp.add_argument("--conservation", action="store_true")
     sp.add_argument("--tol", type=_finite, default=1e-9)
     sp.add_argument("--pretty", action="store_true")
@@ -220,7 +223,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--dist", required=True)
     sp.add_argument("--pretty", action="store_true")
 
-    return p
+    return p, seeds
 
 
 def _cmd_benefit(args) -> tuple[dict, int]:
@@ -419,7 +422,9 @@ _HANDLERS = {
 
 def cli_dispatch(argv) -> int:
     """Run one subcommand; print its RunReport; return the exit code."""
-    parser = _build_parser()
+    parser, seeds = _parser()
+    for action in seeds:  # a string default goes through the type check, so a bad value exits 64
+        action.default = os.environ.get("SIDEINFO_SEED", "0")
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import NotProper, ParameterOutOfRange, UnboundedBelow, UnknownLoss
 from .prob import ConvexOracle, Dist, _as_probs
@@ -96,7 +95,10 @@ class ScoringRuleLoss:
         if out.shape != q.shape:
             raise ParameterOutOfRange(f"vector_fn returned shape {out.shape} for forecasts {q.shape}")
         if q.ndim == 2 and len(q) > 1:
-            if not np.allclose(out[0], self.vector_fn(q[0]), rtol=0.0, atol=1e-12, equal_nan=True):
+            a, b = out[0], np.asarray(self.vector_fn(q[0]), dtype=float)
+            with np.errstate(invalid="ignore"):  # inf - inf is NaN, never within 1e-12
+                same = (a == b) | (np.abs(a - b) <= 1e-12) | (np.isnan(a) & np.isnan(b))
+            if not same.all():
                 raise ParameterOutOfRange("vector_fn is not row-wise: a batch row differs from its forecast alone")
         return out
 
@@ -236,6 +238,8 @@ def simplex_grid(n: int, steps: int) -> np.ndarray:
 
 
 def _numeric_bayes(l: ScoringRuleLoss, p: np.ndarray, seed: int) -> BayesResult:
+    from scipy.optimize import minimize  # loaded on first use
+
     n = p.shape[0]
     rng = np.random.default_rng(seed)
 

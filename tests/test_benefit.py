@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import sideinfo as si
 from sideinfo import sufficiency
@@ -203,7 +206,21 @@ class TestBenefitFromG:
                 )
 
 
+@st.composite
+def joints3(draw):
+    """3-axis joints (nx >= 2) whose entries include zeros, so some W slices have no mass."""
+    shape = (draw(st.integers(2, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    t = draw(arrays(np.float64, shape, elements=st.floats(0.0, 1.0)).filter(lambda a: a.sum() > 0))
+    return si.validate_joint(t / t.sum())
+
+
 class TestConditionalBenefit:
+    @given(j=joints3())
+    def test_log_equals_cmi_property(self, j):
+        assert si.conditional_benefit(si.builtin_loss("log", j.nx), j) == pytest.approx(
+            si.conditional_mutual_information(j), abs=1e-12
+        )
+
     def test_degenerate_w(self):
         rng = np.random.default_rng(10)
         j2 = random_joint(rng, 3, 3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import solve_discrete_lyapunov
 
 import sideinfo as si
 from sideinfo.causality import STATE_LIMIT, ProcessModel, _prefix_entropies
@@ -502,3 +503,102 @@ class TestVarAutocovariances:
         gam = si.var_autocovariances(v, 4)
         for h in range(1, 5):
             assert gam[h][0, 0] == pytest.approx(0.5 * gam[h - 1][0, 0], abs=1e-12)
+
+
+def _block_autocovariances(v: si.VarModel, lags: int) -> np.ndarray:
+    """Gamma(0..lags) as computed in one block before lags were streamed (the oracle)."""
+    p = v.order
+    q = np.zeros((2 * p, 2 * p))
+    q[:2, :2] = v.sigma
+    s = solve_discrete_lyapunov(v.companion(), q)
+    gammas = [s[:2, 2 * h: 2 * h + 2].copy() for h in range(min(p, lags + 1))]
+    while len(gammas) <= lags:
+        h = len(gammas)
+        g = np.zeros((2, 2))
+        for k in range(p):
+            g += v.coeffs[k] @ gammas[h - k - 1]
+        gammas.append(g)
+    return np.array(gammas[: lags + 1])
+
+
+def _block_levinson(r: np.ndarray, k_tol: float) -> tuple[float, bool]:
+    """Levinson-Durbin over a fixed block r[0..L]; (variance, settled before the block ran out)."""
+    err = float(r[0])
+    a = np.zeros(0)
+    for m in range(1, len(r)):
+        acc = float(r[m]) - float(np.dot(a, r[m - 1: 0: -1]))
+        k = acc / err
+        new_a = np.empty(m)
+        new_a[m - 1] = k
+        if m > 1:
+            new_a[: m - 1] = a - k * a[::-1]
+        a = new_a
+        err *= 1.0 - k * k
+        if abs(k) < k_tol:
+            return err, True
+    return err, False
+
+
+def _block_geweke(v: si.VarModel, direction: str, k_tol: float = 1e-10) -> tuple[float, int]:
+    """geweke_F with 64-lag blocks regrown x4 until Levinson settles; (F, lags computed)."""
+    comp = 0 if direction == "y->x" else 1
+    lags = 64
+    while True:
+        restricted, settled = _block_levinson(_block_autocovariances(v, lags)[:, comp, comp], k_tol)
+        if settled:
+            return float(np.log(restricted / float(v.sigma[comp, comp]))), lags
+        lags *= 4
+
+
+def _seeded_var(seed: int) -> si.VarModel:
+    """A stationary VAR of order 1 + seed % 3 with random coefficients and innovation covariance."""
+    rng = np.random.default_rng(seed)
+    p = 1 + seed % 3
+    while True:
+        c = rng.normal(size=(2, 2))
+        try:
+            return si.VarModel(coeffs=0.5 * rng.normal(size=(p, 2, 2)), sigma=c @ c.T + 0.2 * np.eye(2))
+        except NotStationary:
+            continue
+
+
+class TestGewekeStreamedLags:
+    """geweke_F reads lags on demand; results match the old block computation bit for bit."""
+
+    def test_bit_identical_to_block_oracle(self):
+        lags_used = []
+        for seed in range(12):
+            v = _seeded_var(seed)
+            for direction in ("y->x", "x->y"):
+                expected, lags = _block_geweke(v, direction)
+                assert si.geweke_F(v, direction) == expected
+                lags_used.append(lags)
+        assert max(lags_used) > 64  # the corpus includes a model that outgrows the first block
+
+    def test_var_autocovariances_unchanged(self):
+        for seed in range(6):
+            v = _seeded_var(seed)
+            for lags in (0, 1, 2, 3, 70):
+                got = si.var_autocovariances(v, lags)
+                assert got.shape == (lags + 1, 2, 2)
+                assert got.tobytes() == _block_autocovariances(v, lags).tobytes()
+
+    def test_max_order_below_block_caps_lags_read(self):
+        v = _seeded_var(2)  # needs 76 lags in the y->x direction
+        full = float(v.sigma[0, 0])
+        for max_order in (1, 5, 63):
+            r = _block_autocovariances(v, max_order)[:, 0, 0]
+            restricted, settled = _block_levinson(r, 1e-10)
+            assert not settled
+            assert si.geweke_F(v, max_order=max_order) == float(np.log(restricted / full))
+        assert si.geweke_F(v, max_order=5) != si.geweke_F(v)
+
+
+class TestVarModelValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["coeffs", "sigma"])
+    def test_non_finite_entry_rejected(self, field, bad):
+        params = {"coeffs": np.array([[[0.5, 0.1], [0.0, 0.3]]]), "sigma": np.eye(2)}
+        params[field][(0,) * params[field].ndim] = bad
+        with pytest.raises(ParameterOutOfRange, match="finite"):
+            si.VarModel(**params)

@@ -305,6 +305,11 @@ class TestExitCodes:
               "--tol", "-1e-9"], 3),
             (["directed-info", "--model", "{model}", "--horizon", "3", "--tol", "-inf"], 64),
             (["find-violation", "--builtin", "log", "--n", "3", "--budget", "5", "--seed", "-3"], 64),
+            (["directed-info", "--model", "{model}", "--horizon", "0"], 64),
+            (["directed-info", "--model", "{model}", "--horizon", "-3"], 64),
+            (["find-violation", "--builtin", "log", "--n", "1"], 64),
+            # the enumeration bound depends on the model, so it is a data error
+            (["directed-info", "--model", "{model}", "--horizon", "40"], 65),
         ],
     )
     def test_exit_code_contract(self, tmp_path, flags, expected, witness_file, copy_model_file):
@@ -369,3 +374,72 @@ class TestDeterminism:
         assert code == 0
         with pytest.raises(json.JSONDecodeError):
             json.loads(out)
+
+
+class TestParserReuse:
+    """One argparse tree serves every dispatch in a process; SIDEINFO_SEED is read each time."""
+
+    def test_seed_env_read_at_every_dispatch(self, capsys, monkeypatch, witness_file):
+        argv = ["benefit", "--joint", witness_file, "--builtin", "log"]
+        monkeypatch.setenv("SIDEINFO_SEED", "17")
+        assert run_json(capsys, argv)[1]["seed"] == 17
+        monkeypatch.setenv("SIDEINFO_SEED", "23")
+        assert run_json(capsys, argv)[1]["seed"] == 23
+        monkeypatch.delenv("SIDEINFO_SEED")
+        assert run_json(capsys, argv)[1]["seed"] == 0
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("abc", "usage error: argument --seed: invalid int value: 'abc'\n"),
+            ("-3", "usage error: argument --seed: must be >= 0, got '-3'\n"),
+        ],
+    )
+    def test_invalid_seed_env_after_valid(self, capsys, monkeypatch, witness_file, value, message):
+        argv = ["benefit", "--joint", witness_file, "--builtin", "log"]
+        monkeypatch.setenv("SIDEINFO_SEED", "5")
+        assert cli_dispatch(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("SIDEINFO_SEED", value)
+        assert cli_dispatch(argv) == 64
+        assert capsys.readouterr() == ("", message)
+        assert cli_dispatch(argv + ["--seed", "4"]) == 0  # an explicit seed never reads the variable
+
+    def test_help_twice(self, capsys):
+        outs = []
+        for _ in range(2):
+            assert cli_dispatch(["--help"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0].startswith("usage: sideinfo")
+        assert outs[0] == outs[1]
+
+
+def _imported_modules(argv, cwd) -> set[str]:
+    """Top-level names of every module a child interpreter imports (python -X importtime)."""
+    out = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        capture_output=True, text=True, cwd=cwd, env=package_env(),
+    )
+    assert "Traceback" not in out.stderr
+    return {
+        line.rsplit("|", 1)[1].strip().split(".")[0]
+        for line in out.stderr.splitlines()
+        if line.startswith("import time:") and line.count("|") == 2
+    }
+
+
+class TestLazyScipy:
+    """scipy loads on first use (numeric Bayes tier, geweke), never with the package."""
+
+    def test_package_import_leaves_scipy_out(self, tmp_path):
+        mods = _imported_modules(["-c", "import sideinfo, sideinfo.cli"], tmp_path)
+        assert "sideinfo" in mods
+        assert "scipy" not in mods
+
+    def test_mi_command_leaves_scipy_out(self, tmp_path, witness_file):
+        assert "scipy" not in _imported_modules(["-m", "sideinfo", "mi", "--joint", witness_file], tmp_path)
+
+    def test_geweke_command_loads_scipy(self, tmp_path):
+        path = tmp_path / "var.json"
+        si.write_model(si.VarModel(coeffs=np.array([[[0.0, 1.0], [0.0, 0.0]]]), sigma=np.eye(2)), path)
+        assert "scipy" in _imported_modules(["-m", "sideinfo", "geweke", "--var", str(path)], tmp_path)

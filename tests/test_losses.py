@@ -275,6 +275,35 @@ class TestLossVectorBatch:
             si.find_violation(proper, 3, budget=30)
 
 
+    @pytest.mark.parametrize(
+        "batch_row, alone, ok",
+        [
+            ([np.inf, 1.0, 2.0], [np.inf, 1.0, 2.0], True),
+            ([-np.inf, 1.0, 2.0], [-np.inf, 1.0, 2.0], True),
+            ([np.inf, 1.0, 2.0], [-np.inf, 1.0, 2.0], False),
+            ([np.nan, 1.0, 2.0], [np.nan, 1.0, 2.0], True),
+            ([np.nan, 1.0, 2.0], [0.0, 1.0, 2.0], False),
+            ([0.0, 1.0, 2.0], [np.nan, 1.0, 2.0], False),
+            ([0.0, 1.0, 2.0], [1e-12, 1.0, 2.0], True),
+            ([-1e-12, 1.0, 2.0], [0.0, 1.0, 2.0], True),
+            ([0.0, 1.0, 2.0], [2e-12, 1.0, 2.0], False),
+            ([np.inf, 1.0, 2.0], [1e300, 1.0, 2.0], False),
+        ],
+    )
+    def test_row_wise_check_boundaries(self, batch_row, alone, ok):
+        # row 0 of a batch against the same forecast alone: equal, within 1e-12, or both NaN
+        def vector_fn(q):
+            return np.tile(batch_row, (len(q), 1)) if q.ndim == 2 else np.array(alone)
+
+        rule = si.ScoringRuleLoss(eval_fn=lambda x, q: 0.0, n=3, vector_fn=vector_fn)
+        batch = np.full((2, 3), 1.0 / 3.0)
+        if ok:
+            assert np.array_equal(rule.loss_vector(batch), np.tile(batch_row, (2, 1)), equal_nan=True)
+        else:
+            with pytest.raises(ParameterOutOfRange, match="not row-wise"):
+                rule.loss_vector(batch)
+
+
 class TestVEnvelope:
     def test_log_is_neg_entropy(self):
         assert si.v_envelope(si.builtin_loss("log", 2), [0.5, 0.5]) == pytest.approx(-LN2)

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import sideinfo as si
-from sideinfo.errors import NegativeMass, NotNormalized, ZeroConditioningEvent
+from sideinfo.errors import NegativeMass, NotNormalized, ParameterOutOfRange, ZeroConditioningEvent
 
 from conftest import random_joint, random_joint3
 
@@ -253,3 +255,37 @@ class TestConvexOracleChecks:
         )
         with pytest.raises(si.ConvexityViolation):
             si.check_convex_oracle(bad, 3, pairs=64, seed=0)
+
+
+# Each in-memory validator: a valid flat parameter vector, a builder from it, and its documented error.
+_VALIDATORS = {
+    "validate_dist": ([0.25, 0.25, 0.5], si.validate_dist, NegativeMass),
+    "validate_joint": ([0.1, 0.2, 0.3, 0.4], lambda f: si.validate_joint(f.reshape(2, 2)), NegativeMass),
+    "MarkovJointProcess": (
+        [0.25] * 20, lambda f: si.MarkovJointProcess(2, 2, f[:4], f[4:].reshape(4, 4)), ParameterOutOfRange
+    ),
+    "VarModel": (
+        [0.5, 0.1, 0.0, 0.3, 0.2, 0.0, 0.1, 0.2, 1.0, 0.2, 0.2, 1.0],
+        lambda f: si.VarModel(coeffs=f[:8].reshape(2, 2, 2), sigma=f[8:].reshape(2, 2)),
+        ParameterOutOfRange,
+    ),
+}
+
+
+class TestNonFiniteInputProperties:
+    @pytest.mark.parametrize("name", sorted(_VALIDATORS))
+    def test_valid_base_accepted(self, name):
+        flat, build, _ = _VALIDATORS[name]
+        build(np.array(flat))
+
+    @given(
+        name=st.sampled_from(sorted(_VALIDATORS)),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+        data=st.data(),
+    )
+    def test_non_finite_entry_rejected(self, name, bad, data):
+        flat, build, error = _VALIDATORS[name]
+        f = np.array(flat)
+        f[data.draw(st.integers(0, f.size - 1))] = bad
+        with pytest.raises(error, match="finite"):
+            build(f)
