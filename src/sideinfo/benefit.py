@@ -2,11 +2,13 @@
 
 C = R(P_X) - sum_y P_Y(y) R(P_{X|Y=y}), the drop in optimal risk from
 observing Y, equals the Jensen gap of the normalized convex function G
-built from the Bayes envelope.  `c_value` and `benefit` form C from one
-solve of each point; `benefit` evaluates the gap route on those same
-solves, so its residual measures rounding of the normalized-G form, not a
-second computation.  `benefit_from_G` is the gap route for any convex
-oracle; `benefit_from_G(g_normalized(l), j)` is the independent check.
+built from the Bayes envelope.  Every C in the package comes from one
+kernel, `_c_stack`, over a stack of joints (K, a, b); C of a joint is the
+same bits alone (`c_value`, K = 1) or in any stack.  `benefit` evaluates
+the gap route on those same solves, so its residual measures rounding of
+the normalized-G form, not a second computation.  `benefit_from_G` is the
+gap route for any convex oracle; `benefit_from_G(g_normalized(l), j)` is
+the independent check.
 """
 
 from __future__ import annotations
@@ -15,16 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterOutOfRange
-from .losses import LossSpec, bayes_risk, v_envelope
+from .errors import ParameterOutOfRange, UnboundedBelow
+from .losses import LossSpec, _exact_risks, _masked_risk, _tier, bayes_risk, v_envelope
 from .prob import (
     ConvexOracle,
+    Dist,
     Joint,
     _as_probs,
     condition_on_y,
     jensen_gap,
     marginals,
-    point_mass,
     slice_given_w,
     w_marginal,
 )
@@ -47,27 +49,63 @@ class BenefitReport:
     decomposition_residual: float
 
 
-def _conditionals(j: Joint, py) -> list:
-    """(y, P_Y(y), P_{X|Y=y}) for every y of positive mass; no other y is conditioned on."""
-    return [(y, py.probs[y], condition_on_y(j, y)) for y in range(j.ny) if py.probs[y] > 0.0]
+def _solve_rows(l: LossSpec, rows: np.ndarray, seed: int):
+    """Bayes risk of each row of an (R, n) batch, and a function from row index to minimizer.
+
+    Exact tiers solve the batch at once.  A numeric-tier rule solves one row
+    at a time through `bayes_risk`, with the same seed; a row whose search
+    finds no finite value gets risk inf, so the caller decides when to raise.
+    """
+    if _tier(l, rows.shape[1]) != "numeric-search":
+        risks, act = _exact_risks(l, rows)
+        return risks, (lambda i: Dist(rows[i])) if act is None else (lambda i: int(act[i]))
+    solved = []
+    for row in rows:
+        try:
+            solved.append(bayes_risk(l, row, seed=seed))
+        except UnboundedBelow:
+            solved.append(None)
+    return np.array([np.inf if r is None else r.risk for r in solved]), lambda i: solved[i].minimizer
 
 
-def _solve(l: LossSpec, j: Joint, seed: int):
-    """C with its points, each solved once: (c, P_X, R(P_X), [(y, P_Y(y), P_{X|Y=y}, result)])."""
-    px, py = marginals(j)
-    base = bayes_risk(l, px, seed=seed)
-    solved = [(y, w, q, bayes_risk(l, q, seed=seed)) for y, w, q in _conditionals(j, py)]
-    c = base.risk
-    for _, w, _, r in solved:
-        c -= w * r.risk
-    return c, px, base, solved
+def _c_stack(l: LossSpec, tables: np.ndarray, seed: int = 0):
+    """C for each joint of a (K, a, b) stack, as (c, rows, risks, minimizer, y, P_Y(y)).
+
+    `rows` holds P_X of every joint, then P_{X|Y=y} for every (k, y) with
+    P_Y(y) > 0 in (k, y) order, and nothing else; `risks` and `minimizer`
+    are theirs (`_solve_rows`), and `y`, `P_Y(y)` label the conditionals.  C is R(P_X), then c -= P_Y(y) R(P_{X|Y=y})
+    for y in order.  A non-finite risk leaves C non-finite (see `_finite`).
+    """
+    if tables.ndim != 3:
+        raise ValueError("C needs 2-axis joints; use conditional_benefit for a W axis")
+    tables = np.ascontiguousarray(tables)  # the marginal sums take one order, whatever the layout
+    k, a, b = tables.shape
+    py = tables.sum(axis=1)
+    kk, yy = np.nonzero(py > 0.0)
+    w = py[kk, yy]
+    rows = np.concatenate([tables.sum(axis=2), tables[kk, :, yy] / w[:, None]])
+    risks, minimizer = _solve_rows(l, rows, seed)
+    given_y = np.zeros((k, b))  # a zero-mass y keeps weight 0 and risk 0, so c -= 0 leaves c as it is
+    given_y[kk, yy] = risks[k:]
+    c = risks[:k].copy()
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, still non-finite
+        for y in range(b):
+            c -= py[:, y] * given_y[:, y]
+    return c, rows, risks, minimizer, yy, w
+
+
+def _finite(c: np.ndarray) -> np.ndarray:
+    """c, after checking that no C is non-finite (a Bayes risk with no finite value)."""
+    if not np.isfinite(c).all():
+        raise UnboundedBelow("a Bayes risk of the joint has no finite value")
+    return c
 
 
 def _vertex_risks(l: LossSpec, seed: int) -> np.ndarray:
     """R(delta_i) for each outcome i; G(P) = -R(P) + sum_i R(delta_i) p_i."""
     if l.n is None:
         raise ParameterOutOfRange("loss has no declared alphabet size; pass n= to savage_from_G")
-    return np.array([bayes_risk(l, point_mass(i, l.n), seed=seed).risk for i in range(l.n)])
+    return _finite(_solve_rows(l, np.eye(l.n), seed)[0])
 
 
 def benefit(l: LossSpec, j: Joint, seed: int = 0, scale: float = 1.0) -> BenefitReport:
@@ -79,24 +117,26 @@ def benefit(l: LossSpec, j: Joint, seed: int = 0, scale: float = 1.0) -> Benefit
     callers who want another unit, and is never baked into the arithmetic.
     """
     a = _vertex_risks(l, seed)
-    c, px, base, solved = _solve(l, j, seed)
+    c, rows, risks, minimizer, ys, ws = _c_stack(l, j.table[None], seed)
+    c = float(_finite(c)[0])
+    lin = _masked_risk(rows, a, np.isinf(a))  # sum_i R(delta_i) q_i for every solved row
     with_side = mixed_g = 0.0
-    for _, w, q, r in solved:
-        with_side += w * r.risk
-        mixed_g += w * (-r.risk + float(np.dot(a, q.probs)))
-    via_gap = mixed_g - (-base.risk + float(np.dot(a, px.probs)))
+    for i, w in enumerate(ws, start=1):
+        with_side += w * risks[i]
+        mixed_g += w * (-risks[i] + lin[i])
+    via_gap = mixed_g - (-risks[0] + lin[0])
     return BenefitReport(
         c_value=scale * c,
-        risk_no_side=scale * base.risk,
+        risk_no_side=scale * float(risks[0]),
         risk_with_side=scale * with_side,
-        per_y_minimizers={y: r.minimizer for y, _, _, r in solved},
+        per_y_minimizers={int(y): minimizer(i) for i, y in enumerate(ys, start=1)},
         decomposition_residual=abs(scale) * abs(c - via_gap),
     )
 
 
 def c_value(l: LossSpec, j: Joint, seed: int = 0) -> float:
     """Fast path: just the scalar C, skipping the cross-check and report."""
-    return _solve(l, j, seed)[0]
+    return float(_finite(_c_stack(l, j.table[None], seed)[0])[0])
 
 
 def numeric_subgradient(fn, p, step: float = 1e-6) -> tuple[np.ndarray, float]:
@@ -149,21 +189,24 @@ def g_normalized(l: LossSpec, seed: int = 0) -> ConvexOracle:
 
 def benefit_from_G(g: ConvexOracle, j: Joint) -> float:
     """C via Theorem-form: sum_y P_Y(y) G(P_{X|Y=y}) - G(P_X)."""
-    _, weights, conds = zip(*_conditionals(j, marginals(j)[1]))
-    return jensen_gap(g, np.array(weights), conds)
+    py = marginals(j)[1].probs
+    live = [y for y in range(j.ny) if py[y] > 0.0]
+    return jensen_gap(g, py[live], [condition_on_y(j, y) for y in live])
 
 
 def conditional_benefit(l: LossSpec, j: Joint, seed: int = 0, scale: float = 1.0) -> float:
     """Benefit of Y for predicting X given common side information W.
 
-    Computed as sum_w P_W(w) * benefit(l, P_{XY|W=w}); equals the drop in
-    optimal risk from W-measurable to (Y,W)-measurable predictors.
+    Computed as sum_w P_W(w) * benefit(l, P_{XY|W=w}), one kernel stack over
+    the w of positive mass; equals the drop in optimal risk from
+    W-measurable to (Y,W)-measurable predictors.
     """
     if not j.has_w:
         raise ValueError("conditional benefit needs a 3-axis joint")
-    pw = w_marginal(j)
+    pw = w_marginal(j).probs
+    live = [w for w in range(j.nw) if pw[w] > 0.0]
+    c = _finite(_c_stack(l, np.stack([slice_given_w(j, w).table for w in live]), seed)[0])
     total = 0.0
-    for w in range(j.nw):
-        if pw.probs[w] > 0.0:
-            total += pw.probs[w] * c_value(l, slice_given_w(j, w), seed=seed)
+    for w, cw in zip(live, c):
+        total += pw[w] * cw
     return scale * total

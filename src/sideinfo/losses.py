@@ -19,6 +19,12 @@ forecasts as batches through it; the search's multi-start gradient descent
 runs its 16 starts in lockstep, one finite-difference batch and one step
 batch per iteration, each start following the path it would take alone.
 
+Every expected loss, in both exact tiers and in the numeric search's
+objective, is one masked elementwise product p_x * ell_x over the x with
+p_x > 0 (0 * inf = 0), summed as a left fold from 0 over x (`_masked_risk`).  No
+risk goes through a BLAS dot, so a row's risk is the same alone or in any
+batch, in any memory layout, on every CPU.
+
 Built-ins: log, zero_one, brier, spherical, absolute_ordered.  All symbols
 are 0-based here; 1-based indexing lives only at the file/CLI boundary.
 """
@@ -167,8 +173,8 @@ def builtin_loss(name: str, n: int) -> LossSpec:
             return (q * q).sum(axis=-1, keepdims=True) - 2.0 * q + 1.0
     elif key == "spherical":
         def vec(q):
-            q = _as_probs(q)
-            # a batched matmul reaches the same BLAS dot as np.linalg.norm(q) on one forecast
+            # contiguous rows, so the batched matmul takes the BLAS dot that one forecast alone takes
+            q = np.ascontiguousarray(_as_probs(q))
             return -q / np.sqrt(q[..., None, :] @ q[..., :, None])[..., 0]
     else:
         raise UnknownLoss(f"unknown built-in loss {name!r}")
@@ -183,35 +189,57 @@ def reinstantiate(l: LossSpec, n: int) -> Optional[LossSpec]:
     return None
 
 
-def _expected_scoring_loss(l, p: np.ndarray, q: np.ndarray):
-    """E_P[ell(X, q)], a float for one forecast and an array for a batch.
+def _masked_risk(p: np.ndarray, ell: np.ndarray, bad: np.ndarray):
+    """sum_x p_x ell_x over the last axis, as a left fold from 0: ((0 + t_0) + t_1) + ...
 
-    0 * inf = 0; a loss that is inf or >= HUGE where p > 0 makes the row inf.
+    0 * inf = 0: only the x with p_x > 0 contribute, and a `bad` entry at such
+    an x makes the sum inf.  `p`, `ell` and `bad` broadcast together.  No BLAS:
+    below eight terms this is numpy's own summation order, and it never
+    depends on the CPU or the memory layout.
     """
-    m = p > 0
-    # compress keeps the rows C-contiguous, so each row sums as a lone forecast would
-    vec = l.loss_vector(q).compress(m, axis=-1)
-    bad = np.isinf(vec) | (vec >= HUGE)
-    if bad.any():
-        risk = np.where(bad.any(axis=-1), np.inf, (p[m] * np.where(bad, 0.0, vec)).sum(axis=-1))
-    else:
-        risk = (p[m] * vec).sum(axis=-1)
+    live = p > 0.0
+    if live.all() and not bad.any():  # nothing to mask
+        return sum((p * ell).T, 0.0).T  # Python's sum over the x axis, moved first: the left fold
+    hit = live & bad
+    terms = np.multiply(p, ell, out=np.zeros(hit.shape), where=live & ~bad)
+    return np.where(hit.any(axis=-1), np.inf, sum(terms.T, 0.0).T)
+
+
+def _expected_scoring_loss(l, p: np.ndarray, q: np.ndarray):
+    """E_P[ell(X, q)], a float for one forecast and an array for a (K, n) batch.
+
+    `p` is one distribution (n,) or one per forecast (K, n).  0 * inf = 0; a
+    loss that is inf or >= HUGE where p > 0 makes the row inf.
+    """
+    vec = l.loss_vector(np.ascontiguousarray(q))  # a row scores as it would alone
+    risk = _masked_risk(p, vec, np.isinf(vec) | (vec >= HUGE))
     return float(risk) if risk.ndim == 0 else risk
 
 
-def _matrix_column_values(matrix: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # per-column dot products, so results match a brute-force scan bit for bit
-    vals = np.empty(matrix.shape[1])
-    for a in range(matrix.shape[1]):
-        col = matrix[:, a]
-        finite = np.isfinite(col)
-        if np.all(finite):
-            vals[a] = np.dot(p, col)
-        elif np.any(~finite & (p > 0)):
-            vals[a] = np.inf
-        else:
-            vals[a] = np.dot(p[finite], col[finite])  # 0 * inf = 0 convention
-    return vals
+def _tier(l: LossSpec, n: int) -> str:
+    """The method `bayes_risk` takes for l on n symbols; an n other than l's raises ParameterOutOfRange."""
+    if l.n is not None and n != l.n:
+        raise ParameterOutOfRange(f"distribution has {n} symbols but loss expects {l.n}")
+    if isinstance(l, ActionMatrixLoss):
+        return "column-min"
+    if isinstance(l, SavageRuleLoss) or l.proper:
+        return "proper-fixed-point"
+    return "numeric-search"
+
+
+def _exact_risks(l: LossSpec, rows: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Exact-tier Bayes risk of each row of an (R, n) batch, and each row's minimizing action.
+
+    An action matrix scores every action by `_masked_risk` over an (R, k, n)
+    product and takes the first index of the least; a proper rule scores each
+    row at itself, and its action array is None (the minimizer is the row).
+    Non-finite risks are returned, not raised.
+    """
+    if isinstance(l, ActionMatrixLoss):
+        m = l.matrix.T
+        vals = _masked_risk(rows[:, None, :], m, np.isinf(m))
+        return vals.min(axis=1), vals.argmin(axis=1)  # argmin takes the lowest index on ties
+    return _expected_scoring_loss(l, rows, rows), None
 
 
 def _simplex_project(v: np.ndarray) -> np.ndarray:
@@ -305,28 +333,29 @@ def bayes_risk(l: LossSpec, p, seed: int = 0) -> BayesResult:
     """Minimal expected loss against distribution p, with its minimizer.
 
     Exact for action matrices (column minimum, ties to the lowest index) and
-    for proper rules (evaluate at Q = P); approximate multi-start search for
-    arbitrary scoring rules.  A p whose length differs from the loss's
-    declared alphabet size raises ParameterOutOfRange; a risk with no finite
-    value (for the numeric search, no start with a finite expected loss)
-    raises UnboundedBelow.
+    for proper rules (evaluate at Q = P), both as one row of `_exact_risks`;
+    approximate multi-start search for arbitrary scoring rules.  A p whose
+    length differs from the loss's declared alphabet size raises
+    ParameterOutOfRange; a risk with no finite value (for the numeric search,
+    no start with a finite expected loss) raises UnboundedBelow.
+
+    Known cost: the numeric search checks itself against every point of
+    `simplex_grid(n, 200)` for n <= 4.  A rule given only an `eval_fn` scores
+    those points by one Python call per outcome, so at n = 4 (1.37M points)
+    one call takes 18-24 s on a 2-core Xeon VM.
     """
     pv = _as_probs(p)
-    if l.n is not None and pv.shape[0] != l.n:
-        raise ParameterOutOfRange(f"distribution has {pv.shape[0]} symbols but loss expects {l.n}")
-    if isinstance(l, ActionMatrixLoss):
-        vals = _matrix_column_values(l.matrix, pv)
-        a = int(np.argmin(vals))  # argmin takes the lowest index on ties
-        risk = float(vals[a])
-        if not np.isfinite(risk):
-            raise UnboundedBelow("no action has finite expected loss under p")
-        return BayesResult(risk=risk, minimizer=a, method="column-min")
-    if isinstance(l, SavageRuleLoss) or (isinstance(l, ScoringRuleLoss) and l.proper):
-        risk = _expected_scoring_loss(l, pv, pv)
-        if not np.isfinite(risk):
-            raise UnboundedBelow("expected loss at the honest report is not finite")
-        return BayesResult(risk=risk, minimizer=Dist(pv), method="proper-fixed-point")
-    return _numeric_bayes(l, pv, seed=seed)
+    method = _tier(l, pv.shape[0])
+    if method == "numeric-search":
+        return _numeric_bayes(l, pv, seed=seed)
+    risks, act = _exact_risks(l, pv[None])
+    if not np.isfinite(risks[0]):
+        raise UnboundedBelow(
+            "expected loss at the honest report is not finite"
+            if act is None
+            else "no action has finite expected loss under p"
+        )
+    return BayesResult(risk=float(risks[0]), minimizer=Dist(pv) if act is None else int(act[0]), method=method)
 
 
 def v_envelope(l: LossSpec, p, seed: int = 0) -> float:

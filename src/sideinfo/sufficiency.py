@@ -8,12 +8,10 @@ that, and `find_violation` searches for counterexamples using the
 two-class parametric family that witnesses failures for non-logarithmic
 losses on alphabets of three or more symbols.
 
-The search screens candidates in chunks: C before and after each one comes
-from one batched evaluation per table shape, for action matrices and for
-proper rules with a `vector_fn`, and only a candidate whose screened margin
-lies within a rounding slack of the witness threshold, past it, or is not
-finite goes through the scalar path that decides and reports it.  Rules
-without an exact batched tier send every candidate through that path.
+Every C here comes from the benefit kernel (`benefit._c_stack`), one stack
+per table shape and image size.  A row's C is the same bits in any stack
+as alone, so `c_value`, `verify_witness`, `audit_dpa` and the scan agree
+exactly, and the scan decides every candidate from its chunk's stacks.
 """
 
 from __future__ import annotations
@@ -25,9 +23,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .benefit import c_value
+from .benefit import _c_stack, _finite, c_value
 from .errors import AlphabetTooLarge, ParameterOutOfRange, WitnessVerificationFailed
-from .losses import HUGE, ActionMatrixLoss, LossSpec, ScoringRuleLoss, reinstantiate
+from .losses import LossSpec, reinstantiate
 from .prob import Joint, validate_joint
 
 
@@ -242,26 +240,44 @@ def _witness_kind(t: Transform, before: float, after: float, tol: float) -> Opti
     return "dpa_violation" if after > before + tol else None
 
 
-def _after(l: LossSpec, j: Joint, t: Transform) -> tuple[LossSpec, Joint]:
-    """The loss and the joint that the benefit after a sufficient transform is taken on.
+def _after(l: LossSpec, nx: int, m: Optional[int]):
+    """The loss and the push-forward that C after a sufficient transform onto m symbols is taken on.
 
     Named loss families are re-instantiated on the reduced alphabet; a
     fixed-size loss is evaluated on the padded push-forward instead, which
-    keeps the merged variable on the original alphabet.
+    keeps the merged variable on the original alphabet.  m = None stands for
+    no transform: C of the joint itself.
     """
-    m = t.image_size
-    if m == j.nx:
-        return l, push_forward(j, t)
+    if m is None:
+        return l, lambda j, _: j
+    if m == nx:
+        return l, push_forward
     fam = reinstantiate(l, m)
-    if fam is not None and (l.n is None or l.n == j.nx):
-        return fam, push_forward(j, t)
-    return l, padded_push_forward(j, t)
+    if fam is not None and (l.n is None or l.n == nx):
+        return fam, push_forward
+    return l, padded_push_forward
+
+
+def _c_batch(l: LossSpec, pairs: list[tuple[Joint, Optional[Transform]]], seed: int = 0) -> np.ndarray:
+    """C after each (joint, transform) pair, a None transform giving C of the joint itself.
+
+    One kernel stack per table shape and image size, so `_after` re-instantiates
+    a family once per image size.  Non-finite C is returned, not raised.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, (j, t) in enumerate(pairs):
+        groups.setdefault((j.table.shape, None if t is None else t.image_size), []).append(i)
+    c = np.empty(len(pairs))
+    for (shape, m), idx in groups.items():
+        loss, push = _after(l, shape[0], m)
+        c[idx] = _c_stack(loss, np.stack([push(*pairs[i]).table for i in idx]), seed)[0]
+    return c
 
 
 def _c_after(l: LossSpec, j: Joint, t: Transform, seed: int = 0) -> float:
     """Benefit after applying a sufficient transform, on the loss and joint `_after` picks."""
-    loss, pushed = _after(l, j, t)
-    return c_value(loss, pushed, seed=seed)
+    loss, push = _after(l, j.nx, t.image_size)
+    return c_value(loss, push(j, t), seed=seed)
 
 
 def verify_witness(l: LossSpec, w: ViolationWitness, tol: float = 1e-9, value_tol: float = 1e-12) -> bool:
@@ -311,11 +327,13 @@ def audit_dpa(l: LossSpec, j: Joint, tol: float = 1e-9, seed: int = 0) -> DpaAud
     _check_tol(tol)
     before = c_value(l, j, seed=seed)
     suff = enumerate_sufficient(j, tol=tol, seed=seed)
+    transforms = suff.merges + suff.permutations
+    after = _finite(_c_batch(l, [(j, t) for t in transforms], seed=seed))
     entries: list[AuditEntry] = []
     violations: list[ViolationWitness] = []
     deviations: list[AuditEntry] = []
-    for t in suff.merges + suff.permutations:
-        entry = AuditEntry(transform=t, c_after=_c_after(l, j, t, seed=seed))
+    for t, c in zip(transforms, after):
+        entry = AuditEntry(transform=t, c_after=float(c))
         entries.append(entry)
         kind = _witness_kind(t, before, entry.c_after, tol)
         if kind is not None:
@@ -451,82 +469,7 @@ def _candidate(n: int, idx: int, seed: int) -> Optional[tuple[Joint, Transform]]
     return _perm_candidate(n, k, seed)
 
 
-# The screen's slack (see find_violation): absolute, and per unit of loss
-# magnitude and alphabet size.
-_SLACK_ABS = 1e-10
-_SLACK_REL = 1e-13
 _MAX_CHUNK = 256
-
-
-def _batched_risk(l: LossSpec, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact-tier Bayes risk of each row of a (R, n) batch, and a bound on sum_x p_x |ell|.
-
-    The bound scales the risk's rounding; for a matrix it is the largest
-    finite |entry|.
-
-    Action matrices take one product and a column minimum, where a 0 * inf
-    entry gives NaN.  Proper rules score each row at itself through one
-    `loss_vector` batch, with 0 * inf = 0 and the HUGE cut.
-    """
-    if isinstance(l, ActionMatrixLoss):
-        m = l.matrix
-        return (rows @ m).min(axis=1), np.full(len(rows), np.abs(m[np.isfinite(m)]).max())
-    vec = l.loss_vector(rows)
-    pos = rows > 0.0
-    bad = ((np.isinf(vec) | (vec >= HUGE)) & pos).any(axis=1)
-    terms = np.where(pos, rows * vec, 0.0)
-    return np.where(bad, np.inf, terms.sum(axis=1)), np.abs(terms).sum(axis=1)
-
-
-def _batched_c(l: LossSpec, tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C for a stack of same-shape joints (K, a, b), as c_value takes it, and its rounding scale.
-
-    C = R(P_X) - sum_y P_Y(y) R(P_X|Y=y) over the positive-mass y; the scale is
-    the same sum with every term replaced by |P_Y(y)| sum_x p_x |ell|.
-    """
-    k, a, b = tables.shape
-    px = tables.sum(axis=2)
-    py = tables.sum(axis=1)
-    live = py > 0.0
-    conds = (tables / np.where(live, py, 1.0)[:, None, :]).transpose(0, 2, 1)
-    conds = np.where(live[:, :, None], conds, px[:, None, :])  # zero-mass y: weight 0 below
-    weights = np.concatenate([np.ones((k, 1)), np.where(live, -py, 0.0)], axis=1)
-    with np.errstate(invalid="ignore"):  # 0 * inf: masked for proper rules, else NaN and so confirmed
-        risk, mag = _batched_risk(l, np.concatenate([px[:, None, :], conds], axis=1).reshape(-1, a))
-        c = (weights * risk.reshape(k, b + 1)).sum(axis=1)
-        return c, (np.abs(weights) * mag.reshape(k, b + 1)).sum(axis=1)
-
-
-def _stacked_c(pairs: list[tuple[LossSpec, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """`_batched_c` over (loss, table) pairs, one batch per table shape.
-
-    A shape fixes the loss: the scan's own loss on the full alphabet, its
-    re-instantiated family below it.
-    """
-    c = np.empty(len(pairs))
-    scale = np.empty(len(pairs))
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, (_, table) in enumerate(pairs):
-        groups.setdefault(table.shape, []).append(i)
-    for idx in groups.values():
-        c[idx], scale[idx] = _batched_c(pairs[idx[0]][0], np.stack([pairs[i][1] for i in idx]))
-    return c, scale
-
-
-def _screen(l: LossSpec, made: list[tuple[Joint, Transform]], n: int, tol: float) -> np.ndarray:
-    """Which candidates the scalar path must decide: near or past the threshold, or non-finite."""
-    batchable = isinstance(l, ActionMatrixLoss) or (
-        isinstance(l, ScoringRuleLoss) and l.proper and l.vector_fn is not None
-    )
-    if not batchable:
-        return np.ones(len(made), dtype=bool)
-    before, s_before = _stacked_c([(l, j.table) for j, _ in made])
-    after, s_after = _stacked_c([(loss, pushed.table) for loss, pushed in (_after(l, j, t) for j, t in made)])
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, and NaN is confirmed
-        d = after - before
-    slack = _SLACK_ABS + _SLACK_REL * (n + 4) * (s_before + s_after + tol)
-    margin = np.where([t.is_permutation for _, t in made], np.abs(d), d)
-    return ~(np.isfinite(d) & (margin <= tol - slack))
 
 
 def find_violation(
@@ -542,33 +485,18 @@ def find_violation(
     covered within any budget: (a) the parametric two-conditional grid with
     its built-in sufficient merge, (b) seeded random joints with duplicated
     conditional rows plus a random sufficient merge, (c) seeded random
-    joints with random permutations.  The first witness in scan order wins,
-    and is re-verified before being returned.
+    joints with random permutations.
 
     The scan runs in chunks of 1, 2, 4, ... up to 256 candidates, so a scan
-    that hits early stays cheap.  Each chunk is screened: C before and after
-    every candidate comes from one batch per table shape (`_batched_c`),
-    following `_c_after`'s choice of loss and push-forward.  A candidate
-    goes through the scalar path (`c_value`, `_c_after`, `_witness_kind`,
-    `verify_witness`), in scan order, when its screened margin (after -
-    before, or its absolute value for a permutation) exceeds tol - slack,
-    or when a screened value is not finite.  Every reported number comes
-    from the scalar path.
-
-    The slack bounds how far screen and scalar path can differ, with a wide
-    margin.  Each path rounds a risk sum_x p_x ell(x) by at most
-    n u sum_x p_x |ell(x)| (u = 2**-53) and combines the risks into C with at
-    most (|Y| + 1) u S more, S being the scale `_batched_c` returns.  With
-    |Y| <= 3 for every candidate, the two margins differ by at most
-    (2n + 8) u (S_before + S_after), plus u (S_before + S_after) for
-    after - before and u (|before| + tol) for the threshold before + tol:
-    under (2n + 10) u (S_before + S_after + tol) in all.  The slack's
-    relative part, 1e-13 (n + 4) (S_before + S_after + tol), is over 380
-    times that; its absolute part, 1e-10, is 25 times the 4e-12 by which
-    `loss_vector`'s row-wise contract (1e-12 per entry) lets a custom
-    `vector_fn` move the two C values.  Rules without an exact batched tier
-    (numeric-search rules, Savage rules, `eval_fn`-only rules) confirm every
-    candidate, in the same loop.
+    that hits early stays cheap.  C before and after every candidate of a
+    chunk comes from the benefit kernel, one stack per table shape and image
+    size (`_c_batch` follows `_c_after`'s choice of loss and push-forward);
+    each is the same bits as `c_value` and `_c_after` give that candidate
+    alone.  The chunk is then walked in scan order: a candidate with a
+    non-finite C raises UnboundedBelow, as `c_value` would, and the first
+    witness (`_witness_kind`) is re-verified with `verify_witness` and
+    returned.  Numeric-tier rules solve their rows one at a time inside
+    the kernel, with the same seed.
 
     Raises ParameterOutOfRange for n < 2, a negative budget, a tol that is
     negative or not finite, and a loss declared for another alphabet size.
@@ -584,14 +512,12 @@ def find_violation(
     while start < budget:
         stop = min(start + size, budget)
         made = [c for c in (_candidate(n, idx, seed) for idx in range(start, stop)) if c is not None]
-        for (joint, transform), confirm in zip(made, _screen(l, made, n, tol)):
-            if not confirm:
-                continue
-            before = c_value(l, joint)
-            after = _c_after(l, joint, transform)
+        c = _c_batch(l, [(j, None) for j, _ in made] + made)
+        for (joint, transform), before, after in zip(made, c, c[len(made):]):
+            _finite(np.array([before, after]))
             kind = _witness_kind(transform, before, after, tol)
             if kind is not None:
-                hit = ViolationWitness(joint, transform, before, after, kind)
+                hit = ViolationWitness(joint, transform, float(before), float(after), kind)
                 if not verify_witness(l, hit, tol=tol):
                     raise WitnessVerificationFailed("witness failed re-verification; numeric instability")
                 return hit

@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 
 import sideinfo as si
 from sideinfo.errors import NotProper, ParameterOutOfRange, UnboundedBelow, UnknownLoss
-from sideinfo.losses import _expected_scoring_loss, _simplex_project, simplex_grid
+from sideinfo.losses import _exact_risks, _expected_scoring_loss, _simplex_project, simplex_grid
 
 LN2 = math.log(2)
 
@@ -90,14 +90,28 @@ class TestBayesRisk:
         assert r.minimizer == 0
 
     def test_matrix_matches_brute_force(self):
+        # the documented order: a left fold from 0 of p_x m[x, a] over the x with p_x > 0
+        def value(mat, p, a):
+            total = 0.0
+            for x in range(len(p)):
+                if p[x] > 0.0:
+                    total += p[x] * mat[x, a]
+            return total
+
         rng = np.random.default_rng(0)
         for _ in range(100):
             n, k = int(rng.integers(2, 6)), int(rng.integers(2, 7))
             mat = rng.normal(size=(n, k))
+            x_inf = int(rng.integers(n))
+            mat[x_inf, k - 1] = math.inf  # one column with an inf entry
             p = rng.dirichlet(np.ones(n))
+            if rng.uniform() < 0.5:  # 0 * inf = 0: the column is finite when p puts no mass there
+                p[x_inf] = 0.0
+                p = p / p.sum()
             r = si.bayes_risk(si.ActionMatrixLoss(matrix=mat), p)
-            brute = min(float(np.dot(mat[:, a], p)) for a in range(k))
-            assert r.risk == brute
+            brute = [value(mat, p, a) for a in range(k)]
+            assert r.risk == min(brute)
+            assert r.minimizer == brute.index(min(brute))
 
     def test_infinite_entries_zero_weight(self):
         mat = np.array([[0.0, math.inf], [math.inf, 0.0]])
@@ -256,6 +270,19 @@ class TestLossVectorBatch:
         assert out.shape == batch.shape
         assert np.array_equal(out, np.array([rule.loss_vector(q) for q in batch]))
 
+    @pytest.mark.parametrize("name", si.losses.BUILTIN_LOSSES)
+    def test_layouts_and_lone_rows_agree(self, name):
+        # C-ordered batches, F-ordered batches and each row alone give the same bits
+        rng = np.random.default_rng(11)
+        for n in (4, 5):
+            l = si.builtin_loss(name, n)
+            batch = rng.dirichlet(np.ones(n), size=500)
+            lone = np.array([si.bayes_risk(l, row).risk for row in batch])
+            for layout in (batch, np.asfortranarray(batch)):
+                assert np.array_equal(_exact_risks(l, layout)[0], lone)
+                if isinstance(l, si.ScoringRuleLoss):
+                    assert np.array_equal(l.loss_vector(layout), np.array([l.loss_vector(row) for row in batch]))
+
     @pytest.mark.parametrize(
         "vector_fn",
         [lambda q: -q / np.linalg.norm(q), lambda q: -np.atleast_2d(q)[0]],
@@ -269,7 +296,7 @@ class TestLossVectorBatch:
             si.bayes_risk(rule, [0.2, 0.3, 0.5])
         with pytest.raises(ParameterOutOfRange):
             si.audit_propriety(rule, trials=5)
-        # flagged proper, the rule meets the batch in the violation scan's screen
+        # flagged proper, the rule meets a batch in the violation scan's C kernel
         proper = dataclasses.replace(rule, proper=True)
         with pytest.raises(ParameterOutOfRange):
             si.find_violation(proper, 3, budget=30)

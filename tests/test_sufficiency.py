@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import sideinfo as si
 from sideinfo import sufficiency
+from sideinfo.benefit import _c_stack
 from sideinfo.errors import AlphabetTooLarge, ParameterOutOfRange, UnboundedBelow
 
 from conftest import random_joint
@@ -296,7 +297,7 @@ class TestFindViolation:
 
 
 def _scalar_scan(l, n, budget, seed=0, tol=1e-9):
-    """The scan without the screen: every candidate through the scalar path, in scan order."""
+    """The scan one candidate at a time, through `c_value` and `_c_after`, in scan order."""
     for idx in range(budget):
         phase, k = idx % 3, idx // 3
         if phase == 0:
@@ -349,6 +350,24 @@ def _inf_at_full_support(q):
     return np.where(np.min(q, axis=-1, keepdims=True) > 0.0, np.inf, 1.0 - q)
 
 
+def _inf_at_second_over_half(q):
+    with np.errstate(divide="ignore"):
+        return np.where(q[..., 1:2] > 0.5, np.inf, -np.log(q))
+
+
+def _first_unbounded(l, n, seed=0):
+    """The first scan index whose C before or after is not finite, by the scalar path."""
+    for idx in itertools.count():
+        made = sufficiency._candidate(n, idx, seed)
+        if made is None:
+            continue
+        try:
+            sufficiency.c_value(l, made[0])
+            sufficiency._c_after(l, *made)
+        except UnboundedBelow:
+            return idx
+
+
 class TestScreen:
     @pytest.mark.parametrize("name", SCAN_LOSSES)
     @settings(max_examples=25)
@@ -358,7 +377,7 @@ class TestScreen:
         assert repr(si.find_violation(l, n, budget=budget, seed=seed)) == repr(_scalar_scan(l, n, budget, seed))
 
     def test_near_threshold_tolerances(self):
-        # the witness's own gap, one ulp either side, and offsets inside the slack
+        # the witness's own gap, one ulp either side, and offsets of 1e-13 and 1e-11
         l = si.builtin_loss("zero_one", 3)
         w = si.find_violation(l, 3, budget=2_000, seed=7)
         gap = w.c_after - w.c_before
@@ -376,20 +395,24 @@ class TestScreen:
             si.ScoringRuleLoss(
                 eval_fn=lambda x, q: float(_inf_at_full_support(q)[x]), n=3, proper=True, vector_fn=_inf_at_full_support
             ),
+            # log loss, inf only where q_2 > 1/2: the first non-finite candidate (index 5) is mid-chunk
+            si.ScoringRuleLoss(
+                eval_fn=lambda x, q: float(_inf_at_second_over_half(q)[x]),
+                n=3,
+                proper=True,
+                vector_fn=_inf_at_second_over_half,
+            ),
         ],
-        ids=["matrix", "proper-rule"],
+        ids=["matrix", "proper-rule", "mid-chunk"],
     )
-    def test_nonfinite_screen_goes_to_scalar_path(self, l, monkeypatch):
-        made = [c for c in (sufficiency._candidate(3, idx, 0) for idx in range(30)) if c is not None]
-        assert sufficiency._screen(l, made, 3, 1e-9)[0]
-        seen = []
-        monkeypatch.setattr(sufficiency, "c_value", lambda *a, **k: seen.append(a) or si.benefit(*a, **k).c_value)
-        with pytest.raises(UnboundedBelow):  # raised by the scalar path, as without the screen
-            si.find_violation(l, 3, budget=300)
-        assert np.array_equal(seen[0][1].table, made[0][0].table)
+    def test_nonfinite_raises_at_first_in_scan_order(self, l):
+        first = _first_unbounded(l, 3)
+        assert repr(si.find_violation(l, 3, budget=first)) == repr(_scalar_scan(l, 3, first))
+        with pytest.raises(UnboundedBelow):
+            si.find_violation(l, 3, budget=first + 1)
 
     def test_zero_times_inf_screened_as_nonfinite(self):
-        # 0 * inf is 0 in the scalar tier and NaN in the screen: those candidates are confirmed
+        # 0 * inf = 0: the scan's stacks mask it as c_value does alone
         l = si.ActionMatrixLoss(np.array([[0.0, 1.0, 1.0], [1.0, 0.0, np.inf], [1.0, np.inf, 0.0]]))
         w = si.find_violation(l, 3, budget=300, seed=2)
         assert repr(w) == repr(_scalar_scan(l, 3, 300, seed=2))
@@ -419,19 +442,23 @@ joint_stacks = st.builds(
 class TestBatchedC:
     @given(tables=joint_stacks)
     def test_log_is_mutual_information(self, tables):
-        c, _ = sufficiency._batched_c(si.builtin_loss("log", tables.shape[1]), tables)
+        c = _c_stack(si.builtin_loss("log", tables.shape[1]), tables)[0]
         for ck, table in zip(c, tables):
             assert abs(ck - si.mutual_information(si.Joint(table))) <= 1e-12
 
-    @given(tables=joint_stacks, name=st.sampled_from(si.losses.BUILTIN_LOSSES))
-    def test_nonnegative_and_within_slack_of_c_value(self, tables, name):
-        n = tables.shape[1]
-        l = si.builtin_loss(name, n)
-        c, scale = sufficiency._batched_c(l, tables)
-        slack = sufficiency._SLACK_ABS + sufficiency._SLACK_REL * (n + 4) * scale
-        for ck, sk, table in zip(c, slack, tables):
+    @given(
+        tables=joint_stacks,
+        name=st.sampled_from(si.losses.BUILTIN_LOSSES),
+        layout=st.sampled_from(["C", "F", "strided"]),
+    )
+    def test_each_row_equals_c_value_alone(self, tables, name, layout):
+        # bit for bit, whatever else is in the stack and however it is laid out
+        l = si.builtin_loss(name, tables.shape[1])
+        stack = {"C": tables, "F": np.asfortranarray(tables), "strided": np.repeat(tables, 2, axis=0)[::2]}[layout]
+        c = _c_stack(l, stack)[0]
+        for ck, table in zip(c, tables):
             assert ck >= -1e-12
-            assert abs(ck - sufficiency.c_value(l, si.Joint(table))) <= sk
+            assert ck == sufficiency.c_value(l, si.Joint(table))
 
 
 def test_permutation_invariance_for_symmetric_losses():
