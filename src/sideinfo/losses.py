@@ -320,6 +320,7 @@ def _numeric_bayes(l: ScoringRuleLoss, p: np.ndarray, seed: int) -> BayesResult:
     if n <= 4:
         grid = simplex_grid(n, 200)
         gvals = f(grid)
+        gvals = np.where(np.isnan(gvals), np.inf, gvals)  # NaN never counts, as in start selection
         gi = int(np.argmin(gvals))
         gap = best_v - float(gvals[gi])
         if gvals[gi] < best_v:

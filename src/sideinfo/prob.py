@@ -118,15 +118,29 @@ def validate_joint(table, tol: float = SIMPLEX_TOL) -> Joint:
     t = np.asarray(table, dtype=float)
     if t.ndim not in (2, 3):
         raise NotNormalized(f"joint must have 2 or 3 axes, got {t.ndim}")
+    return Joint(_validate_tables(t[None], tol)[0])
+
+
+def _validate_tables(tables: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:
+    """`validate_joint`'s checks and repair on a stack of tables (K, ...), each table alone.
+
+    One pass over the stack; a failing check raises as `validate_joint` would
+    on the first table that fails it.  Entries in [-tol, 0) are clamped to 0
+    and each table is divided by its own sum, the same bits as one table alone.
+    """
+    t = tables
+    axes = tuple(range(1, t.ndim))
     if not np.all(np.isfinite(t)):
         raise NegativeMass("joint entries must be finite")
-    if np.any(t < -tol):
-        raise NegativeMass(f"negative mass beyond tolerance: min entry {t.min():.3g}")
+    low = (t < -tol).any(axis=axes)
+    if low.any():
+        raise NegativeMass(f"negative mass beyond tolerance: min entry {t[low.argmax()].min():.3g}")
     t = np.where(t < 0, 0.0, t)
-    s = t.sum()
-    if abs(s - 1.0) > tol:
-        raise NotNormalized(f"entries sum to {s!r}, not 1 within {tol}")
-    return Joint(t / s)
+    s = t.sum(axis=axes)
+    off = np.abs(s - 1.0) > tol
+    if off.any():
+        raise NotNormalized(f"entries sum to {s[off.argmax()]!r}, not 1 within {tol}")
+    return t / s.reshape(s.shape + (1,) * len(axes))
 
 
 def marginals(j: Joint) -> tuple[Dist, Dist]:

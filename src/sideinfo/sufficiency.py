@@ -9,9 +9,18 @@ two-class parametric family that witnesses failures for non-logarithmic
 losses on alphabets of three or more symbols.
 
 Every C here comes from the benefit kernel (`benefit._c_stack`), one stack
-per table shape and image size.  A row's C is the same bits in any stack
-as alone, so `c_value`, `verify_witness`, `audit_dpa` and the scan agree
-exactly, and the scan decides every candidate from its chunk's stacks.
+per table shape and image size, after one batched push-forward (`_push`,
+of which `push_forward` and `padded_push_forward` are the one-table case).
+A row's C is the same bits in any stack as alone, so `c_value`,
+`verify_witness`, `audit_dpa` and the scan agree exactly.
+
+The scan works on arrays.  Each chunk of candidates is built as raw tables
+and mappings per (|Y|, image size) group (`_chunk`), validated, pushed
+forward and decided group by group; only the first witness becomes
+`Joint`, `Transform` and `ViolationWitness` objects.  What stays one
+candidate at a time is each random candidate's own seeded generator,
+`default_rng([seed, stream, k])`: it pins candidate k of every stream,
+whatever chunk it falls in.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ import numpy as np
 from .benefit import _c_stack, _finite, c_value
 from .errors import AlphabetTooLarge, ParameterOutOfRange, WitnessVerificationFailed
 from .losses import LossSpec, reinstantiate
-from .prob import Joint, validate_joint
+from .prob import Joint, _validate_tables, validate_joint
 
 
 @dataclass(frozen=True)
@@ -85,7 +94,11 @@ class SufficiencyCert:
 
 
 def check_sufficient(t: Transform, j: Joint, tol: float = 1e-9) -> SufficiencyCert:
-    """Certify X - T(X) - Y (the T - X - Y chain is automatic for deterministic T)."""
+    """Certify X - T(X) - Y (the T - X - Y chain is automatic for deterministic T).
+
+    Raises ParameterOutOfRange when t maps another number of symbols than j has.
+    """
+    _same_alphabet(t.n, j.nx)
     table = j.table
     px = table.sum(axis=1)
     zero = tuple(int(x) for x in np.nonzero(px <= 0.0)[0])
@@ -99,11 +112,31 @@ def check_sufficient(t: Transform, j: Joint, tol: float = 1e-9) -> SufficiencyCe
     return SufficiencyCert(is_sufficient=worst <= tol, max_class_tv=worst, zero_mass_symbols=zero)
 
 
+def _same_alphabet(n: int, nx: int) -> None:
+    if n != nx:
+        raise ParameterOutOfRange(f"transform maps {n} symbols but the joint has {nx}")
+
+
+def _push(tables: np.ndarray, maps: np.ndarray, m: int, padded: bool = False) -> np.ndarray:
+    """Each table of a (K, n, ...) stack pushed forward through its row of `maps` (K, n) onto m labels.
+
+    One np.add.at over (k, label): every output cell sums its x in ascending
+    order from 0, as a table pushed alone does.  `padded` keeps the n-symbol
+    alphabet and puts each class's mass on its smallest member.  A map of
+    another length than the tables' X axis raises ParameterOutOfRange.
+    """
+    k, n = maps.shape
+    _same_alphabet(n, tables.shape[1])
+    if padded:
+        maps, m = (maps[:, :, None] == maps[:, None, :]).argmax(axis=2), n  # the first x in x's class
+    out = np.zeros((k, m) + tables.shape[2:])
+    np.add.at(out, (np.arange(k)[:, None], maps), tables)
+    return out
+
+
 def push_forward(j: Joint, t: Transform) -> Joint:
     """The joint of (T(X), Y) on the contiguous T-alphabet."""
-    out = np.zeros((t.image_size, j.ny))
-    np.add.at(out, np.array(t.mapping), j.table)
-    return Joint(out)
+    return Joint(_push(j.table[None], np.array([t.mapping]), t.image_size)[0])
 
 
 def padded_push_forward(j: Joint, t: Transform) -> Joint:
@@ -112,13 +145,7 @@ def padded_push_forward(j: Joint, t: Transform) -> Joint:
     Each class's mass lands on its smallest member, so a fixed-size loss on
     the original alphabet still applies after the merge.
     """
-    reps = {}
-    for x, label in enumerate(t.mapping):
-        reps.setdefault(label, x)
-    idx = np.array([reps[label] for label in t.mapping])
-    out = np.zeros_like(j.table)
-    np.add.at(out, idx, j.table)
-    return Joint(out)
+    return Joint(_push(j.table[None], np.array([t.mapping]), t.image_size, padded=True)[0])
 
 
 def _set_partitions(items: list[int]):
@@ -227,57 +254,52 @@ def _check_tol(tol: float) -> None:
         raise ParameterOutOfRange(f"tol must be finite and >= 0, got {tol}")
 
 
-def _witness_kind(t: Transform, before: float, after: float, tol: float) -> Optional[str]:
-    """The witness rule: which kind of evidence, if any, C before/after t is.
+def _witness_kinds(maps: np.ndarray, before, after: np.ndarray, tol: float) -> np.ndarray:
+    """The witness rule, row by row over mappings (K, n) and their C before/after.
 
-    A permutation that changes C is an "asymmetry", a merge that raises C
-    is a "dpa_violation", and the identity is never a witness.
+    A permutation other than the identity that changes C is an "asymmetry",
+    a merge that raises C is a "dpa_violation"; any other row gets "".
     """
-    if t.is_permutation:
-        if abs(after - before) > tol and t.mapping != tuple(range(t.n)):
-            return "asymmetry"
-        return None
-    return "dpa_violation" if after > before + tol else None
+    n = maps.shape[1]
+    perm = maps.max(axis=1) == n - 1
+    moved = (np.abs(after - before) > tol) & (maps != np.arange(n)).any(axis=1)
+    return np.where(perm, np.where(moved, "asymmetry", ""), np.where(after > before + tol, "dpa_violation", ""))
 
 
-def _after(l: LossSpec, nx: int, m: Optional[int]):
-    """The loss and the push-forward that C after a sufficient transform onto m symbols is taken on.
+def _witness_kind(t: Transform, before: float, after: float, tol: float) -> Optional[str]:
+    """The witness rule for one transform: its kind of evidence, or None."""
+    return str(_witness_kinds(np.array([t.mapping]), np.array([before]), np.array([after]), tol)[0]) or None
+
+
+def _after(l: LossSpec, nx: int, m: int) -> tuple[LossSpec, bool]:
+    """The loss that C after a sufficient transform onto m symbols is taken on, and whether the push-forward is padded.
 
     Named loss families are re-instantiated on the reduced alphabet; a
     fixed-size loss is evaluated on the padded push-forward instead, which
-    keeps the merged variable on the original alphabet.  m = None stands for
-    no transform: C of the joint itself.
+    keeps the merged variable on the original alphabet.
     """
-    if m is None:
-        return l, lambda j, _: j
     if m == nx:
-        return l, push_forward
+        return l, False
     fam = reinstantiate(l, m)
     if fam is not None and (l.n is None or l.n == nx):
-        return fam, push_forward
-    return l, padded_push_forward
+        return fam, False
+    return l, True
 
 
-def _c_batch(l: LossSpec, pairs: list[tuple[Joint, Optional[Transform]]], seed: int = 0) -> np.ndarray:
-    """C after each (joint, transform) pair, a None transform giving C of the joint itself.
+def _c_batch(l: LossSpec, tables: np.ndarray, maps: np.ndarray, m: int, seed: int = 0) -> np.ndarray:
+    """C after pushing each table of a (K, n, b) stack through its row of `maps` (K, n), all onto m labels.
 
-    One kernel stack per table shape and image size, so `_after` re-instantiates
-    a family once per image size.  Non-finite C is returned, not raised.
+    One push-forward and one kernel stack, on the loss `_after` picks.
+    Non-finite C is returned, not raised.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, (j, t) in enumerate(pairs):
-        groups.setdefault((j.table.shape, None if t is None else t.image_size), []).append(i)
-    c = np.empty(len(pairs))
-    for (shape, m), idx in groups.items():
-        loss, push = _after(l, shape[0], m)
-        c[idx] = _c_stack(loss, np.stack([push(*pairs[i]).table for i in idx]), seed)[0]
-    return c
+    loss, padded = _after(l, tables.shape[1], m)
+    return _c_stack(loss, _push(tables, maps, m, padded), seed)[0]
 
 
 def _c_after(l: LossSpec, j: Joint, t: Transform, seed: int = 0) -> float:
     """Benefit after applying a sufficient transform, on the loss and joint `_after` picks."""
-    loss, push = _after(l, j.nx, t.image_size)
-    return c_value(loss, push(j, t), seed=seed)
+    loss, padded = _after(l, j.nx, t.image_size)
+    return c_value(loss, (padded_push_forward if padded else push_forward)(j, t), seed=seed)
 
 
 def verify_witness(l: LossSpec, w: ViolationWitness, tol: float = 1e-9, value_tol: float = 1e-12) -> bool:
@@ -328,23 +350,21 @@ def audit_dpa(l: LossSpec, j: Joint, tol: float = 1e-9, seed: int = 0) -> DpaAud
     before = c_value(l, j, seed=seed)
     suff = enumerate_sufficient(j, tol=tol, seed=seed)
     transforms = suff.merges + suff.permutations
-    after = _finite(_c_batch(l, [(j, t) for t in transforms], seed=seed))
-    entries: list[AuditEntry] = []
-    violations: list[ViolationWitness] = []
-    deviations: list[AuditEntry] = []
-    for t, c in zip(transforms, after):
-        entry = AuditEntry(transform=t, c_after=float(c))
-        entries.append(entry)
-        kind = _witness_kind(t, before, entry.c_after, tol)
-        if kind is not None:
-            violations.append(ViolationWitness(j, t, before, entry.c_after, kind))
-        if not t.is_permutation and abs(entry.c_after - before) > tol:
-            deviations.append(entry)
+    maps = np.array([t.mapping for t in transforms])
+    sizes = maps.max(axis=1) + 1
+    after = np.empty(len(transforms))
+    for m in np.unique(sizes).tolist():  # one push-forward and one kernel stack per image size
+        idx = np.flatnonzero(sizes == m)
+        after[idx] = _c_batch(l, np.broadcast_to(j.table, (len(idx),) + j.table.shape), maps[idx], m, seed)
+    _finite(after)
+    kinds = _witness_kinds(maps, before, after, tol)
+    moved = (sizes < j.nx) & (np.abs(after - before) > tol)
+    entries = tuple(AuditEntry(transform=t, c_after=float(c)) for t, c in zip(transforms, after))
     return DpaAuditReport(
         c_before=before,
-        entries=tuple(entries),
-        violations=tuple(violations),
-        equality_deviations=tuple(deviations),
+        entries=entries,
+        violations=tuple(ViolationWitness(j, e.transform, before, e.c_after, str(k)) for e, k in zip(entries, kinds) if k),
+        equality_deviations=tuple(e for e, dev in zip(entries, moved) if dev),
     )
 
 
@@ -362,29 +382,45 @@ def proof_family(
     with P(X|Y=1) at lambda1, P(X|Y=2) at lambda2, and P(Y=1) = alpha.  Both
     conditionals put x1 and x2 in ratio t : (1-t), so P(Y|x1) = P(Y|x2).
     """
+    tail = np.array([[float(v) for v in tail]])
+    params = (np.array([float(v)]) for v in (t, lambda1, lambda2, alpha))
+    return validate_joint(_proof_tables(n, *params, tail)[0])
+
+
+def _proof_tables(
+    n: int, t: np.ndarray, lambda1: np.ndarray, lambda2: np.ndarray, alpha: np.ndarray, tail: np.ndarray
+) -> np.ndarray:
+    """Raw `proof_family` tables (K, n, 2), one per row of the parameters (K,) and tail (K, n - 3).
+
+    The range checks run once over the stack and raise as `proof_family`
+    would for the first row that fails.  r = 1 - sum(tail) is Python's
+    left fold over the tail, so each table is the same bits as alone.
+    """
     if n < 3:
         raise ParameterOutOfRange("proof family needs an alphabet of size >= 3")
-    tail = tuple(float(v) for v in tail)
-    if len(tail) != n - 3:
-        raise ParameterOutOfRange(f"tail must have {n - 3} entries, got {len(tail)}")
-    if any(v < 0 for v in tail) or sum(tail) >= 1.0:
+    if tail.shape[1] != n - 3:
+        raise ParameterOutOfRange(f"tail must have {n - 3} entries, got {tail.shape[1]}")
+    mass = np.zeros(len(tail))
+    for col in tail.T:
+        mass = mass + col
+    if ((tail < 0).any(axis=1) | (mass >= 1.0)).any():
         raise ParameterOutOfRange("tail entries must be >= 0 and sum to < 1")
-    r = 1.0 - sum(tail)
-    if not (0.0 <= t <= 1.0):
-        raise ParameterOutOfRange(f"t must be in [0, 1], got {t}")
-    if not (0.0 <= alpha <= 1.0):
-        raise ParameterOutOfRange(f"alpha must be in [0, 1], got {alpha}")
-    if not (0.0 <= lambda1 < lambda2 <= r + 1e-15):
+    r = 1.0 - mass
+    for name, v in (("t", t), ("alpha", alpha)):
+        out = ~((0.0 <= v) & (v <= 1.0))
+        if out.any():
+            raise ParameterOutOfRange(f"{name} must be in [0, 1], got {float(v[out.argmax()])}")
+    out = ~((0.0 <= lambda1) & (lambda1 < lambda2) & (lambda2 <= r + 1e-15))
+    if out.any():
+        i = out.argmax()
         raise ParameterOutOfRange(
-            f"need 0 <= lambda1 < lambda2 <= r = {r}, got {lambda1}, {lambda2}"
+            f"need 0 <= lambda1 < lambda2 <= r = {float(r[i])}, got {float(lambda1[i])}, {float(lambda2[i])}"
         )
 
-    def member(lam: float) -> np.ndarray:
-        return np.array([lam * t, lam * (1.0 - t), r - lam, *tail])
+    def member(lam: np.ndarray) -> np.ndarray:
+        return np.column_stack([lam * t, lam * (1.0 - t), r - lam, tail])
 
-    col1 = alpha * member(lambda1)
-    col2 = (1.0 - alpha) * member(lambda2)
-    return validate_joint(np.stack([col1, col2], axis=1))
+    return np.stack([alpha[:, None] * member(lambda1), (1.0 - alpha)[:, None] * member(lambda2)], axis=2)
 
 
 def _center_out(values: np.ndarray) -> np.ndarray:
@@ -396,77 +432,108 @@ _GRID_POINTS = 20
 _T_GRID = _center_out(np.linspace(0.0, 1.0, _GRID_POINTS))
 _ALPHA_GRID = _center_out(np.linspace(0.0, 1.0, _GRID_POINTS))
 _S_GRID = np.linspace(0.0, 1.0, _GRID_POINTS)
-_LAMBDA_PAIRS = [
-    (_S_GRID[i], _S_GRID[j])
-    for i in range(_GRID_POINTS)
-    for j in range(_GRID_POINTS - 1, i, -1)
+# the (lambda1, lambda2) grid pairs s_i < s_j: i ascending, then j descending
+_S1, _S2 = _S_GRID[
+    np.array([(i, j) for i in range(_GRID_POINTS) for j in range(_GRID_POINTS - 1, i, -1)]).T
 ]
+_PER_T = len(_ALPHA_GRID) * len(_S1)
+_GRID_SIZE = len(_T_GRID) * _PER_T
 
 
-def _grid_candidate(n: int, k: int, seed: int) -> Optional[tuple[Joint, Transform]]:
-    total = len(_T_GRID) * len(_ALPHA_GRID) * len(_LAMBDA_PAIRS)
-    if k >= total:
-        return None
-    per_t = len(_ALPHA_GRID) * len(_LAMBDA_PAIRS)
-    t = float(_T_GRID[k // per_t])
-    rem = k % per_t
-    alpha = float(_ALPHA_GRID[rem // len(_LAMBDA_PAIRS)])
-    s1, s2 = _LAMBDA_PAIRS[rem % len(_LAMBDA_PAIRS)]
-    if n == 3:
-        tail: tuple[float, ...] = ()
-        r = 1.0
-    else:
-        rng = np.random.default_rng([seed, 101, k])
-        mass = float(rng.uniform(0.05, 0.6))
-        tail = tuple(mass * rng.dirichlet(np.ones(n - 3)))
-        r = 1.0 - mass
-    lam1, lam2 = s1 * r, s2 * r
-    if not lam1 < lam2:
-        return None
-    joint = proof_family(n, t, lam1, lam2, alpha, tail)
-    merge = Transform(tuple([0, 0] + list(range(1, n - 1))))
-    return joint, merge
+def _grid_stream(n: int, ks: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid-stream candidates ks as (the ks inside the grid, raw tables (K, n, 2)); each merges x1 with x2.
+
+    (t, alpha, lambda pair) come from index arithmetic on k.  For n >= 4 each
+    k also draws a tail mass and its split from its own seeded generator.
+    lambda1 < lambda2 always holds: s1 < s2 on the grid and r >= 0.4.
+    """
+    ks = ks[ks < _GRID_SIZE]
+    t, rem = _T_GRID[ks // _PER_T], ks % _PER_T
+    alpha, pair = _ALPHA_GRID[rem // len(_S1)], rem % len(_S1)
+    tail, r = np.zeros((len(ks), 0)), 1.0
+    if n > 3:
+        mass, split = [], []
+        for k in ks.tolist():
+            rng = np.random.default_rng([seed, 101, k])
+            mass.append(float(rng.uniform(0.05, 0.6)))
+            split.append(rng.dirichlet(np.ones(n - 3)))
+        mass = np.array(mass)
+        tail, r = mass[:, None] * np.array(split).reshape(len(ks), n - 3), 1.0 - mass
+    return ks, _proof_tables(n, t, _S1[pair] * r, _S2[pair] * r, alpha, tail)
 
 
-def _merge_candidate(n: int, k: int, seed: int) -> Optional[tuple[Joint, Transform]]:
+def _merge_draw(n: int, k: int, seed: int) -> tuple[np.ndarray, list[int]]:
+    """Merge-stream candidate k as (raw table, mapping).
+
+    A random joint whose conditional rows repeat within classes, and the
+    sufficient merge of one class with two or more members; there are fewer
+    classes than symbols, so such a class always exists.
+    """
     rng = np.random.default_rng([seed, 202, k])
     m = int(rng.integers(2, 4))
     n_classes = int(rng.integers(1, n))
     rows = rng.dirichlet(np.ones(m), size=n_classes)
-    assignment = np.concatenate(
-        [np.arange(n_classes), rng.integers(0, n_classes, size=n - n_classes)]
-    )
+    assignment = list(range(n_classes)) + rng.integers(0, n_classes, size=n - n_classes).tolist()
     rng.shuffle(assignment)
     px = rng.dirichlet(np.ones(n))
-    table = px[:, None] * rows[assignment]
-    counts = np.bincount(assignment, minlength=n_classes)
-    mergeable = [c for c in range(n_classes) if counts[c] >= 2]
-    if not mergeable:
-        return None
+    mergeable = [c for c in range(n_classes) if assignment.count(c) >= 2]
     cls = mergeable[int(rng.integers(0, len(mergeable)))]
-    members = [int(x) for x in np.nonzero(assignment == cls)[0]]
-    blocks = [members] + [[x] for x in range(n) if x not in members]
-    return validate_joint(table), Transform.from_blocks(blocks, n)
+    first, labels = assignment.index(cls), {}
+    mapping = [labels.setdefault(first if a == cls else x, len(labels)) for x, a in enumerate(assignment)]
+    return px[:, None] * rows[assignment], mapping
 
 
-def _perm_candidate(n: int, k: int, seed: int) -> Optional[tuple[Joint, Transform]]:
+def _perm_draw(n: int, k: int, seed: int) -> tuple[np.ndarray, list[int]]:
+    """Permutation-stream candidate k as (raw table, mapping): a random joint and a permutation other than the identity."""
     rng = np.random.default_rng([seed, 303, k])
     m = int(rng.integers(2, 4))
     table = rng.dirichlet(np.ones(n * m)).reshape(n, m)
-    perm = rng.permutation(n)
-    if np.array_equal(perm, np.arange(n)):
-        perm = np.roll(perm, 1)
-    return validate_joint(table), Transform(tuple(int(v) for v in perm))
+    perm = rng.permutation(n).tolist()
+    if perm == list(range(n)):
+        perm = perm[-1:] + perm[:-1]
+    return table, perm
 
 
-def _candidate(n: int, idx: int, seed: int) -> Optional[tuple[Joint, Transform]]:
-    """Scan candidate idx: the three streams interleave round-robin."""
-    phase, k = idx % 3, idx // 3
-    if phase == 0:
-        return _grid_candidate(n, k, seed) if n >= 3 else None
-    if phase == 1:
-        return _merge_candidate(n, k, seed)
-    return _perm_candidate(n, k, seed)
+def _check_labels(maps: np.ndarray) -> None:
+    """`Transform`'s contiguous-label check on a stack of mappings (K, n), one pass."""
+    s = np.sort(maps, axis=1)
+    bad = (s[:, 0] != 0) | (np.diff(s, axis=1) > 1).any(axis=1)
+    if bad.any():
+        raise ParameterOutOfRange(f"labels must be contiguous from 0, got {sorted(set(s[bad.argmax()].tolist()))}")
+
+
+def _chunk(n: int, start: int, stop: int, seed: int) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Scan candidates start..stop-1 as {(|Y|, image size): (positions, tables (K, n, |Y|), mappings (K, n))}.
+
+    Scan index idx is candidate idx // 3 of stream idx % 3 (grid, merge,
+    permutation); its position is idx - start, and each group lists its rows
+    in scan order.  Grid candidates are skipped for n = 2 and past the end of
+    the grid, and appear nowhere.  The tables are validated as
+    `validate_joint` would and the mappings checked as `Transform` would,
+    one pass per group.
+    """
+    found: dict[tuple[int, int], tuple[list, list, list]] = {}
+    for phase, draw in ((1, _merge_draw), (2, _perm_draw)):
+        for idx in range(start + (phase - start) % 3, stop, 3):
+            table, mapping = draw(n, idx // 3, seed)
+            pos, tables, maps = found.setdefault((table.shape[1], max(mapping) + 1), ([], [], []))
+            pos.append(idx - start)
+            tables.append(table)
+            maps.append(mapping)
+    groups = {key: (np.array(pos), np.stack(tables), np.array(maps)) for key, (pos, tables, maps) in found.items()}
+    if n >= 3:
+        ks, tables = _grid_stream(n, np.arange(-(-start // 3), -(-stop // 3)), seed)
+        grid = (3 * ks - start, tables, np.tile([0, 0, *range(1, n - 1)], (len(ks), 1)))
+        if (2, n - 1) in groups:
+            grid = tuple(np.concatenate(pair) for pair in zip(grid, groups[2, n - 1]))
+        groups[2, n - 1] = grid
+    out = {}
+    for key, (pos, tables, maps) in groups.items():
+        if len(pos):
+            order = np.argsort(pos, kind="stable")
+            _check_labels(maps)
+            out[key] = pos[order], _validate_tables(tables[order]), maps[order]
+    return out
 
 
 _MAX_CHUNK = 256
@@ -488,15 +555,20 @@ def find_violation(
     joints with random permutations.
 
     The scan runs in chunks of 1, 2, 4, ... up to 256 candidates, so a scan
-    that hits early stays cheap.  C before and after every candidate of a
-    chunk comes from the benefit kernel, one stack per table shape and image
-    size (`_c_batch` follows `_c_after`'s choice of loss and push-forward);
-    each is the same bits as `c_value` and `_c_after` give that candidate
-    alone.  The chunk is then walked in scan order: a candidate with a
-    non-finite C raises UnboundedBelow, as `c_value` would, and the first
-    witness (`_witness_kind`) is re-verified with `verify_witness` and
-    returned.  Numeric-tier rules solve their rows one at a time inside
-    the kernel, with the same seed.
+    that hits early stays cheap.  Each chunk is arrays (`_chunk`): raw
+    tables and mappings per (|Y|, image size) group, validated in one pass
+    per group.  Only the seeded draws stay per candidate: candidate k of a
+    random stream, and the n >= 4 tail of grid candidate k, draws from its
+    own `default_rng([seed, stream, k])`, which pins it whatever the
+    chunking.  Per group, C before is one kernel stack and C after one
+    batched push-forward and one stack (`_c_batch`, on `_c_after`'s choice
+    of loss and push-forward), each the same bits as `c_value` and
+    `_c_after` give the candidate alone.  The chunk is decided in scan
+    order from a non-finite mask and the witness rule (`_witness_kinds`): a
+    non-finite C first raises UnboundedBelow, as `c_value` would; a witness
+    first becomes a `ViolationWitness`, is re-verified with
+    `verify_witness` and returned.  Numeric-tier rules solve their rows one
+    at a time inside the kernel, with the same seed.
 
     Raises ParameterOutOfRange for n < 2, a negative budget, a tol that is
     negative or not finite, and a loss declared for another alphabet size.
@@ -511,15 +583,24 @@ def find_violation(
     start, size = 0, 1
     while start < budget:
         stop = min(start + size, budget)
-        made = [c for c in (_candidate(n, idx, seed) for idx in range(start, stop)) if c is not None]
-        c = _c_batch(l, [(j, None) for j, _ in made] + made)
-        for (joint, transform), before, after in zip(made, c, c[len(made):]):
-            _finite(np.array([before, after]))
-            kind = _witness_kind(transform, before, after, tol)
-            if kind is not None:
-                hit = ViolationWitness(joint, transform, float(before), float(after), kind)
-                if not verify_witness(l, hit, tol=tol):
-                    raise WitnessVerificationFailed("witness failed re-verification; numeric instability")
-                return hit
+        groups = _chunk(n, start, stop, seed)
+        before, after = np.zeros(stop - start), np.zeros(stop - start)  # 0 and 0 at a skipped position: no witness
+        hit = np.zeros(stop - start, dtype=bool)
+        for (_, m), (pos, tables, maps) in groups.items():
+            before[pos] = _c_stack(l, tables)[0]
+            after[pos] = _c_batch(l, tables, maps, m)
+            hit[pos] = _witness_kinds(maps, before[pos], after[pos], tol) != ""
+        first = np.flatnonzero(hit | ~np.isfinite(before) | ~np.isfinite(after))
+        if first.size:
+            i = first[0]
+            _finite(np.array([before[i], after[i]]))
+            pos, tables, maps = next(g for g in groups.values() if i in g[0])
+            r = int(np.searchsorted(pos, i))
+            joint, transform = Joint(tables[r].copy()), Transform(tuple(maps[r].tolist()))
+            b, a = float(before[i]), float(after[i])
+            w = ViolationWitness(joint, transform, b, a, _witness_kind(transform, b, a, tol))
+            if not verify_witness(l, w, tol=tol):
+                raise WitnessVerificationFailed("witness failed re-verification; numeric instability")
+            return w
         start, size = stop, min(2 * size, _MAX_CHUNK)
     return None

@@ -64,10 +64,10 @@ class TestBenefit:
         for name in ("log", "zero_one", "brier", "spherical", "absolute_ordered"):
             for n in range(2, 6):
                 l = si.builtin_loss(name, n)
-                for idx in range(60):
-                    cand = sufficiency._candidate(n, idx, 0)
-                    if cand is not None:
-                        assert si.benefit(l, cand[0]).c_value == c_value(l, cand[0])
+                for _, tables, _ in sufficiency._chunk(n, 0, 60, 0).values():  # the first 60 scan candidates
+                    for table in tables:
+                        j = si.Joint(table)
+                        assert si.benefit(l, j).c_value == c_value(l, j)
 
     def test_witness_c_before_reproduced_bit_for_bit(self):
         for name in ("zero_one", "brier", "spherical", "absolute_ordered"):

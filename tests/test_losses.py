@@ -186,6 +186,20 @@ class TestBayesRisk:
             expect = _per_start_numeric_bayes(rule, p, seed % 5)
             assert (r.risk, r.minimizer.probs.tolist(), r.grid_gap) == expect, (kind, p)
 
+    def test_nan_grid_points_never_count(self):
+        # linear score plus 0 * sum(log q): NaN on every grid point with a zero coordinate
+        def vec(q):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return -q + 0.0 * np.log(q).sum(axis=-1, keepdims=True)
+
+        rule = si.ScoringRuleLoss(eval_fn=lambda x, q: float(vec(q)[x]), n=3, vector_fn=vec)
+        p = np.array([0.2, 0.3, 0.5])
+        r = si.bayes_risk(rule, p)
+        grid = si.simplex_grid(3, 200)
+        vals = (grid * -p).sum(axis=1)[(grid > 0).all(axis=1)]  # the grid's finite expected losses
+        assert math.isfinite(r.grid_gap)
+        assert r.risk - min(r.grid_gap, 0.0) == pytest.approx(vals.min(), abs=1e-15)
+
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_numeric_search_without_finite_start(self, value):
         rule = si.ScoringRuleLoss(eval_fn=lambda x, q: value, n=3)
@@ -244,6 +258,7 @@ def _per_start_numeric_bayes(l, p, seed):
     if n <= 4:
         grid = simplex_grid(n, 200)
         gvals = f(grid)
+        gvals = np.where(np.isnan(gvals), np.inf, gvals)
         gi = int(np.argmin(gvals))
         gap = best_v - float(gvals[gi])
         if gvals[gi] < best_v:

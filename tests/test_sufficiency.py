@@ -111,6 +111,15 @@ class TestPushForward:
         assert out.table.shape == (3, 2)
         assert np.allclose(out.table, [[0.0, 0.5], [0.0, 0.0], [0.5, 0.0]])
 
+    @pytest.mark.parametrize("mapping", [(0, 1), (0, 1, 0, 1)], ids=["short", "long"])
+    def test_map_of_other_length_rejected(self, mapping, witness_joint):
+        t = si.Transform(mapping)
+        for push in (si.push_forward, si.padded_push_forward):
+            with pytest.raises(ParameterOutOfRange):
+                push(witness_joint, t)
+        with pytest.raises(ParameterOutOfRange):
+            si.check_sufficient(t, witness_joint)
+
     def test_mi_preserved_under_sufficient_merge(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -224,6 +233,15 @@ class TestProofFamily:
             )
             assert si.check_sufficient(si.Transform((0, 0, 1, 2, 3)), j, tol=1e-9).is_sufficient
 
+    def test_same_bits_as_pinned_arithmetic(self):
+        rng = np.random.default_rng(9)
+        for n in (3, 4, 6):
+            for _ in range(40):
+                tail = rng.dirichlet(np.ones(n - 3)) * rng.uniform(0.05, 0.6) if n > 3 else ()
+                lam = np.sort(rng.uniform(0.0, 1.0 - sum(tail), size=2))
+                args = (n, float(rng.uniform()), float(lam[0]), float(lam[1]), float(rng.uniform()), tuple(tail))
+                assert si.proof_family(*args).table.tobytes() == _pinned_proof_family(*args).table.tobytes()
+
     def test_tail_validation(self):
         with pytest.raises(ParameterOutOfRange):
             si.proof_family(4, t=0.5, lambda1=0.0, lambda2=0.5, alpha=0.5, tail=(0.7, 0.4))
@@ -296,16 +314,99 @@ class TestFindViolation:
             si.find_violation(si.builtin_loss("zero_one", 3), 4, budget=300)
 
 
+# The per-candidate generators the scan once ran, pinned as the oracle for
+# `sufficiency._chunk`: each builds one candidate as a Joint and a Transform,
+# with `proof_family`'s and `validate_joint`'s arithmetic written out here.
+
+
+def _pinned_validate(table):
+    t = np.asarray(table, dtype=float)
+    t = np.where(t < 0, 0.0, t)
+    return si.Joint(t / t.sum())
+
+
+def _pinned_proof_family(n, t, lambda1, lambda2, alpha, tail):
+    tail = tuple(float(v) for v in tail)
+    r = 1.0 - sum(tail)
+
+    def member(lam):
+        return np.array([lam * t, lam * (1.0 - t), r - lam, *tail])
+
+    return _pinned_validate(np.stack([alpha * member(lambda1), (1.0 - alpha) * member(lambda2)], axis=1))
+
+
+_T_GRID, _ALPHA_GRID = sufficiency._T_GRID, sufficiency._ALPHA_GRID
+_S_GRID = np.linspace(0.0, 1.0, 20)
+_LAMBDA_PAIRS = [(_S_GRID[i], _S_GRID[j]) for i in range(20) for j in range(19, i, -1)]
+
+
+def _grid_candidate(n, k, seed):
+    total = len(_T_GRID) * len(_ALPHA_GRID) * len(_LAMBDA_PAIRS)
+    if k >= total:
+        return None
+    per_t = len(_ALPHA_GRID) * len(_LAMBDA_PAIRS)
+    t = float(_T_GRID[k // per_t])
+    rem = k % per_t
+    alpha = float(_ALPHA_GRID[rem // len(_LAMBDA_PAIRS)])
+    s1, s2 = _LAMBDA_PAIRS[rem % len(_LAMBDA_PAIRS)]
+    if n == 3:
+        tail = ()
+        r = 1.0
+    else:
+        rng = np.random.default_rng([seed, 101, k])
+        mass = float(rng.uniform(0.05, 0.6))
+        tail = tuple(mass * rng.dirichlet(np.ones(n - 3)))
+        r = 1.0 - mass
+    lam1, lam2 = s1 * r, s2 * r
+    if not lam1 < lam2:
+        return None
+    joint = _pinned_proof_family(n, t, lam1, lam2, alpha, tail)
+    return joint, si.Transform(tuple([0, 0] + list(range(1, n - 1))))
+
+
+def _merge_candidate(n, k, seed):
+    rng = np.random.default_rng([seed, 202, k])
+    m = int(rng.integers(2, 4))
+    n_classes = int(rng.integers(1, n))
+    rows = rng.dirichlet(np.ones(m), size=n_classes)
+    assignment = np.concatenate([np.arange(n_classes), rng.integers(0, n_classes, size=n - n_classes)])
+    rng.shuffle(assignment)
+    px = rng.dirichlet(np.ones(n))
+    table = px[:, None] * rows[assignment]
+    counts = np.bincount(assignment, minlength=n_classes)
+    mergeable = [c for c in range(n_classes) if counts[c] >= 2]
+    if not mergeable:
+        return None
+    cls = mergeable[int(rng.integers(0, len(mergeable)))]
+    members = [int(x) for x in np.nonzero(assignment == cls)[0]]
+    blocks = [members] + [[x] for x in range(n) if x not in members]
+    return _pinned_validate(table), si.Transform.from_blocks(blocks, n)
+
+
+def _perm_candidate(n, k, seed):
+    rng = np.random.default_rng([seed, 303, k])
+    m = int(rng.integers(2, 4))
+    table = rng.dirichlet(np.ones(n * m)).reshape(n, m)
+    perm = rng.permutation(n)
+    if np.array_equal(perm, np.arange(n)):
+        perm = np.roll(perm, 1)
+    return _pinned_validate(table), si.Transform(tuple(int(v) for v in perm))
+
+
+def _candidate(n, idx, seed):
+    """Scan candidate idx: the three streams interleave round-robin."""
+    phase, k = idx % 3, idx // 3
+    if phase == 0:
+        return _grid_candidate(n, k, seed) if n >= 3 else None
+    if phase == 1:
+        return _merge_candidate(n, k, seed)
+    return _perm_candidate(n, k, seed)
+
+
 def _scalar_scan(l, n, budget, seed=0, tol=1e-9):
     """The scan one candidate at a time, through `c_value` and `_c_after`, in scan order."""
     for idx in range(budget):
-        phase, k = idx % 3, idx // 3
-        if phase == 0:
-            made = sufficiency._grid_candidate(n, k, seed) if n >= 3 else None
-        elif phase == 1:
-            made = sufficiency._merge_candidate(n, k, seed)
-        else:
-            made = sufficiency._perm_candidate(n, k, seed)
+        made = _candidate(n, idx, seed)
         if made is None:
             continue
         joint, transform = made
@@ -358,7 +459,7 @@ def _inf_at_second_over_half(q):
 def _first_unbounded(l, n, seed=0):
     """The first scan index whose C before or after is not finite, by the scalar path."""
     for idx in itertools.count():
-        made = sufficiency._candidate(n, idx, seed)
+        made = _candidate(n, idx, seed)
         if made is None:
             continue
         try:
@@ -366,6 +467,110 @@ def _first_unbounded(l, n, seed=0):
             sufficiency._c_after(l, *made)
         except UnboundedBelow:
             return idx
+
+
+def _chunk_rows(n, start, stop, seed):
+    """`sufficiency._chunk` as {scan index: (table, mapping)}, after checking each group's shape and order."""
+    rows = {}
+    for (b, m), (pos, tables, maps) in sufficiency._chunk(n, start, stop, seed).items():
+        assert (np.diff(pos) > 0).all()
+        assert tables.shape == (len(pos), n, b) and maps.shape == (len(pos), n)
+        assert (maps.max(axis=1) == m - 1).all()
+        for p, table, mapping in zip(pos.tolist(), tables, maps.tolist()):
+            rows[start + p] = (table, tuple(mapping))
+    return rows
+
+
+# the scan's chunks for a budget of 900: 1, 2, 4, ..., 256, 256 candidates, then one cut short by the budget
+_SCAN_CHUNKS = [(2**i - 1, 2 ** (i + 1) - 1) for i in range(9)] + [(511, 767), (767, 900)]
+_GRID_END = 3 * 20 * 20 * 190  # scan index of the first grid candidate past the grid
+
+
+class TestChunkOracle:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_matches_pinned_generators(self, n, seed):
+        # tables byte for byte, mappings, and which candidates are skipped
+        for start, stop in _SCAN_CHUNKS + [(_GRID_END - 10, _GRID_END + 11)]:
+            rows = _chunk_rows(n, start, stop, seed)
+            for idx in range(start, stop):
+                made = _candidate(n, idx, seed)
+                if made is None:
+                    assert idx not in rows
+                    continue
+                table, mapping = rows.pop(idx)
+                assert table.shape == made[0].table.shape
+                assert table.tobytes() == made[0].table.tobytes()
+                assert mapping == made[1].mapping
+            assert not rows
+
+    def test_past_the_grid_skipped(self):
+        for n in (3, 4):
+            rows = _chunk_rows(n, _GRID_END - 3, _GRID_END + 3, 0)
+            assert sorted(rows) == [_GRID_END - 3, _GRID_END - 2, _GRID_END - 1, _GRID_END + 1, _GRID_END + 2]
+
+
+def _pinned_push(table, mapping):
+    out = np.zeros((max(mapping) + 1, table.shape[1]))
+    np.add.at(out, np.array(mapping), table)
+    return out
+
+
+def _pinned_padded_push(table, mapping):
+    reps = {}
+    for x, label in enumerate(mapping):
+        reps.setdefault(label, x)
+    out = np.zeros_like(table)
+    np.add.at(out, np.array([reps[label] for label in mapping]), table)
+    return out
+
+
+def _mapped_stack(seed, n, b, k, m_pick, zero_frac):
+    """k tables (n, b) with some zero-mass rows, and k random maps of n symbols onto the same m labels."""
+    rng = np.random.default_rng(seed)
+    m = 1 + m_pick % n
+    tables = rng.dirichlet(np.ones(n * b), size=k).reshape(k, n, b) * (rng.uniform(size=(k, n, 1)) >= zero_frac)
+    maps = np.array([rng.permutation(np.concatenate([np.arange(m), rng.integers(0, m, size=n - m)])) for _ in range(k)])
+    return tables, maps, m
+
+
+mapped_stacks = st.builds(
+    _mapped_stack,
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 7),
+    b=st.integers(1, 4),
+    k=st.integers(1, 6),
+    m_pick=st.integers(0, 6),
+    zero_frac=st.sampled_from([0.0, 0.4, 1.0]),
+)
+
+
+class TestBatchedPush:
+    @given(stack=mapped_stacks)
+    def test_rows_equal_push_forward_alone(self, stack):
+        tables, maps, m = stack
+        out = sufficiency._push(tables, maps, m)
+        padded = sufficiency._push(tables, maps, m, padded=True)
+        for table, mapping, row, prow in zip(tables, maps.tolist(), out, padded):
+            j, t = si.Joint(table), si.Transform(tuple(mapping))
+            assert row.tobytes() == si.push_forward(j, t).table.tobytes() == _pinned_push(table, mapping).tobytes()
+            assert prow.tobytes() == si.padded_push_forward(j, t).table.tobytes()
+            assert prow.tobytes() == _pinned_padded_push(table, mapping).tobytes()
+
+    @pytest.mark.parametrize("name", si.losses.BUILTIN_LOSSES)
+    def test_audit_entries_equal_c_after_alone(self, name):
+        # the 5-symbol audit-dpa joints of the benchmark: (class sizes, |Y|)
+        shapes = (((2, 2, 1), 2), ((3, 2), 3), ((2, 1, 1, 1), 2), ((4, 1), 3))
+        rng = np.random.default_rng(12)
+        l = si.builtin_loss(name, 5)
+        for sizes, ny in shapes:
+            rows = rng.dirichlet(np.ones(ny), size=len(sizes))
+            assignment = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+            j = si.Joint(rng.dirichlet(np.ones(5))[:, None] * rows[assignment])
+            entries = si.audit_dpa(l, j).entries
+            assert len(entries) == math.prod(len(list(sufficiency._set_partitions(list(range(s))))) for s in sizes) + 120
+            for e in entries:
+                assert e.c_after == sufficiency._c_after(l, j, e.transform)
 
 
 class TestScreen:
