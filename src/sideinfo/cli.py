@@ -102,7 +102,7 @@ def _load_kind(path: str, kinds: tuple[str, ...]):
 
 
 def _resolve_loss(args, n: int) -> losses.LossSpec:
-    if getattr(args, "builtin", None):
+    if args.builtin is not None:
         return losses.builtin_loss(args.builtin, n)
     l = _load_kind(args.loss, ("loss",))
     fam = losses.reinstantiate(l, n)
@@ -115,12 +115,6 @@ def _resolve_loss(args, n: int) -> losses.LossSpec:
     return l
 
 
-def _loss_args(args) -> dict:
-    if getattr(args, "builtin", None):
-        return {"builtin": args.builtin}
-    return {"loss": args.loss}
-
-
 def _witness_doc(w: sufficiency.ViolationWitness) -> dict:
     return {
         "kind": w.kind,
@@ -129,6 +123,29 @@ def _witness_doc(w: sufficiency.ViolationWitness) -> dict:
         "transform": [v + 1 for v in w.transform.mapping],
         "joint": modelio.serialize_model(w.joint),
     }
+
+
+def _report(args, results: dict, echo=(), files=(), tolerances=(), code: int = EXIT_OK, **extra) -> tuple[dict, int]:
+    """A command's run report and exit code.
+
+    The report echoes the arguments named in `echo` under "args", the
+    SHA-256 of the files named in `files` under "inputs", and the
+    arguments named in `tolerances`; an argument that was not given (None)
+    is left out, so only the one of --loss/--builtin or --g/--g-file that
+    was used shows.  `extra` adds top-level keys.
+    """
+    def given(names):
+        return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+
+    report = {
+        "command": args.cmd,
+        "args": given(echo),
+        "inputs": {k: _digest(path) for k, path in given(files).items()},
+        "seed": getattr(args, "seed", None),
+        "tolerances": given(tolerances),
+        "results": results,
+    }
+    return {**report, **extra}, code
 
 
 def _emit(report: dict, pretty: bool) -> None:
@@ -170,7 +187,6 @@ def _parser() -> tuple[_Parser, list[argparse.Action]]:
     sp.add_argument("--scale", type=_finite, default=1.0,
                     help="report-level multiplier on the computed values (units only)")
     seeds.append(sp.add_argument("--seed", type=partial(_count, 0)))
-    sp.add_argument("--pretty", action="store_true")
 
     sp = sub.add_parser("audit-dpa", help="audit the data processing requirement")
     sp.add_argument("--joint", required=True)
@@ -178,7 +194,6 @@ def _parser() -> tuple[_Parser, list[argparse.Action]]:
     sp.add_argument("--tol", type=_tolerance, default=1e-9)
     seeds.append(sp.add_argument("--seed", type=partial(_count, 0)))
     sp.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
-    sp.add_argument("--pretty", action="store_true")
 
     sp = sub.add_parser("find-violation", help="scan for a data-processing violation")
     add_loss_flags(sp)
@@ -187,7 +202,6 @@ def _parser() -> tuple[_Parser, list[argparse.Action]]:
     seeds.append(sp.add_argument("--seed", type=partial(_count, 0)))
     sp.add_argument("--tol", type=_tolerance, default=1e-9)
     sp.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
-    sp.add_argument("--pretty", action="store_true")
 
     sp = sub.add_parser("scoring-rule", help="evaluate a Savage-constructed proper scoring rule")
     grp = sp.add_mutually_exclusive_group(required=True)
@@ -195,42 +209,35 @@ def _parser() -> tuple[_Parser, list[argparse.Action]]:
     grp.add_argument("--g-file", help="loss model file; G is its normalized Bayes envelope")
     sp.add_argument("--eval", nargs=2, metavar=("X", "Q"), required=True,
                     help="1-based outcome and comma-separated forecast")
-    sp.add_argument("--pretty", action="store_true")
 
     sp = sub.add_parser("directed-info", help="directed information report for a process model")
     sp.add_argument("--model", required=True)
     sp.add_argument("--horizon", type=partial(_count, 1), required=True)
     sp.add_argument("--conservation", action="store_true")
     sp.add_argument("--tol", type=_finite, default=1e-9)
-    sp.add_argument("--pretty", action="store_true")
 
     sp = sub.add_parser("geweke", help="Geweke causality measure F_{Y->X} of a VAR model")
     sp.add_argument("--var", required=True)
-    sp.add_argument("--pretty", action="store_true")
 
     sp = sub.add_parser("estimate", help="empirical joint from CSV samples")
     sp.add_argument("--csv", required=True)
     sp.add_argument("--nx", type=partial(_count, 1), required=True)
     sp.add_argument("--ny", type=partial(_count, 1), required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--pretty", action="store_true")
 
     sp = sub.add_parser("mi", help="mutual information of a joint")
     sp.add_argument("--joint", required=True)
-    sp.add_argument("--pretty", action="store_true")
 
     sp = sub.add_parser("entropy", help="entropy of a distribution")
     sp.add_argument("--dist", required=True)
-    sp.add_argument("--pretty", action="store_true")
 
+    for sp in sub.choices.values():  # last on every command, as in each command's help
+        sp.add_argument("--pretty", action="store_true")
     return p, seeds
 
 
 def _cmd_benefit(args) -> tuple[dict, int]:
-    if args.cond_w:
-        j = _load_kind(args.joint, ("joint3",))
-    else:
-        j = _load_kind(args.joint, ("joint",))
+    j = _load_kind(args.joint, ("joint3",) if args.cond_w else ("joint",))
     l = _resolve_loss(args, j.nx)
     if args.cond_w:
         results = {"c_value": conditional_benefit(l, j, seed=args.seed, scale=args.scale)}
@@ -246,89 +253,51 @@ def _cmd_benefit(args) -> tuple[dict, int]:
                 for y, m in rep.per_y_minimizers.items()
             },
         }
-    report = {
-        "command": "benefit",
-        "args": {**_loss_args(args), "joint": args.joint, "cond_w": args.cond_w, "scale": args.scale},
-        "inputs": {"joint": _digest(args.joint)},
-        "seed": args.seed,
-        "tolerances": {},
-        "results": results,
-    }
-    return report, EXIT_OK
+    return _report(args, results, ("builtin", "loss", "joint", "cond_w", "scale"), ("joint",))
 
 
 def _cmd_audit_dpa(args) -> tuple[dict, int]:
     j = _load_kind(args.joint, ("joint",))
-    l = _resolve_loss(args, j.nx)
-    rep = sufficiency.audit_dpa(l, j, tol=args.tol, seed=args.seed)
-    report = {
-        "command": "audit-dpa",
-        "args": {**_loss_args(args), "joint": args.joint},
-        "inputs": {"joint": _digest(args.joint)},
-        "seed": args.seed,
-        "tolerances": {"tol": args.tol},
-        "results": {
-            "c_before": rep.c_before,
-            "transforms_checked": len(rep.entries),
-            "equality_deviations": [
-                {"transform": [v + 1 for v in e.transform.mapping], "c_after": e.c_after}
-                for e in rep.equality_deviations
-            ],
-        },
-        "witnesses": [_witness_doc(w) for w in rep.violations],
+    rep = sufficiency.audit_dpa(_resolve_loss(args, j.nx), j, tol=args.tol, seed=args.seed)
+    results = {
+        "c_before": rep.c_before,
+        "transforms_checked": len(rep.entries),
+        "equality_deviations": [
+            {"transform": [v + 1 for v in e.transform.mapping], "c_after": e.c_after}
+            for e in rep.equality_deviations
+        ],
     }
-    return report, EXIT_WITNESS if rep.violations else EXIT_OK
+    return _report(
+        args, results, ("builtin", "loss", "joint"), ("joint",), ("tol",),
+        EXIT_WITNESS if rep.violations else EXIT_OK, witnesses=[_witness_doc(w) for w in rep.violations],
+    )
 
 
 def _cmd_find_violation(args) -> tuple[dict, int]:
     l = _resolve_loss(args, args.n)
     w = sufficiency.find_violation(l, args.n, budget=args.budget, seed=args.seed, tol=args.tol)
-    report = {
-        "command": "find-violation",
-        "args": {**_loss_args(args), "n": args.n, "budget": args.budget},
-        "inputs": {},
-        "seed": args.seed,
-        "tolerances": {"tol": args.tol},
-        "results": {"witness": _witness_doc(w) if w is not None else None},
-    }
-    return report, EXIT_OK
+    results = {"witness": _witness_doc(w) if w is not None else None}
+    return _report(args, results, ("builtin", "loss", "n", "budget"), tolerances=("tol",))
 
 
 def _cmd_scoring_rule(args) -> tuple[dict, int]:
-    q = prob.validate_dist(modelio._dec_vector(args.eval[1].split(","), "eval")).probs
+    q = prob.validate_dist(modelio._dec_array(args.eval[1].split(","), "eval", 1)).probs
     if not args.eval[0].isdecimal() or not 1 <= int(args.eval[0]) <= q.shape[0]:
         raise modelio.ValidationError(f"outcome {args.eval[0]!r} is not in 1..{q.shape[0]}", field="eval")
-    x = int(args.eval[0]) - 1
-    inputs = {}
-    if args.g:
-        key = args.g.replace("-", "_").lower()
-        if key == "neg_entropy":
-            g = prob.neg_entropy_oracle()
-        elif key == "sum_squares":
-            g = prob.sum_squares_oracle()
-        else:
-            raise modelio.ValidationError(f"unknown convex function {args.g!r}", field="g")
-        g_desc = {"g": args.g}
+    args.x, args.q = int(args.eval[0]), [float(v) for v in q]  # echoed as parsed
+    oracles = {"neg_entropy": prob.neg_entropy_oracle, "sum_squares": prob.sum_squares_oracle}
+    if args.g_file is not None:
+        g = g_normalized(_load_kind(args.g_file, ("loss",)))
+    elif (key := args.g.replace("-", "_").lower()) in oracles:
+        g = oracles[key]()
     else:
-        l = _load_kind(args.g_file, ("loss",))
-        g = g_normalized(l)
-        g_desc = {"g_file": args.g_file}
-        inputs["g_file"] = _digest(args.g_file)
-    rule = losses.savage_from_G(g, n=q.shape[0])
-    report = {
-        "command": "scoring-rule",
-        "args": {**g_desc, "x": x + 1, "q": [float(v) for v in q]},
-        "inputs": inputs,
-        "seed": None,
-        "tolerances": {},
-        "results": {"value": rule.eval(x, q)},
-    }
-    return report, EXIT_OK
+        raise modelio.ValidationError(f"unknown convex function {args.g!r}", field="g")
+    value = losses.savage_from_G(g, n=q.shape[0]).eval(args.x - 1, q)
+    return _report(args, {"value": value}, ("g", "g_file", "x", "q"), ("g_file",))
 
 
 def _cmd_directed_info(args) -> tuple[dict, int]:
-    m = _load_kind(args.model, ("markov_process",))
-    rep = causality.conservation_check(m, args.horizon)
+    rep = causality.conservation_check(_load_kind(args.model, ("markov_process",)), args.horizon)
     results = {
         "forward": rep.forward,
         "reverse_delayed": rep.reverse_delayed,
@@ -338,73 +307,32 @@ def _cmd_directed_info(args) -> tuple[dict, int]:
         "conservation_residual": rep.residual,
         "conservation_residual_refined": rep.residual_refined,
     }
-    report = {
-        "command": "directed-info",
-        "args": {"model": args.model, "horizon": args.horizon, "conservation": args.conservation},
-        "inputs": {"model": _digest(args.model)},
-        "seed": None,
-        "tolerances": {"tol": args.tol},
-        "results": results,
-    }
-    code = EXIT_OK
-    if args.conservation and max(rep.residual, rep.residual_refined) > args.tol:
-        code = EXIT_CONSERVATION
-    return report, code
+    failed = args.conservation and max(rep.residual, rep.residual_refined) > args.tol
+    return _report(
+        args, results, ("model", "horizon", "conservation"), ("model",), ("tol",),
+        EXIT_CONSERVATION if failed else EXIT_OK,
+    )
 
 
 def _cmd_geweke(args) -> tuple[dict, int]:
-    v = _load_kind(args.var, ("var_model",))
-    f = causality.geweke_F(v)
-    report = {
-        "command": "geweke",
-        "args": {"var": args.var},
-        "inputs": {"var": _digest(args.var)},
-        "seed": None,
-        "tolerances": {},
-        "results": {"direction": "y->x", "f": f},
-    }
-    return report, EXIT_OK
+    f = causality.geweke_F(_load_kind(args.var, ("var_model",)))
+    return _report(args, {"direction": "y->x", "f": f}, ("var",), ("var",))
 
 
 def _cmd_estimate(args) -> tuple[dict, int]:
     pairs = modelio.read_sample_csv(args.csv)
-    j = modelio.empirical_joint(pairs, args.nx, args.ny)
-    modelio.write_model(j, args.out)
-    report = {
-        "command": "estimate",
-        "args": {"csv": args.csv, "nx": args.nx, "ny": args.ny, "out": args.out},
-        "inputs": {"csv": _digest(args.csv)},
-        "seed": None,
-        "tolerances": {},
-        "results": {"samples": len(pairs), "out_sha256": _digest(args.out)},
-    }
-    return report, EXIT_OK
+    modelio.write_model(modelio.empirical_joint(pairs, args.nx, args.ny), args.out)
+    results = {"samples": len(pairs), "out_sha256": _digest(args.out)}
+    return _report(args, results, ("csv", "nx", "ny", "out"), ("csv",))
 
 
 def _cmd_mi(args) -> tuple[dict, int]:
-    j = _load_kind(args.joint, ("joint",))
-    report = {
-        "command": "mi",
-        "args": {"joint": args.joint},
-        "inputs": {"joint": _digest(args.joint)},
-        "seed": None,
-        "tolerances": {},
-        "results": {"value": prob.mutual_information(j)},
-    }
-    return report, EXIT_OK
+    value = prob.mutual_information(_load_kind(args.joint, ("joint",)))
+    return _report(args, {"value": value}, ("joint",), ("joint",))
 
 
 def _cmd_entropy(args) -> tuple[dict, int]:
-    d = _load_kind(args.dist, ("dist",))
-    report = {
-        "command": "entropy",
-        "args": {"dist": args.dist},
-        "inputs": {"dist": _digest(args.dist)},
-        "seed": None,
-        "tolerances": {},
-        "results": {"value": prob.entropy(d)},
-    }
-    return report, EXIT_OK
+    return _report(args, {"value": prob.entropy(_load_kind(args.dist, ("dist",)))}, ("dist",), ("dist",))
 
 
 _HANDLERS = {

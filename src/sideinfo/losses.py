@@ -37,7 +37,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import NotProper, ParameterOutOfRange, UnboundedBelow, UnknownLoss
-from .prob import ConvexOracle, Dist, _as_probs
+from .prob import ConvexOracle, Dist, _as_probs, _clamped_simplex
 
 BUILTIN_LOSSES = ("log", "zero_one", "brier", "spherical", "absolute_ordered")
 
@@ -337,8 +337,10 @@ def bayes_risk(l: LossSpec, p, seed: int = 0) -> BayesResult:
     for proper rules (evaluate at Q = P), both as one row of `_exact_risks`;
     approximate multi-start search for arbitrary scoring rules.  A p whose
     length differs from the loss's declared alphabet size raises
-    ParameterOutOfRange; a risk with no finite value (for the numeric search,
-    no start with a finite expected loss) raises UnboundedBelow.
+    ParameterOutOfRange, and one that is not a distribution within
+    SIMPLEX_TOL raises NegativeMass or NotNormalized (p is checked, never
+    renormalized).  A risk with no finite value (for the numeric search, no
+    start with a finite expected loss) raises UnboundedBelow.
 
     Known cost: the numeric search checks itself against every point of
     `simplex_grid(n, 200)` for n <= 4.  A rule given only an `eval_fn` scores
@@ -347,6 +349,7 @@ def bayes_risk(l: LossSpec, p, seed: int = 0) -> BayesResult:
     """
     pv = _as_probs(p)
     method = _tier(l, pv.shape[0])
+    _clamped_simplex(pv)
     if method == "numeric-search":
         return _numeric_bayes(l, pv, seed=seed)
     risks, act = _exact_risks(l, pv[None])
@@ -360,7 +363,10 @@ def bayes_risk(l: LossSpec, p, seed: int = 0) -> BayesResult:
 
 
 def v_envelope(l: LossSpec, p, seed: int = 0) -> float:
-    """Negative Bayes envelope V(P) = -inf_a E_P[ell(X, a)]; convex and bounded."""
+    """Negative Bayes envelope V(P) = -inf_a E_P[ell(X, a)]; convex and bounded.
+
+    Raises as `bayes_risk` does for a p that is not a distribution.
+    """
     return -bayes_risk(l, p, seed=seed).risk
 
 

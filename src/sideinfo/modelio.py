@@ -39,37 +39,62 @@ class ModelFile:
     payload: object
 
 
-def _enc(x: float) -> str:
-    return repr(float(x))
-
-
-def _dec(s, field: str) -> float:
+def _dec(s, field: str, i: int) -> float:
+    """Entry i of `field` as a float; its path, field[i], is built only for an error."""
     if isinstance(s, bool) or not isinstance(s, str):
-        raise ValidationError(f"expected a decimal string, got {s!r}", field=field)
+        raise ValidationError(f"expected a decimal string, got {s!r}", field=f"{field}[{i}]")
     try:
         value = float(s)  # also reads "inf", "+inf" and "infinity" in any case
     except ValueError:
         value = math.nan
     if math.isnan(value):
-        raise ValidationError(f"not a decimal number: {s!r}", field=field)
+        raise ValidationError(f"not a decimal number: {s!r}", field=f"{field}[{i}]")
     return value
 
 
-def _dec_vector(values, field: str) -> np.ndarray:
-    if not isinstance(values, list):
-        raise ValidationError("expected a list", field=field)
-    return np.array([_dec(v, f"{field}[{i}]") for i, v in enumerate(values)])
+_LISTS = {1: "a list", 2: "a list of lists", 3: "a 3-deep nested list"}
 
 
-def _dec_matrix(values, field: str) -> np.ndarray:
-    if not isinstance(values, list) or not all(isinstance(r, list) for r in values):
-        raise ValidationError("expected a list of lists", field=field)
-    widths = {len(r) for r in values}
-    if len(widths) != 1:
+def _dec_lists(values, field: str, ndim: int) -> list:
+    """The floats of an ndim-deep nested list of decimal strings, checked level by level."""
+    if not isinstance(values, list) or (ndim > 1 and not all(isinstance(r, list) for r in values)):
+        raise ValidationError(f"expected {_LISTS[ndim]}", field=field)
+    if ndim == 1:
+        return [_dec(v, field, i) for i, v in enumerate(values)]
+    if ndim == 2 and len({len(r) for r in values}) != 1:
         raise ValidationError("ragged rows", field=field)
-    return np.array(
-        [[_dec(v, f"{field}[{i}][{j}]") for j, v in enumerate(r)] for i, r in enumerate(values)]
-    )
+    return [_dec_lists(v, f"{field}[{i}]", ndim - 1) for i, v in enumerate(values)]
+
+
+def _dec_array(values, field: str, ndim: int) -> np.ndarray:
+    """Decode an ndim-deep nested list of decimal strings into one float array.
+
+    A bad entry is named by its path, `field[i][j]...`; rows of unequal
+    length, at any depth, are "ragged rows".
+    """
+    try:
+        return np.array(_dec_lists(values, field, ndim), dtype=float)
+    except ValueError:  # planes of unequal shape
+        raise ValidationError("ragged rows", field=field) from None
+
+
+def _enc_array(values) -> list:
+    """The nested-list layout of an array, each entry a decimal string."""
+    a = np.asarray(values, dtype=float)
+    return np.array([repr(v) for v in a.ravel().tolist()], dtype=object).reshape(a.shape).tolist()
+
+
+def _int(value, field: str) -> int:
+    """A header field: a JSON integer, not a bool, string or float."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"expected a JSON integer, got {value!r}", field=field)
+    return value
+
+
+def _ints(values, field: str) -> list[int]:
+    if not isinstance(values, list):
+        raise ValidationError("expected a list of integers", field=field)
+    return [_int(v, f"{field}[{i}]") for i, v in enumerate(values)]
 
 
 def _need(doc: dict, key: str):
@@ -90,122 +115,76 @@ def _strict_probs(arr: np.ndarray, field: str, tol: float = SIMPLEX_TOL) -> np.n
     return np.where(arr < 0, 0.0, arr)
 
 
+def _doc(kind: str, **fields) -> dict:
+    return {"version": SCHEMA_VERSION, "kind": kind, **fields}
+
+
 def serialize_model(obj) -> dict:
     """Render a model object as a JSON-ready document."""
     if isinstance(obj, ModelFile):
         return serialize_model(obj.payload)
     if isinstance(obj, Dist):
-        return {
-            "version": SCHEMA_VERSION,
-            "kind": "dist",
-            "p": [_enc(v) for v in obj.probs],
-        }
+        return _doc("dist", p=_enc_array(obj.probs))
     if isinstance(obj, Joint):
         if obj.has_w:
-            return {
-                "version": SCHEMA_VERSION,
-                "kind": "joint3",
-                "dims": list(obj.table.shape),
-                "p": [
-                    [[_enc(v) for v in row] for row in plane] for plane in obj.table.tolist()
-                ],
-            }
-        return {
-            "version": SCHEMA_VERSION,
-            "kind": "joint",
-            "rows": obj.nx,
-            "cols": obj.ny,
-            "p": [[_enc(v) for v in row] for row in obj.table.tolist()],
-        }
+            return _doc("joint3", dims=list(obj.table.shape), p=_enc_array(obj.table))
+        return _doc("joint", rows=obj.nx, cols=obj.ny, p=_enc_array(obj.table))
     if isinstance(obj, ActionMatrixLoss) and obj.name is None:
-        return {
-            "version": SCHEMA_VERSION,
-            "kind": "loss",
-            "matrix": [[_enc(v) for v in row] for row in obj.matrix.tolist()],
-        }
+        return _doc("loss", matrix=_enc_array(obj.matrix))
     if getattr(obj, "name", None) in BUILTIN_LOSSES:
-        doc = {"version": SCHEMA_VERSION, "kind": "loss", "builtin": obj.name}
-        doc["n"] = int(obj.n)
-        return doc
+        return _doc("loss", builtin=obj.name, n=int(obj.n))
     if isinstance(obj, Transform):
-        return {
-            "version": SCHEMA_VERSION,
-            "kind": "transform",
-            "map": [v + 1 for v in obj.mapping],
-        }
+        return _doc("transform", map=[v + 1 for v in obj.mapping])
     if isinstance(obj, MarkovJointProcess):
-        return {
-            "version": SCHEMA_VERSION,
-            "kind": "markov_process",
-            "nx": obj.nx,
-            "ny": obj.ny,
-            "initial": [_enc(v) for v in obj.initial],
-            "kernel": [[_enc(v) for v in row] for row in obj.kernel.tolist()],
-        }
+        return _doc("markov_process", nx=obj.nx, ny=obj.ny, initial=_enc_array(obj.initial), kernel=_enc_array(obj.kernel))
     if isinstance(obj, VarModel):
-        return {
-            "version": SCHEMA_VERSION,
-            "kind": "var_model",
-            "order": obj.order,
-            "a": [[[_enc(v) for v in row] for row in a.tolist()] for a in obj.coeffs],
-            "sigma": [[_enc(v) for v in row] for row in obj.sigma.tolist()],
-        }
+        return _doc("var_model", order=obj.order, a=_enc_array(obj.coeffs), sigma=_enc_array(obj.sigma))
     raise SchemaError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def parse_document(doc: dict) -> ModelFile:
-    """Validate and decode a parsed JSON document into a ModelFile."""
+    """Validate and decode a parsed JSON document into a ModelFile.
+
+    Header fields (`version`, `rows`, `cols`, `dims`, `nx`, `ny`, `order`
+    and the `map` entries) must be JSON integers; payload entries are
+    decimal strings.
+    """
     if not isinstance(doc, dict):
         raise SchemaError("document must be a JSON object")
     kind = _need(doc, "kind")
     if kind not in KINDS:
         raise SchemaError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    version = doc.get("version", SCHEMA_VERSION)
+    version = _int(doc.get("version", SCHEMA_VERSION), "version")
     if version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema version {version!r}")
     try:
         if kind == "dist":
-            return ModelFile(kind, Dist(_strict_probs(_dec_vector(_need(doc, "p"), "p"), "p")))
-        if kind == "joint":
-            p = _dec_matrix(_need(doc, "p"), "p")
-            rows, cols = int(_need(doc, "rows")), int(_need(doc, "cols"))
-            if p.shape != (rows, cols):
-                raise ValidationError(f"p has shape {p.shape}, expected ({rows}, {cols})", field="p")
+            return ModelFile(kind, Dist(_strict_probs(_dec_array(_need(doc, "p"), "p", 1), "p")))
+        if kind in ("joint", "joint3"):
+            p = _dec_array(_need(doc, "p"), "p", 2 if kind == "joint" else 3)
+            if kind == "joint":
+                shape = (_int(_need(doc, "rows"), "rows"), _int(_need(doc, "cols"), "cols"))
+            else:
+                shape = _ints(_need(doc, "dims"), "dims")
+            if list(p.shape) != list(shape):
+                raise ValidationError(f"p has shape {p.shape}, expected {shape}", field="p")
             return ModelFile(kind, Joint(_strict_probs(p, "p")))
-        if kind == "joint3":
-            dims = _need(doc, "dims")
-            raw = _need(doc, "p")
-            if not isinstance(raw, list):
-                raise ValidationError("expected a 3-deep nested list", field="p")
-            arr = np.array(
-                [
-                    [[_dec(v, f"p[{i}][{j}][{k}]") for k, v in enumerate(row)] for j, row in enumerate(plane)]
-                    for i, plane in enumerate(raw)
-                ]
-            )
-            if list(arr.shape) != list(dims):
-                raise ValidationError(f"p has shape {arr.shape}, expected {dims}", field="p")
-            return ModelFile(kind, Joint(_strict_probs(arr, "p")))
         if kind == "loss":
             return ModelFile(kind, _parse_loss(doc))
         if kind == "transform":
-            raw = _need(doc, "map")
-            if not isinstance(raw, list) or not all(isinstance(v, int) for v in raw):
-                raise ValidationError("map must be a list of 1-based integers", field="map")
-            return ModelFile(kind, Transform(tuple(v - 1 for v in raw)))
+            return ModelFile(kind, Transform(tuple(v - 1 for v in _ints(_need(doc, "map"), "map"))))
         if kind == "markov_process":
-            nx, ny = int(_need(doc, "nx")), int(_need(doc, "ny"))
-            initial = _dec_vector(_need(doc, "initial"), "initial")
-            kernel = _dec_matrix(_need(doc, "kernel"), "kernel")
+            nx, ny = _int(_need(doc, "nx"), "nx"), _int(_need(doc, "ny"), "ny")
+            initial = _dec_array(_need(doc, "initial"), "initial", 1)
+            kernel = _dec_array(_need(doc, "kernel"), "kernel", 2)
             return ModelFile(kind, MarkovJointProcess(nx=nx, ny=ny, initial=initial, kernel=kernel))
         if kind == "var_model":
-            order = int(_need(doc, "order"))
+            order = _int(_need(doc, "order"), "order")
             raw = _need(doc, "a")
             if not isinstance(raw, list) or len(raw) != order:
                 raise ValidationError(f"a must list {order} coefficient matrices", field="a")
-            coeffs = np.array([_dec_matrix(a, f"a[{i}]") for i, a in enumerate(raw)])
-            sigma = _dec_matrix(_need(doc, "sigma"), "sigma")
-            return ModelFile(kind, VarModel(coeffs=coeffs, sigma=sigma))
+            coeffs = np.array([_dec_array(a, f"a[{i}]", 2) for i, a in enumerate(raw)])
+            return ModelFile(kind, VarModel(coeffs=coeffs, sigma=_dec_array(_need(doc, "sigma"), "sigma", 2)))
     except (ValidationError, SchemaError):
         raise
     except Exception as exc:  # constructor-level validation failures carry context
@@ -223,7 +202,7 @@ def _parse_loss(doc: dict) -> LossSpec:
             raise ValidationError("n must be an integer >= 2", field="n")
         return builtin_loss(name, n)
     if "matrix" in doc:
-        return ActionMatrixLoss(matrix=_dec_matrix(doc["matrix"], "matrix"))
+        return ActionMatrixLoss(matrix=_dec_array(doc["matrix"], "matrix", 2))
     raise SchemaError("loss document needs either 'builtin' or 'matrix'")
 
 

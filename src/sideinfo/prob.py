@@ -64,17 +64,27 @@ def validate_dist(probs, tol: float = SIMPLEX_TOL) -> Dist:
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise NotNormalized(f"expected a nonempty 1-d probability vector, got shape {p.shape}")
+    clamped, s = _clamped_simplex(p, tol)
+    correction = float(-p[p < 0].sum()) if np.any(p < 0) else 0.0
+    correction = max(correction, abs(s - 1.0))
+    return Dist(clamped / s, correction=correction)
+
+
+def _clamped_simplex(p: np.ndarray, tol: float = SIMPLEX_TOL) -> tuple[np.ndarray, float]:
+    """p with entries in [-tol, 0) clamped to 0, and its sum.
+
+    Raises NegativeMass for a non-finite entry or one below -tol, and
+    NotNormalized for a sum more than tol from 1; p itself is not changed.
+    """
     if not np.all(np.isfinite(p)):
         raise NegativeMass("probability entries must be finite")
     if np.any(p < -tol):
         raise NegativeMass(f"negative mass beyond tolerance: min entry {p.min():.3g}")
-    correction = float(-p[p < 0].sum()) if np.any(p < 0) else 0.0
-    p = np.where(p < 0, 0.0, p)
-    s = p.sum()
+    clamped = np.where(p < 0, 0.0, p)
+    s = clamped.sum()
     if abs(s - 1.0) > tol:
         raise NotNormalized(f"entries sum to {s!r}, not 1 within {tol}")
-    correction = max(correction, abs(s - 1.0))
-    return Dist(p / s, correction=correction)
+    return clamped, s
 
 
 def point_mass(i: int, n: int) -> Dist:

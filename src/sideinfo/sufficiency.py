@@ -305,9 +305,13 @@ def _c_after(l: LossSpec, j: Joint, t: Transform, seed: int = 0) -> float:
 def verify_witness(l: LossSpec, w: ViolationWitness, tol: float = 1e-9, value_tol: float = 1e-12) -> bool:
     """Recompute both benefits from the stored joint and transform.
 
-    The witness holds only if both values reproduce within value_tol and
-    its kind is the one the witness rule gives for its transform.
+    The witness holds only if its transform is sufficient for its joint
+    (`check_sufficient` at its default tolerance), both values reproduce
+    within value_tol, and its kind is the one the witness rule gives for
+    its transform.
     """
+    if not check_sufficient(w.transform, w.joint).is_sufficient:
+        return False
     before = c_value(l, w.joint)
     after = _c_after(l, w.joint, w.transform)
     if abs(before - w.c_before) > value_tol or abs(after - w.c_after) > value_tol:
@@ -344,11 +348,14 @@ class DpaAuditReport:
 def audit_dpa(l: LossSpec, j: Joint, tol: float = 1e-9, seed: int = 0) -> DpaAuditReport:
     """Audit the data-processing requirement on every enumerated sufficient transform.
 
-    Raises ParameterOutOfRange for a tol that is negative or not finite.
+    `tol` compares C only.  Which transforms are sufficient is decided by
+    `enumerate_sufficient` at its own default tolerance, whatever `tol` is,
+    so a loose `tol` never admits a merge of rows that differ.  Raises
+    ParameterOutOfRange for a tol that is negative or not finite.
     """
     _check_tol(tol)
     before = c_value(l, j, seed=seed)
-    suff = enumerate_sufficient(j, tol=tol, seed=seed)
+    suff = enumerate_sufficient(j, seed=seed)
     transforms = suff.merges + suff.permutations
     maps = np.array([t.mapping for t in transforms])
     sizes = maps.max(axis=1) + 1

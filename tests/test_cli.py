@@ -310,6 +310,9 @@ class TestExitCodes:
             (["find-violation", "--builtin", "log", "--n", "1"], 64),
             # the enumeration bound depends on the model, so it is a data error
             (["directed-info", "--model", "{model}", "--horizon", "40"], 65),
+            # an empty name is an unknown name, not a missing one
+            (["benefit", "--joint", "{joint}", "--builtin", ""], 65),
+            (["scoring-rule", "--g", "", "--eval", "1", "0.5,0.5"], 65),
         ],
     )
     def test_exit_code_contract(self, tmp_path, flags, expected, witness_file, copy_model_file):

@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import minimize
 
 import sideinfo as si
-from sideinfo.errors import NotProper, ParameterOutOfRange, UnboundedBelow, UnknownLoss
+from sideinfo.errors import NegativeMass, NotNormalized, NotProper, ParameterOutOfRange, UnboundedBelow, UnknownLoss
 from sideinfo.losses import _exact_risks, _expected_scoring_loss, _simplex_project, simplex_grid
 
 LN2 = math.log(2)
@@ -85,6 +85,28 @@ class TestBayesRisk:
         r = si.bayes_risk(si.builtin_loss("brier", 2), [0.5, 0.5])
         assert r.risk == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "p, error",
+        [([2.0, 0.0, 0.0], NotNormalized), ([0.5, 0.7, -0.2], NegativeMass), ([math.nan, 0.5, 0.5], NegativeMass)],
+    )
+    @pytest.mark.parametrize(
+        "l",
+        [si.builtin_loss("log", 3), si.builtin_loss("zero_one", 3), si.builtin_loss("brier", 3), unflagged_rule("linear", 3)],
+        ids=["log", "zero_one", "brier", "numeric-linear"],
+    )
+    def test_not_a_distribution_rejected(self, p, error, l):
+        # log loss returned -1.386, 0.596 and 0.693 on these before the check
+        with pytest.raises(error):
+            si.bayes_risk(l, p)
+        with pytest.raises(error):
+            si.v_envelope(l, p)
+
+    def test_valid_input_checked_not_renormalized(self):
+        # within SIMPLEX_TOL of the simplex, p is used as given, bit for bit
+        p = np.array([0.5, 0.5 + 5e-10, -1e-12])
+        r = si.bayes_risk(si.builtin_loss("log", 3), p)
+        assert r.minimizer.probs.tobytes() == p.tobytes()
+
     def test_tie_break_lowest_index(self):
         r = si.bayes_risk(si.builtin_loss("zero_one", 2), [0.5, 0.5])
         assert r.minimizer == 0
@@ -147,6 +169,8 @@ class TestBayesRisk:
             si.bayes_risk(rule, [0.2, 0.3, 0.5])
         with pytest.raises(ParameterOutOfRange):
             si.bayes_risk(si.savage_from_G(si.neg_entropy_oracle(), n=2), [0.2, 0.3, 0.5])
+        with pytest.raises(ParameterOutOfRange):  # the length is checked before the mass
+            si.bayes_risk(si.builtin_loss("log", 3), [2.0, 0.0])
 
     def test_numeric_search_pinned(self):
         # exact values, so a change in evaluation order or batching shows

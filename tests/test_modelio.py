@@ -9,9 +9,27 @@ from hypothesis.extra.numpy import arrays
 
 import sideinfo as si
 from sideinfo.errors import EmptySample, SchemaError, UnknownSymbol, ValidationError
+from sideinfo.cli import cli_dispatch
 from sideinfo.modelio import parse_document, parse_model_text, serialize_model
 
 from conftest import random_joint, random_stationary_markov
+
+
+_P2 = [["0.5", "0.5"], ["0", "0"]]
+_VAR_PAYLOAD = {"a": [[["0.1", "0"], ["0", "0.1"]]], "sigma": [["1", "0"], ["0", "1"]]}
+
+# Header fields that parsed at schema version 1 by truncation or by bool == int
+# and are now rejected, each with the field its error names.
+MALFORMED_HEADERS = [
+    ({"kind": "joint", "rows": 2.9, "cols": 2, "p": _P2}, "rows"),
+    ({"kind": "joint", "rows": 2, "cols": "2", "p": _P2}, "cols"),
+    ({"kind": "markov_process", "nx": "1", "ny": 1, "initial": ["1.0"], "kernel": [["1.0"]]}, "nx"),
+    ({"kind": "markov_process", "nx": 1, "ny": 1.5, "initial": ["1.0"], "kernel": [["1.0"]]}, "ny"),
+    ({"kind": "transform", "map": [True, 2, True]}, "map[0]"),
+    ({"kind": "joint3", "dims": [2.0, 2, 2], "p": [[["0.125"] * 2] * 2] * 2}, "dims[0]"),
+    ({"kind": "var_model", "order": "1", **_VAR_PAYLOAD}, "order"),
+    ({"kind": "dist", "version": True, "p": ["1.0"]}, "version"),
+]
 
 
 class TestParse:
@@ -74,6 +92,28 @@ class TestParse:
     def test_version_checked(self):
         with pytest.raises(SchemaError):
             parse_document({"kind": "dist", "version": 99, "p": ["1.0"]})
+
+    @pytest.mark.parametrize("doc, field", MALFORMED_HEADERS)
+    def test_header_field_must_be_json_integer(self, doc, field, tmp_path, capsys):
+        with pytest.raises(ValidationError) as exc:
+            parse_document(doc)
+        assert exc.value.field == field
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert cli_dispatch(["mi", "--joint", str(path)]) == 65
+        assert capsys.readouterr().err.endswith(f"(field: {field})\n")
+
+    def test_ragged_joint3_names_the_plane(self):
+        p = [[["0.125"] * 2] * 2, [["0.125"] * 2, ["0.25"]]]
+        with pytest.raises(ValidationError, match="ragged rows") as exc:
+            parse_document({"kind": "joint3", "dims": [2, 2, 2], "p": p})
+        assert exc.value.field == "p[1]"
+
+    def test_joint3_planes_of_unequal_shape_are_ragged(self):
+        p = [[["0.25"] * 2] * 2, [["0.25"] * 3] * 2]
+        with pytest.raises(ValidationError, match="ragged rows") as exc:
+            parse_document({"kind": "joint3", "dims": [2, 2, 2], "p": p})
+        assert exc.value.field == "p"
 
 
 class TestRoundTrip:
@@ -148,6 +188,44 @@ class TestRoundTrip:
 
     def test_version_field_present(self, witness_joint):
         assert serialize_model(witness_joint)["version"] == 1
+
+
+# One object of every kind and the exact text its document dumps to, key order
+# included (`--pretty` and witness reports print documents in this order).
+DOCUMENT_TEXTS = [
+    (si.validate_dist([0.25, 0.125, 0.625]),
+     '{"version": 1, "kind": "dist", "p": ["0.25", "0.125", "0.625"]}'),
+    (si.validate_joint([[0.1, 0.2], [0.3, 0.4]]),
+     '{"version": 1, "kind": "joint", "rows": 2, "cols": 2, "p": [["0.1", "0.2"], ["0.3", "0.4"]]}'),
+    (si.Joint(np.arange(1, 9).reshape(2, 2, 2) / 36),
+     '{"version": 1, "kind": "joint3", "dims": [2, 2, 2], "p": '
+     '[[["0.027777777777777776", "0.05555555555555555"], ["0.08333333333333333", "0.1111111111111111"]], '
+     '[["0.1388888888888889", "0.16666666666666666"], ["0.19444444444444445", "0.2222222222222222"]]]}'),
+    (si.builtin_loss("brier", 3),
+     '{"version": 1, "kind": "loss", "builtin": "brier", "n": 3}'),
+    (si.ActionMatrixLoss(matrix=np.array([[0.0, np.inf], [1.5, 0.0]])),
+     '{"version": 1, "kind": "loss", "matrix": [["0.0", "inf"], ["1.5", "0.0"]]}'),
+    (si.Transform((0, 0, 1)),
+     '{"version": 1, "kind": "transform", "map": [1, 1, 2]}'),
+    (si.MarkovJointProcess(1, 2, np.array([0.5, 0.5]), np.array([[0.9, 0.1], [0.2, 0.8]])),
+     '{"version": 1, "kind": "markov_process", "nx": 1, "ny": 2, "initial": ["0.5", "0.5"], '
+     '"kernel": [["0.9", "0.1"], ["0.2", "0.8"]]}'),
+    (si.VarModel(coeffs=np.array([[[0.5, 0.1], [0.0, 0.25]], [[-0.125, 0.0], [0.0625, 0.1]]]),
+                 sigma=np.array([[1.0, 0.3], [0.3, 2.0]])),
+     '{"version": 1, "kind": "var_model", "order": 2, "a": [[["0.5", "0.1"], ["0.0", "0.25"]], '
+     '[["-0.125", "0.0"], ["0.0625", "0.1"]]], "sigma": [["1.0", "0.3"], ["0.3", "2.0"]]}'),
+]
+DOCUMENT_IDS = ["dist", "joint", "joint3", "builtin-loss", "matrix-loss-inf", "transform", "markov", "var2"]
+
+
+class TestDocumentText:
+    @pytest.mark.parametrize("obj, text", DOCUMENT_TEXTS, ids=DOCUMENT_IDS)
+    def test_serialized_text_pinned(self, obj, text):
+        assert json.dumps(serialize_model(obj)) == text
+
+    @pytest.mark.parametrize("obj, text", DOCUMENT_TEXTS, ids=DOCUMENT_IDS)
+    def test_text_parses_back_to_itself(self, obj, text):
+        assert json.dumps(serialize_model(parse_document(json.loads(text)))) == text
 
 
 def _simplex_rows(shape):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import sideinfo as si
 from sideinfo import sufficiency
-from sideinfo.benefit import _c_stack
+from sideinfo.benefit import _c_stack, c_value
 from sideinfo.errors import AlphabetTooLarge, ParameterOutOfRange, UnboundedBelow
 
 from conftest import random_joint
@@ -200,6 +200,22 @@ class TestAuditDpa:
         )
 
 
+    @pytest.mark.parametrize(
+        "loss",
+        [si.builtin_loss("brier", 3), si.ActionMatrixLoss(matrix=1e4 * (1.0 - np.eye(3)))],
+        ids=["brier", "scaled-zero-one"],
+    )
+    def test_loose_tol_admits_no_insufficient_merge(self, loss):
+        # rows 1 and 2 are 0.0067 apart in total variation, so merging them is not
+        # sufficient; a C tolerance of 0.01 must not make it so
+        t = np.array([[0.2, 0.1], [0.2, 0.097], [0.1, 0.3]])
+        j = si.validate_joint(t / t.sum())
+        assert not si.check_sufficient(si.Transform((0, 0, 1)), j).is_sufficient
+        rep = si.audit_dpa(loss, j, tol=0.01)
+        assert rep.violations == ()
+        assert [e.transform.mapping for e in rep.entries] == [(0, 1, 2)] + list(itertools.permutations(range(3)))
+
+
 class TestProofFamily:
     def test_spec_instance(self, witness_joint):
         j = si.proof_family(3, t=0.5, lambda1=0.0, lambda2=1.0, alpha=0.5)
@@ -285,6 +301,16 @@ class TestFindViolation:
         assert si.verify_witness(l, w)
         # the merge raises C, but a merge is never an asymmetry witness
         assert not si.verify_witness(l, dataclasses.replace(w, kind="asymmetry"))
+
+    def test_verify_rejects_insufficient_transform(self):
+        # merging rows 1 and 2 raises Brier C by 0.02, and the stored values and kind
+        # reproduce, but the rows differ, so the merge is no evidence against the axiom
+        t = np.array([[0.2, 0.1], [0.2, 0.097], [0.1, 0.3]])
+        j = si.validate_joint(t / t.sum())
+        l, merge = si.builtin_loss("brier", 3), si.Transform((0, 0, 1))
+        before, after = c_value(l, j), sufficiency._c_after(l, j, merge)
+        assert after > before + 0.01
+        assert not si.verify_witness(l, si.ViolationWitness(j, merge, before, after, "dpa_violation"))
 
     def test_failed_reverification_raises(self, monkeypatch):
         monkeypatch.setattr(sufficiency, "verify_witness", lambda *a, **k: False)
