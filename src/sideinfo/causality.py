@@ -313,6 +313,13 @@ def granger_noncausal(m: ProcessModel, n: int, tol: float = 1e-9) -> bool:
     return reverse_delayed_di(m, n) <= tol
 
 
+def _is_y_to_x(direction: str) -> bool:
+    """True for 'y->x', False for 'x->y'; any other direction raises ParameterOutOfRange."""
+    if direction not in ("y->x", "x->y"):
+        raise ParameterOutOfRange(f"direction must be 'y->x' or 'x->y', got {direction!r}")
+    return direction == "y->x"
+
+
 def _flow_step(m: MarkovJointProcess, direction: str, tol: float = 1e-9):
     """Check a stationary-flow input; return the per-step DI term of its direction.
 
@@ -322,9 +329,7 @@ def _flow_step(m: MarkovJointProcess, direction: str, tol: float = 1e-9):
         raise ParameterOutOfRange("a stationary flow measure needs a Markov joint model")
     if not m.is_stationary(tol=tol):
         raise NotStationary("initial distribution is not stationary for the kernel")
-    if direction not in ("y->x", "x->y"):
-        raise ParameterOutOfRange(f"direction must be 'y->x' or 'x->y', got {direction!r}")
-    return _reverse_step if direction == "y->x" else _delayed_forward_step
+    return _reverse_step if _is_y_to_x(direction) else _delayed_forward_step
 
 
 def transfer_entropy(m: MarkovJointProcess, direction: str = "y->x", tol: float = 1e-9) -> float:
@@ -508,9 +513,7 @@ def geweke_F(
     this equals twice the directed-information rate in nats per step; no
     conversion is applied here.
     """
-    if direction not in ("y->x", "x->y"):
-        raise ParameterOutOfRange(f"direction must be 'y->x' or 'x->y', got {direction!r}")
-    comp = 0 if direction == "y->x" else 1
+    comp = 0 if _is_y_to_x(direction) else 1
     full = float(v.sigma[comp, comp])
     r = (g[comp, comp] for g in _autocovariances(v))
     restricted = _levinson_variance(r, k_tol=k_tol, max_order=max_order)

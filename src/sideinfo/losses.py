@@ -22,8 +22,9 @@ batch per iteration, each start following the path it would take alone.
 Every expected loss, in both exact tiers and in the numeric search's
 objective, is one masked elementwise product p_x * ell_x over the x with
 p_x > 0 (0 * inf = 0), summed as a left fold from 0 over x (`_masked_risk`).  No
-risk goes through a BLAS dot, so a row's risk is the same alone or in any
-batch, in any memory layout, on every CPU.
+risk goes through a BLAS dot, spherical's included (its |q|^2 is the same
+left fold), so a row's risk is the same alone or in any batch, in any memory
+layout, on every CPU.
 
 Built-ins: log, zero_one, brier, spherical, absolute_ordered.  All symbols
 are 0-based here; 1-based indexing lives only at the file/CLI boundary.
@@ -37,7 +38,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import NotProper, ParameterOutOfRange, UnboundedBelow, UnknownLoss
-from .prob import ConvexOracle, Dist, _as_probs, _clamped_simplex
+from .prob import ConvexOracle, Dist, _as_probs, _simplex
 
 BUILTIN_LOSSES = ("log", "zero_one", "brier", "spherical", "absolute_ordered")
 
@@ -173,9 +174,8 @@ def builtin_loss(name: str, n: int) -> LossSpec:
             return (q * q).sum(axis=-1, keepdims=True) - 2.0 * q + 1.0
     elif key == "spherical":
         def vec(q):
-            # contiguous rows, so the batched matmul takes the BLAS dot that one forecast alone takes
-            q = np.ascontiguousarray(_as_probs(q))
-            return -q / np.sqrt(q[..., None, :] @ q[..., :, None])[..., 0]
+            q = _as_probs(q)
+            return -q / np.sqrt(sum((q * q).T, 0.0).T)[..., None]  # |q|^2 as `_masked_risk`'s left fold
     else:
         raise UnknownLoss(f"unknown built-in loss {name!r}")
     return ScoringRuleLoss(eval_fn=lambda x, q: float(vec(q)[x]), n=n, proper=True, name=key, vector_fn=vec)
@@ -349,7 +349,7 @@ def bayes_risk(l: LossSpec, p, seed: int = 0) -> BayesResult:
     """
     pv = _as_probs(p)
     method = _tier(l, pv.shape[0])
-    _clamped_simplex(pv)
+    _simplex(pv, 1)
     if method == "numeric-search":
         return _numeric_bayes(l, pv, seed=seed)
     risks, act = _exact_risks(l, pv[None])

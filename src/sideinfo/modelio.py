@@ -20,12 +20,15 @@ import numpy as np
 from .causality import MarkovJointProcess, VarModel
 from .errors import (
     EmptySample,
+    NegativeMass,
+    NotNormalized,
+    ParameterOutOfRange,
     SchemaError,
     UnknownSymbol,
     ValidationError,
 )
 from .losses import ActionMatrixLoss, BUILTIN_LOSSES, LossSpec, builtin_loss
-from .prob import SIMPLEX_TOL, Dist, Joint
+from .prob import Dist, Joint, _simplex
 from .sufficiency import Transform
 
 SCHEMA_VERSION = 1
@@ -103,18 +106,6 @@ def _need(doc: dict, key: str):
     return doc[key]
 
 
-def _strict_probs(arr: np.ndarray, field: str, tol: float = SIMPLEX_TOL) -> np.ndarray:
-    """Validate a probability table without renormalizing, so bits survive a round trip."""
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("entries must be finite", field=field)
-    if np.any(arr < -tol):
-        raise ValidationError(f"negative mass beyond tolerance: {arr.min()!r}", field=field)
-    s = arr.sum()
-    if abs(s - 1.0) > tol:
-        raise ValidationError(f"entries sum to {s!r}, not 1 within {tol}", field=field)
-    return np.where(arr < 0, 0.0, arr)
-
-
 def _doc(kind: str, **fields) -> dict:
     return {"version": SCHEMA_VERSION, "kind": kind, **fields}
 
@@ -147,7 +138,9 @@ def parse_document(doc: dict) -> ModelFile:
 
     Header fields (`version`, `rows`, `cols`, `dims`, `nx`, `ny`, `order`
     and the `map` entries) must be JSON integers; payload entries are
-    decimal strings.
+    decimal strings.  A dist or joint payload is checked as `prob` checks a
+    distribution (a failure names field `p`) but not renormalized, so its
+    bits survive a round trip.
     """
     if not isinstance(doc, dict):
         raise SchemaError("document must be a JSON object")
@@ -159,7 +152,7 @@ def parse_document(doc: dict) -> ModelFile:
         raise SchemaError(f"unsupported schema version {version!r}")
     try:
         if kind == "dist":
-            return ModelFile(kind, Dist(_strict_probs(_dec_array(_need(doc, "p"), "p", 1), "p")))
+            return ModelFile(kind, Dist(_simplex(_dec_array(_need(doc, "p"), "p", 1), 1)[0]))
         if kind in ("joint", "joint3"):
             p = _dec_array(_need(doc, "p"), "p", 2 if kind == "joint" else 3)
             if kind == "joint":
@@ -168,11 +161,15 @@ def parse_document(doc: dict) -> ModelFile:
                 shape = _ints(_need(doc, "dims"), "dims")
             if list(p.shape) != list(shape):
                 raise ValidationError(f"p has shape {p.shape}, expected {shape}", field="p")
-            return ModelFile(kind, Joint(_strict_probs(p, "p")))
+            return ModelFile(kind, Joint(_simplex(p, p.ndim)[0]))
         if kind == "loss":
             return ModelFile(kind, _parse_loss(doc))
         if kind == "transform":
-            return ModelFile(kind, Transform(tuple(v - 1 for v in _ints(_need(doc, "map"), "map"))))
+            labels = _ints(_need(doc, "map"), "map")
+            try:
+                return ModelFile(kind, Transform(tuple(v - 1 for v in labels)))
+            except ParameterOutOfRange:  # Transform's own check, reported in the file's 1-based labels
+                raise ValidationError(f"labels must be contiguous from 1, got {sorted(set(labels))}", field="map") from None
         if kind == "markov_process":
             nx, ny = _int(_need(doc, "nx"), "nx"), _int(_need(doc, "ny"), "ny")
             initial = _dec_array(_need(doc, "initial"), "initial", 1)
@@ -187,6 +184,8 @@ def parse_document(doc: dict) -> ModelFile:
             return ModelFile(kind, VarModel(coeffs=coeffs, sigma=_dec_array(_need(doc, "sigma"), "sigma", 2)))
     except (ValidationError, SchemaError):
         raise
+    except (NegativeMass, NotNormalized) as exc:
+        raise ValidationError(str(exc), field="p") from exc
     except Exception as exc:  # constructor-level validation failures carry context
         raise ValidationError(str(exc), field=kind) from exc
     raise SchemaError(f"unhandled kind {kind!r}")

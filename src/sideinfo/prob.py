@@ -64,27 +64,35 @@ def validate_dist(probs, tol: float = SIMPLEX_TOL) -> Dist:
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise NotNormalized(f"expected a nonempty 1-d probability vector, got shape {p.shape}")
-    clamped, s = _clamped_simplex(p, tol)
+    clamped, s = _simplex(p, 1, tol)
     correction = float(-p[p < 0].sum()) if np.any(p < 0) else 0.0
-    correction = max(correction, abs(s - 1.0))
+    correction = max(correction, abs(float(s) - 1.0))
     return Dist(clamped / s, correction=correction)
 
 
-def _clamped_simplex(p: np.ndarray, tol: float = SIMPLEX_TOL) -> tuple[np.ndarray, float]:
-    """p with entries in [-tol, 0) clamped to 0, and its sum.
+def _simplex(p: np.ndarray, ndim: int, tol: float = SIMPLEX_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """p with entries in [-tol, 0) clamped to 0, and the sums of its slices over the trailing `ndim` axes.
 
     Raises NegativeMass for a non-finite entry or one below -tol, and
-    NotNormalized for a sum more than tol from 1; p itself is not changed.
+    NotNormalized for a sum more than tol from 1, naming a stack's first
+    failing slice; p is not changed.  Message numbers are Python floats,
+    so the text is the same under any numpy version.
     """
-    if not np.all(np.isfinite(p)):
-        raise NegativeMass("probability entries must be finite")
-    if np.any(p < -tol):
-        raise NegativeMass(f"negative mass beyond tolerance: min entry {p.min():.3g}")
-    clamped = np.where(p < 0, 0.0, p)
-    s = clamped.sum()
-    if abs(s - 1.0) > tol:
-        raise NotNormalized(f"entries sum to {s!r}, not 1 within {tol}")
-    return clamped, s
+    lead = p.shape[: p.ndim - ndim]
+    t = p.reshape((-1,) + p.shape[len(lead):])  # a lone table is summed as a stack of one
+    axes = tuple(range(1, t.ndim))
+    clamped = np.where(t < 0, 0.0, t)
+    s = clamped.sum(axis=axes)
+    checks = (  # in this order: a sum is read only once every entry is finite
+        (NegativeMass, ~np.isfinite(t).all(axis=axes), lambda k: "entries must be finite"),
+        (NegativeMass, (t < -tol).any(axis=axes), lambda k: f"negative mass beyond tolerance: min entry {float(t[k].min())!r}"),
+        (NotNormalized, np.abs(s - 1.0) > tol, lambda k: f"entries sum to {float(s[k])!r}, not 1 within {tol}"),
+    )
+    for error, bad, message in checks:
+        if bad.any():
+            k = int(bad.argmax())
+            raise error(message(k) + (f" (slice {k})" if lead else ""))
+    return clamped.reshape(p.shape), s.reshape(lead)
 
 
 def point_mass(i: int, n: int) -> Dist:
@@ -128,29 +136,8 @@ def validate_joint(table, tol: float = SIMPLEX_TOL) -> Joint:
     t = np.asarray(table, dtype=float)
     if t.ndim not in (2, 3):
         raise NotNormalized(f"joint must have 2 or 3 axes, got {t.ndim}")
-    return Joint(_validate_tables(t[None], tol)[0])
-
-
-def _validate_tables(tables: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:
-    """`validate_joint`'s checks and repair on a stack of tables (K, ...), each table alone.
-
-    One pass over the stack; a failing check raises as `validate_joint` would
-    on the first table that fails it.  Entries in [-tol, 0) are clamped to 0
-    and each table is divided by its own sum, the same bits as one table alone.
-    """
-    t = tables
-    axes = tuple(range(1, t.ndim))
-    if not np.all(np.isfinite(t)):
-        raise NegativeMass("joint entries must be finite")
-    low = (t < -tol).any(axis=axes)
-    if low.any():
-        raise NegativeMass(f"negative mass beyond tolerance: min entry {t[low.argmax()].min():.3g}")
-    t = np.where(t < 0, 0.0, t)
-    s = t.sum(axis=axes)
-    off = np.abs(s - 1.0) > tol
-    if off.any():
-        raise NotNormalized(f"entries sum to {s[off.argmax()]!r}, not 1 within {tol}")
-    return t / s.reshape(s.shape + (1,) * len(axes))
+    clamped, s = _simplex(t, t.ndim, tol)
+    return Joint(clamped / s)
 
 
 def marginals(j: Joint) -> tuple[Dist, Dist]:

@@ -35,7 +35,7 @@ import numpy as np
 from .benefit import _c_stack, _finite, c_value
 from .errors import AlphabetTooLarge, ParameterOutOfRange, WitnessVerificationFailed
 from .losses import LossSpec, reinstantiate
-from .prob import Joint, _validate_tables, validate_joint
+from .prob import Joint, _simplex, validate_joint
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,6 @@ class Transform:
     @property
     def image_size(self) -> int:
         return max(self.mapping) + 1
-
-    @property
-    def is_permutation(self) -> bool:
-        return self.image_size == self.n
 
     @staticmethod
     def identity(n: int) -> "Transform":
@@ -93,22 +89,28 @@ class SufficiencyCert:
     zero_mass_symbols: tuple[int, ...]
 
 
+def _conditional_tv(j: Joint) -> tuple[np.ndarray, np.ndarray]:
+    """The positive-mass symbols of j (a mask over X) and the pairwise total variation of their P(Y|X=x)."""
+    px = j.table.sum(axis=1)
+    live = px > 0.0
+    rows = j.table[live] / px[live, None]
+    return live, 0.5 * np.abs(rows[:, None] - rows[None]).sum(axis=2)
+
+
 def check_sufficient(t: Transform, j: Joint, tol: float = 1e-9) -> SufficiencyCert:
     """Certify X - T(X) - Y (the T - X - Y chain is automatic for deterministic T).
 
-    Raises ParameterOutOfRange when t maps another number of symbols than j has.
+    Every pair of positive-mass symbols that t merges must be within tol in
+    total variation (`_conditional_tv`, the rule `enumerate_sufficient`
+    shares).  A merge it lists at tol always passes; near tol, one that
+    passes may go unlisted.  Raises ParameterOutOfRange when t maps another
+    number of symbols than j has.
     """
     _same_alphabet(t.n, j.nx)
-    table = j.table
-    px = table.sum(axis=1)
-    zero = tuple(int(x) for x in np.nonzero(px <= 0.0)[0])
-    rows = {x: table[x] / px[x] for x in range(j.nx) if px[x] > 0.0}
-    worst = 0.0
-    for label in range(t.image_size):
-        members = [x for x in range(j.nx) if t.mapping[x] == label and px[x] > 0.0]
-        for a, b in itertools.combinations(members, 2):
-            tv = 0.5 * float(np.abs(rows[a] - rows[b]).sum())
-            worst = max(worst, tv)
+    live, tv = _conditional_tv(j)
+    labels = np.array(t.mapping)[live]
+    worst = float(tv[labels[:, None] == labels[None]].max(initial=0.0))
+    zero = tuple(np.flatnonzero(~live).tolist())
     return SufficiencyCert(is_sufficient=worst <= tol, max_class_tv=worst, zero_mass_symbols=zero)
 
 
@@ -160,25 +162,18 @@ def _set_partitions(items: list[int]):
 
 
 def _row_classes(j: Joint, tol: float) -> tuple[list[list[int]], list[int]]:
-    """Group positive-mass symbols by equal conditional rows; pool zero-mass ones."""
-    table = j.table
-    px = table.sum(axis=1)
+    """Put each positive-mass symbol in the first class whose every row is within tol of its own; pool zero-mass ones."""
+    live, tv = _conditional_tv(j)
     classes: list[list[int]] = []
-    reps: list[np.ndarray] = []
-    zero: list[int] = []
-    for x in range(j.nx):
-        if px[x] <= 0.0:
-            zero.append(x)
-            continue
-        row = table[x] / px[x]
-        for cls, rep in zip(classes, reps):
-            if 0.5 * float(np.abs(row - rep).sum()) <= tol:
-                cls.append(x)
+    for i in range(len(tv)):
+        for cls in classes:
+            if (tv[i, cls] <= tol).all():
+                cls.append(i)
                 break
         else:
-            classes.append([x])
-            reps.append(row)
-    return classes, zero
+            classes.append([i])
+    symbols = np.flatnonzero(live)
+    return [symbols[c].tolist() for c in classes], np.flatnonzero(~live).tolist()
 
 
 @dataclass(frozen=True)
@@ -202,9 +197,11 @@ def enumerate_sufficient(
     max_alphabet: int = 12,
     perm_samples: int = 24,
 ) -> SufficientSet:
-    """All sufficient merge-transforms, from partitions refining the row classes.
+    """Sufficient merge-transforms, from partitions refining the row classes.
 
-    Zero-mass symbols form their own vacuous class.  Raises
+    The rows of a class are pairwise within tol, so every listed merge
+    passes `check_sufficient` at tol; near tol, a sufficient merge may go
+    unlisted.  Zero-mass symbols form their own vacuous class.  Raises
     AlphabetTooLarge beyond the partition-enumeration bound.
     """
     n = j.nx
@@ -539,7 +536,8 @@ def _chunk(n: int, start: int, stop: int, seed: int) -> dict[tuple[int, int], tu
         if len(pos):
             order = np.argsort(pos, kind="stable")
             _check_labels(maps)
-            out[key] = pos[order], _validate_tables(tables[order]), maps[order]
+            tables, s = _simplex(tables[order], 2)
+            out[key] = pos[order], tables / s[:, None, None], maps[order]
     return out
 
 

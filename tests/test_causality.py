@@ -490,6 +490,16 @@ class TestGeweke:
         with pytest.raises(ParameterOutOfRange):
             si.geweke_F(v, "sideways")
 
+    def test_bad_direction_same_message_everywhere(self):
+        v = si.VarModel(coeffs=np.array([[[0.0, 1.0], [0.0, 0.0]]]), sigma=np.eye(2))
+        row = np.array([0.25, 0.25, 0.25, 0.25])
+        m = si.MarkovJointProcess(2, 2, row.copy(), np.tile(row, (4, 1)))
+        text = r"^direction must be 'y->x' or 'x->y', got 'sideways'$"
+        for call in (lambda: si.geweke_F(v, "sideways"), lambda: si.transfer_entropy(m, "sideways"),
+                     lambda: si.di_rate(m, "sideways")):
+            with pytest.raises(ParameterOutOfRange, match=text):
+                call()
+
 
 class TestVarAutocovariances:
     def test_white_noise_cross_lag(self):

@@ -322,6 +322,21 @@ class TestLossVectorBatch:
                 if isinstance(l, si.ScoringRuleLoss):
                     assert np.array_equal(l.loss_vector(layout), np.array([l.loss_vector(row) for row in batch]))
 
+    def test_spherical_norm_is_the_left_fold(self):
+        # |q|^2 is ((0 + q_0 q_0) + q_1 q_1) + ..., not a BLAS dot, in every layout
+        rng = np.random.default_rng(12)
+        for n in range(2, 13):
+            l = si.builtin_loss("spherical", n)
+            batch = rng.dirichlet(np.ones(n), size=60)
+            for q in (batch, np.asfortranarray(batch), batch[::3], batch[:, ::-1]):
+                expected = []
+                for row in q.tolist():
+                    norm2 = 0.0
+                    for v in row:
+                        norm2 += v * v
+                    expected.append([-v / math.sqrt(norm2) for v in row])
+                assert np.array_equal(l.loss_vector(q), np.array(expected))
+
     @pytest.mark.parametrize(
         "vector_fn",
         [lambda q: -q / np.linalg.norm(q), lambda q: -np.atleast_2d(q)[0]],

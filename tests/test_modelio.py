@@ -109,6 +109,26 @@ class TestParse:
             parse_document({"kind": "joint3", "dims": [2, 2, 2], "p": p})
         assert exc.value.field == "p[1]"
 
+    @pytest.mark.parametrize("labels", [[1, 3], [0, 1], [2, 2]])
+    def test_transform_labels_reported_one_based(self, labels):
+        with pytest.raises(ValidationError) as exc:
+            parse_document({"kind": "transform", "map": labels})
+        assert str(exc.value) == f"labels must be contiguous from 1, got {sorted(set(labels))} (field: map)"
+
+    @pytest.mark.parametrize(
+        "doc, text",
+        [
+            ({"kind": "dist", "p": ["0.5", "0.9"]}, "entries sum to 1.4, not 1 within 1e-09"),
+            ({"kind": "dist", "p": ["1.2", "-0.2"]}, "negative mass beyond tolerance: min entry -0.2"),
+            ({"kind": "joint", "rows": 1, "cols": 2, "p": [["0.5", "inf"]]}, "entries must be finite"),
+            ({"kind": "joint3", "dims": [1, 1, 2], "p": [[["0.5", "0.6"]]]}, "entries sum to 1.1, not 1 within 1e-09"),
+        ],
+    )
+    def test_payload_checked_as_a_distribution(self, doc, text):
+        with pytest.raises(ValidationError) as exc:
+            parse_document(doc)
+        assert str(exc.value) == f"{text} (field: p)"
+
     def test_joint3_planes_of_unequal_shape_are_ragged(self):
         p = [[["0.25"] * 2] * 2, [["0.25"] * 3] * 2]
         with pytest.raises(ValidationError, match="ragged rows") as exc:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import sideinfo as si
 from sideinfo.errors import NegativeMass, NotNormalized, ParameterOutOfRange, ZeroConditioningEvent
+from sideinfo.prob import _simplex
 
 from conftest import random_joint, random_joint3
 
@@ -32,6 +33,32 @@ class TestValidateDist:
     def test_negative_mass_beyond_tolerance(self):
         with pytest.raises(NegativeMass):
             si.validate_dist([1.1, -0.1])
+
+
+class TestSimplexCheck:
+    def test_messages_print_python_floats(self):
+        with pytest.raises(NotNormalized, match=r"^entries sum to 1\.4, not 1 within 1e-09$"):
+            si.validate_dist([0.5, 0.9])
+        with pytest.raises(NegativeMass, match=r"^negative mass beyond tolerance: min entry -0\.2$"):
+            si.validate_joint([[0.6, 0.6], [-0.2, 0.0]])
+
+    def test_stack_names_first_failing_slice(self):
+        ok, long, low = [[0.5, 0.5]], [[0.5, 0.6]], [[-0.5, 1.5]]
+        with pytest.raises(NotNormalized, match=r"^entries sum to 1\.1, not 1 within 1e-09 \(slice 1\)$"):
+            _simplex(np.array([ok, long, long]), 2)
+        with pytest.raises(NegativeMass, match=r"^negative mass beyond tolerance: min entry -0\.5 \(slice 2\)$"):
+            _simplex(np.array([ok, ok, low]), 2)
+
+    def test_stack_slices_same_bits_as_alone(self):
+        rng = np.random.default_rng(4)
+        stack = rng.dirichlet(np.ones(12), size=50).reshape(50, 4, 3) * (1 + rng.uniform(-5e-10, 5e-10, (50, 1, 1)))
+        stack[::7, 0, 1] += stack[::7, 0, 0]
+        stack[::7, 0, 0] = -1e-12  # clamped, within tol
+        clamped, sums = _simplex(stack, 2)
+        for k, table in enumerate(stack):
+            alone, s = _simplex(table, 2)
+            assert np.array_equal(clamped[k], alone) and sums[k] == s
+            assert np.array_equal(si.validate_joint(table).table, alone / s)
 
 
 class TestJointBasics:

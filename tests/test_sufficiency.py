@@ -86,6 +86,20 @@ class TestEnumerateSufficient:
             for t in si.enumerate_sufficient(j).merges:
                 assert si.check_sufficient(t, j).is_sufficient
 
+    def test_near_tol_rows_merge_only_pairwise(self):
+        # rows r0 + d and r0 - d are each within tol of r0 but 1.8e-9 apart
+        r0, d = np.array([0.5, 0.3, 0.2]), np.array([0.9e-9, -0.9e-9, 0.0])
+        rows = np.array([r0, r0 + d, r0 - d, [0.1, 0.2, 0.7]])
+        j = si.validate_joint(np.array([0.2, 0.3, 0.3, 0.2])[:, None] * rows)
+        merges = si.enumerate_sufficient(j).merges
+        assert sorted(t.mapping for t in merges) == [(0, 0, 1, 2), (0, 1, 2, 3)]
+        for t in merges:
+            assert si.check_sufficient(t, j).is_sufficient
+        for name in ("brier", "zero_one"):
+            l = si.builtin_loss(name, 4)
+            for w in si.audit_dpa(l, j).violations:
+                assert si.verify_witness(l, w)
+
     def test_alphabet_bound(self):
         j = si.Joint(np.full((13, 2), 1.0 / 26))
         with pytest.raises(AlphabetTooLarge):
