@@ -168,8 +168,9 @@ def parse_document(doc: dict) -> ModelFile:
             labels = _ints(_need(doc, "map"), "map")
             try:
                 return ModelFile(kind, Transform(tuple(v - 1 for v in labels)))
-            except ParameterOutOfRange:  # Transform's own check, reported in the file's 1-based labels
-                raise ValidationError(f"labels must be contiguous from 1, got {sorted(set(labels))}", field="map") from None
+            except ParameterOutOfRange as exc:  # Transform's own check, labels reported 1-based as in the file
+                text = f"labels must be contiguous from 1, got {sorted(set(labels))}" if labels else str(exc)
+                raise ValidationError(text, field="map") from None
         if kind == "markov_process":
             nx, ny = _int(_need(doc, "nx"), "nx"), _int(_need(doc, "ny"), "ny")
             initial = _dec_array(_need(doc, "initial"), "initial", 1)

@@ -40,13 +40,15 @@ from .prob import Joint, _simplex, validate_joint
 
 @dataclass(frozen=True)
 class Transform:
-    """A total map from X-symbols onto a contiguous T-alphabet (0-based)."""
+    """A total map from one or more X-symbols onto a contiguous T-alphabet (0-based)."""
 
     mapping: tuple[int, ...]
 
     def __post_init__(self):
         m = tuple(int(v) for v in self.mapping)
         object.__setattr__(self, "mapping", m)
+        if not m:
+            raise ParameterOutOfRange("a transform maps at least one symbol")
         labels = sorted(set(m))
         if labels != list(range(len(labels))):
             raise ParameterOutOfRange(f"labels must be contiguous from 0, got {labels}")

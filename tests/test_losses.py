@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 
 import sideinfo as si
 from sideinfo.errors import NegativeMass, NotNormalized, NotProper, ParameterOutOfRange, UnboundedBelow, UnknownLoss
-from sideinfo.losses import _exact_risks, _expected_scoring_loss, _simplex_project, simplex_grid
+from sideinfo.losses import _exact_risks, _expected_scoring_loss, _grid_blocks, _simplex_project, simplex_grid
 
 LN2 = math.log(2)
 
@@ -16,14 +16,19 @@ LN2 = math.log(2)
 def unflagged_rule(kind: str, n: int) -> si.ScoringRuleLoss:
     """A proper=False rule whose vector_fn takes a forecast or a (K, n) batch.
 
-    `linear` is the improper score -q_x; `brier` and `log` are the Brier and
-    log scores without their proper flag.
+    `linear` is the improper score -q_x and `steep` the same times 50, whose
+    starts all jump to one vertex within a few steps; `kink` is |q_x - 0.3|;
+    `brier` and `log` are the Brier and log scores without their proper flag.
     """
 
     def vector_fn(q):
         q = np.asarray(q, dtype=float)
         if kind == "linear":
             return -q
+        if kind == "steep":
+            return -50.0 * q
+        if kind == "kink":
+            return np.abs(q - 0.3)
         if kind == "log":
             with np.errstate(divide="ignore"):
                 return -np.log(q)
@@ -201,7 +206,10 @@ class TestBayesRisk:
                 corpus += [(kind, p) for kind in kinds]
             # near a face, unflagged log ends starts early through a non-finite gradient
             corpus.append(("log", near_face / near_face.sum()))
-        assert len(corpus) == 34
+            # a kinked rule, inside and on a face; starts that retire at one vertex early
+            corpus += [("kink", rng.dirichlet(np.ones(n))), ("kink", face / face.sum())]
+            corpus += [("steep", rng.dirichlet(np.ones(n))), ("steep", face / face.sum())]
+        assert len(corpus) == 50
         for seed, (kind, p) in enumerate(corpus):
             n = len(p)
             rule = _eval_fn_rule(n) if kind == "eval_fn" else unflagged_rule(kind, n)
@@ -209,6 +217,63 @@ class TestBayesRisk:
             assert r.method == "numeric-search"
             expect = _per_start_numeric_bayes(rule, p, seed % 5)
             assert (r.risk, r.minimizer.probs.tolist(), r.grid_gap) == expect, (kind, p)
+
+    @pytest.mark.parametrize("kind, limit", [("linear", 3000), ("brier", 5000)])
+    def test_numeric_search_work(self, kind, limit, monkeypatch):
+        # rows through vector_fn before the grid check: starts retire at a fixed
+        # point and reuse their gradient after a rejected step (13,849 and
+        # 13,474 rows when starts did neither)
+        rule, rows, grid = unflagged_rule(kind, 3), [0], []
+        blocks = si.losses._grid_blocks
+
+        def counted(q):
+            if not grid:
+                rows[0] += len(q) if np.ndim(q) == 2 else 1
+            return rule.vector_fn(q)
+
+        def grid_started(*args):
+            grid.append(True)
+            yield from blocks(*args)
+
+        monkeypatch.setattr(si.losses, "_grid_blocks", grid_started)
+        r = si.bayes_risk(dataclasses.replace(rule, vector_fn=counted), [0.2, 0.3, 0.5], seed=1)
+        assert grid and r.method == "numeric-search"
+        assert 0 < rows[0] <= limit
+
+    def test_grid_check_scores_in_blocks(self):
+        # n = 4: 1.37M lattice points, never more than one block of them at once
+        rule, sizes = unflagged_rule("linear", 4), []
+
+        def sized(q):
+            sizes.append(len(q) if np.ndim(q) == 2 else 1)
+            return rule.vector_fn(q)
+
+        r = si.bayes_risk(dataclasses.replace(rule, vector_fn=sized), [0.1, 0.2, 0.3, 0.4], seed=3)
+        assert (r.risk, r.minimizer.probs.tolist(), r.grid_gap) == (-0.4, [0.0, 0.0, 0.0, 1.0], 0.0)
+        assert sum(sizes) > len(simplex_grid(4, 200))
+        assert max(sizes) <= 2 * si.losses.GRID_BLOCK
+
+    def test_grid_check_keeps_the_first_least_point_across_blocks(self):
+        # a bonus on the lattice edge (a, 200 - a, 0, 0) / 200, 0 < a < 200, which
+        # the search misses by an ulp; the least value ties at four points in
+        # three blocks, and the lattice's first one must win, as in one argmin
+        def vec(q):
+            q = np.asarray(q, dtype=float)
+            c = q * 200
+            on_lattice = (np.abs(c - np.round(c)) < 1e-9).all(axis=-1)
+            edge = on_lattice & (q[..., 0] > 0) & (q[..., 1] > 0) & (q[..., 2] == 0) & (q[..., 3] == 0)
+            return -q - 0.1 * edge[..., None]
+
+        rule = si.ScoringRuleLoss(eval_fn=lambda x, q: float(vec(q)[x]), n=4, vector_fn=vec)
+        p = np.array([0.4995, 0.4995, 0.001, 0.0])
+        grid = simplex_grid(4, 200)
+        vals = _expected_scoring_loss(rule, p, grid)
+        ties = np.flatnonzero(vals == vals.min())
+        block_ends = np.cumsum([len(b) for b in _grid_blocks(4, 200)])
+        assert len(set(np.searchsorted(block_ends, ties, side="right").tolist())) == 3
+        r = si.bayes_risk(rule, p)
+        assert r.grid_gap > 0
+        assert r.minimizer.probs.tolist() == grid[ties[0]].tolist()
 
     def test_nan_grid_points_never_count(self):
         # linear score plus 0 * sum(log q): NaN on every grid point with a zero coordinate
@@ -505,6 +570,47 @@ def test_simplex_grid_matches_stars_and_bars(n, steps):
     grid = simplex_grid(n, steps)
     assert grid.dtype == np.float64
     assert np.array_equal(grid, _stars_and_bars(n, steps))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("steps, rows", [(1, 1), (2, 1), (7, 1), (7, 5), (40, 100), (200, 1 << 15)])
+def test_grid_blocks_concatenate_to_the_grid(n, steps, rows, monkeypatch):
+    if n == 5 and steps == 200:
+        steps = 60  # the n = 5 lattice at 200 steps has 70M points
+    monkeypatch.setattr(si.losses, "GRID_BLOCK", rows)
+    blocks = list(_grid_blocks(n, steps))
+    grid = simplex_grid(n, steps)
+    assert np.concatenate(blocks).shape == grid.shape
+    assert np.concatenate(blocks).tobytes() == grid.tobytes()
+    if n > 1:  # each block holds whole leading coordinates
+        heads = [set(b[:, 0].tolist()) for b in blocks]
+        assert all(a.isdisjoint(b) for a, b in itertools.combinations(heads, 2))
+
+
+def _project_along_axis(v):
+    """`_simplex_project` with its threshold read by `take_along_axis`: the reference for direct indexing."""
+    n = v.shape[-1]
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = (np.cumsum(u, axis=-1) - 1.0) / np.arange(1, n + 1)
+    k = n - 1 - np.argmax((u > css)[..., ::-1], axis=-1)
+    return np.maximum(v - np.take_along_axis(css, k[..., None], axis=-1), 0.0)
+
+
+def test_simplex_project_matches_take_along_axis():
+    rng = np.random.default_rng(31)
+    for n in range(1, 7):
+        batch = np.vstack([
+            rng.normal(size=(40, n)),
+            rng.normal(size=(10, n)) * 1e3,
+            rng.integers(-2, 3, size=(20, n)) / 2.0,  # ties
+            rng.dirichlet(np.ones(n), size=10),  # already on the simplex
+            simplex_grid(n, 4),
+            np.eye(n),
+        ])
+        for row in batch:
+            assert _simplex_project(row).tobytes() == _project_along_axis(row).tobytes()
+        assert _simplex_project(batch).tobytes() == _project_along_axis(batch).tobytes()
+        assert _simplex_project(batch[:0]).shape == (0, n)
 
 
 def test_simplex_grid_counts():

@@ -115,6 +115,16 @@ class TestParse:
             parse_document({"kind": "transform", "map": labels})
         assert str(exc.value) == f"labels must be contiguous from 1, got {sorted(set(labels))} (field: map)"
 
+    def test_empty_transform_map_rejected(self, tmp_path, capsys):
+        doc = {"kind": "transform", "map": []}
+        with pytest.raises(ValidationError) as exc:
+            parse_document(doc)
+        assert str(exc.value) == "a transform maps at least one symbol (field: map)"
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert cli_dispatch(["mi", "--joint", str(path)]) == 65
+        assert capsys.readouterr().err.endswith("(field: map)\n")
+
     @pytest.mark.parametrize(
         "doc, text",
         [

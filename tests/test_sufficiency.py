@@ -134,6 +134,11 @@ class TestPushForward:
         with pytest.raises(ParameterOutOfRange):
             si.check_sufficient(t, witness_joint)
 
+    def test_empty_map_rejected(self):
+        # once accepted, after which image_size raised a bare ValueError
+        with pytest.raises(ParameterOutOfRange, match="at least one symbol"):
+            si.Transform(())
+
     def test_mi_preserved_under_sufficient_merge(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
