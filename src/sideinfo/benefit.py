@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterOutOfRange, UnboundedBelow
-from .losses import LossSpec, _exact_risks, _masked_risk, _tier, bayes_risk, v_envelope
+from .losses import LossSpec, _masked_risk, _solve, v_envelope
 from .prob import (
     ConvexOracle,
     Dist,
@@ -49,32 +49,14 @@ class BenefitReport:
     decomposition_residual: float
 
 
-def _solve_rows(l: LossSpec, rows: np.ndarray, seed: int):
-    """Bayes risk of each row of an (R, n) batch, and a function from row index to minimizer.
-
-    Exact tiers solve the batch at once.  A numeric-tier rule solves one row
-    at a time through `bayes_risk`, with the same seed; a row whose search
-    finds no finite value gets risk inf, so the caller decides when to raise.
-    """
-    if _tier(l, rows.shape[1]) != "numeric-search":
-        risks, act = _exact_risks(l, rows)
-        return risks, (lambda i: Dist(rows[i])) if act is None else (lambda i: int(act[i]))
-    solved = []
-    for row in rows:
-        try:
-            solved.append(bayes_risk(l, row, seed=seed))
-        except UnboundedBelow:
-            solved.append(None)
-    return np.array([np.inf if r is None else r.risk for r in solved]), lambda i: solved[i].minimizer
-
-
 def _c_stack(l: LossSpec, tables: np.ndarray, seed: int = 0):
-    """C for each joint of a (K, a, b) stack, as (c, rows, risks, minimizer, y, P_Y(y)).
+    """C for each joint of a (K, a, b) stack, as (c, rows, risks, minimizers, y, P_Y(y)).
 
     `rows` holds P_X of every joint, then P_{X|Y=y} for every (k, y) with
-    P_Y(y) > 0 in (k, y) order, and nothing else; `risks` and `minimizer`
-    are theirs (`_solve_rows`), and `y`, `P_Y(y)` label the conditionals.  C is R(P_X), then c -= P_Y(y) R(P_{X|Y=y})
-    for y in order.  A non-finite risk leaves C non-finite (see `_finite`).
+    P_Y(y) > 0 in (k, y) order, and nothing else; `risks` and `minimizers`
+    are theirs, solved as one stack (`losses._solve`), and `y`, `P_Y(y)`
+    label the conditionals.  C is R(P_X), then c -= P_Y(y) R(P_{X|Y=y}) for
+    y in order.  A non-finite risk leaves C non-finite (see `_finite`).
     """
     if tables.ndim != 3:
         raise ValueError("C needs 2-axis joints; use conditional_benefit for a W axis")
@@ -84,14 +66,14 @@ def _c_stack(l: LossSpec, tables: np.ndarray, seed: int = 0):
     kk, yy = np.nonzero(py > 0.0)
     w = py[kk, yy]
     rows = np.concatenate([tables.sum(axis=2), tables[kk, :, yy] / w[:, None]])
-    risks, minimizer = _solve_rows(l, rows, seed)
+    _, risks, minimizers, _ = _solve(l, rows, seed)
     given_y = np.zeros((k, b))  # a zero-mass y keeps weight 0 and risk 0, so c -= 0 leaves c as it is
     given_y[kk, yy] = risks[k:]
     c = risks[:k].copy()
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, still non-finite
         for y in range(b):
             c -= py[:, y] * given_y[:, y]
-    return c, rows, risks, minimizer, yy, w
+    return c, rows, risks, minimizers, yy, w
 
 
 def _finite(c: np.ndarray) -> np.ndarray:
@@ -105,7 +87,7 @@ def _vertex_risks(l: LossSpec, seed: int) -> np.ndarray:
     """R(delta_i) for each outcome i; G(P) = -R(P) + sum_i R(delta_i) p_i."""
     if l.n is None:
         raise ParameterOutOfRange("loss has no declared alphabet size; pass n= to savage_from_G")
-    return _finite(_solve_rows(l, np.eye(l.n), seed)[0])
+    return _finite(_solve(l, np.eye(l.n), seed)[1])
 
 
 def benefit(l: LossSpec, j: Joint, seed: int = 0, scale: float = 1.0) -> BenefitReport:
@@ -117,7 +99,7 @@ def benefit(l: LossSpec, j: Joint, seed: int = 0, scale: float = 1.0) -> Benefit
     callers who want another unit, and is never baked into the arithmetic.
     """
     a = _vertex_risks(l, seed)
-    c, rows, risks, minimizer, ys, ws = _c_stack(l, j.table[None], seed)
+    c, rows, risks, minimizers, ys, ws = _c_stack(l, j.table[None], seed)
     c = float(_finite(c)[0])
     lin = _masked_risk(rows, a, np.isinf(a))  # sum_i R(delta_i) q_i for every solved row
     with_side = mixed_g = 0.0
@@ -129,7 +111,7 @@ def benefit(l: LossSpec, j: Joint, seed: int = 0, scale: float = 1.0) -> Benefit
         c_value=scale * c,
         risk_no_side=scale * float(risks[0]),
         risk_with_side=scale * with_side,
-        per_y_minimizers={int(y): minimizer(i) for i, y in enumerate(ys, start=1)},
+        per_y_minimizers={int(y): Dist(m) if m.ndim else int(m) for y, m in zip(ys, minimizers[1:])},
         decomposition_residual=abs(scale) * abs(c - via_gap),
     )
 

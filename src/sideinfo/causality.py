@@ -367,9 +367,10 @@ def di_rate(
     grows a horizon at a time.  Returns the latest increment once
     consecutive increments agree within tol; if the horizon cap is reached,
     or the next horizon's forward arrays would exceed state_limit, the
-    latest increment is returned with converged=False.  last_gap is the last
-    measured distance between consecutive increments, inf when fewer than
-    two were measured.
+    latest increment is returned with converged=False; if not even the
+    horizon-2 arrays fit, no increment is measured and HorizonTooLarge is
+    raised.  last_gap is the last measured distance between consecutive
+    increments, inf when only one was measured.
     """
     step = _flow_step(m, direction)
     if max_n < 2:
@@ -385,6 +386,8 @@ def di_rate(
             if gap <= tol:
                 return DiRateResult(rate=inc, converged=True, horizon=n, last_gap=gap)
         rate, horizon = inc, n
+    if horizon == 1:  # the horizon-2 arrays exceed state_limit, so this raises HorizonTooLarge
+        _prefix_entropies(m, 2, state_limit)
     return DiRateResult(rate=rate, converged=False, horizon=horizon, last_gap=gap)
 
 

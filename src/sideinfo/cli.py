@@ -292,7 +292,7 @@ def _cmd_scoring_rule(args) -> tuple[dict, int]:
         g = oracles[key]()
     else:
         raise modelio.ValidationError(f"unknown convex function {args.g!r}", field="g")
-    value = losses.savage_from_G(g, n=q.shape[0]).eval(args.x - 1, q)
+    value = losses.savage_from_G(g, n=q.shape[0]).eval_fn(args.x - 1, q)
     return _report(args, {"value": value}, ("g", "g_file", "x", "q"), ("g_file",))
 
 

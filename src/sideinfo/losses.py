@@ -1,6 +1,6 @@
 """Loss functions, Bayes-risk minimization, and proper scoring rules.
 
-Three loss shapes are supported:
+Two loss shapes are supported:
 
 * ActionMatrixLoss: a finite reconstruction alphabet, given as an n x k
   matrix of (possibly +inf) per-action losses.  Bayes risk is an exact
@@ -8,18 +8,20 @@ Three loss shapes are supported:
 * ScoringRuleLoss: simplex-valued actions, ell(x, Q).  Rules flagged
   `proper` are minimized by reporting Q = P, so their Bayes risk is an
   exact evaluation; unflagged rules fall back to a seeded numeric search
-  over the simplex (approximate, with a reported optimality gap).
-* SavageRuleLoss: a proper rule built from a convex oracle G via
-  supporting hyperplanes; its negative Bayes envelope is G itself.
+  over the simplex (approximate, with a reported optimality gap).  The
+  Savage rules of `savage_from_G` are proper rules of this shape.
+
+Every Bayes risk is solved by `_solve`, over an (R, n) stack in the loss's
+tier; `bayes_risk` is its R = 1 case and the C kernel in `benefit` its caller.
 
 Simplex-action rules share one batched contract: `loss_vector` maps a
 forecast (n,) or a batch (K, n) to the same shape, row k holding ell(x, Q_k)
 for every x.  The numeric search and the propriety audit evaluate their
 forecasts as batches through it; the search's multi-start gradient descent
-runs its 16 starts in lockstep, one finite-difference batch and one step
-batch per iteration, each start following the path it would take alone.
-A start retires at a fixed point (an accepted step that leaves its bits
-unchanged would repeat until the iteration cap) and reuses its gradient
+runs the 16 starts of every row of a stack in lockstep, one finite-difference
+batch and one step batch per iteration, each start on the path it takes
+alone.  A start retires at a fixed point (an accepted step that leaves its
+bits unchanged would repeat until the iteration cap) and reuses its gradient
 after a rejected step (its q, and so its finite differences, are unchanged).
 
 Every expected loss, in both exact tiers and in the numeric search's
@@ -91,10 +93,11 @@ class ScoringRuleLoss:
     row k depending on forecast k alone.  A batch returned in another shape,
     or whose first row is off by more than 1e-12 from that forecast alone,
     raises ParameterOutOfRange.  Without it, `eval_fn` runs per outcome and row.
+    An `n` of None takes any alphabet size.
     """
 
     eval_fn: Callable[[int, np.ndarray], float]
-    n: int
+    n: Optional[int]
     proper: bool = False
     name: Optional[str] = None
     vector_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -118,28 +121,7 @@ class ScoringRuleLoss:
         return out
 
 
-@dataclass(frozen=True)
-class SavageRuleLoss:
-    """Proper scoring rule built from a convex oracle via savage_from_G."""
-
-    g: ConvexOracle
-    n: Optional[int] = None
-
-    def loss_vector(self, q: np.ndarray) -> np.ndarray:
-        """ell(x, q) for every outcome x; a (K, n) batch gives one row per forecast."""
-        q = np.asarray(q, dtype=float)
-        if q.ndim == 2:  # the oracle takes one forecast at a time
-            return np.array([self.loss_vector(r) for r in q], dtype=float).reshape(q.shape)
-        sub = np.asarray(self.g.subgradient(q), dtype=float)
-        mask = q != 0.0
-        pairing = float((sub[mask] * q[mask]).sum())  # 0 * LOG_ZERO = 0
-        return pairing - self.g.value(q) - sub
-
-    def eval(self, x: int, q: np.ndarray) -> float:
-        return float(self.loss_vector(q)[x])
-
-
-LossSpec = Union[ActionMatrixLoss, ScoringRuleLoss, SavageRuleLoss]
+LossSpec = Union[ActionMatrixLoss, ScoringRuleLoss]
 
 
 @dataclass(frozen=True)
@@ -213,41 +195,29 @@ def _masked_risk(p: np.ndarray, ell: np.ndarray, bad: np.ndarray):
     return np.where(hit.any(axis=-1), np.inf, sum(terms.T, 0.0).T)
 
 
+def _scored(l, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`loss_vector` of a forecast or a batch, and where it counts as infinite (inf or >= HUGE)."""
+    vec = l.loss_vector(np.ascontiguousarray(q))  # a row scores as it would alone
+    return vec, np.isinf(vec) | (vec >= HUGE)
+
+
 def _expected_scoring_loss(l, p: np.ndarray, q: np.ndarray):
     """E_P[ell(X, q)], a float for one forecast and an array for a (K, n) batch.
 
     `p` is one distribution (n,) or one per forecast (K, n).  0 * inf = 0; a
     loss that is inf or >= HUGE where p > 0 makes the row inf.
     """
-    vec = l.loss_vector(np.ascontiguousarray(q))  # a row scores as it would alone
-    risk = _masked_risk(p, vec, np.isinf(vec) | (vec >= HUGE))
+    risk = _masked_risk(p, *_scored(l, q))
     return float(risk) if risk.ndim == 0 else risk
 
 
 def _tier(l: LossSpec, n: int) -> str:
-    """The method `bayes_risk` takes for l on n symbols; an n other than l's raises ParameterOutOfRange."""
+    """The method `_solve` takes for l on n symbols; an n other than l's raises ParameterOutOfRange."""
     if l.n is not None and n != l.n:
         raise ParameterOutOfRange(f"distribution has {n} symbols but loss expects {l.n}")
     if isinstance(l, ActionMatrixLoss):
         return "column-min"
-    if isinstance(l, SavageRuleLoss) or l.proper:
-        return "proper-fixed-point"
-    return "numeric-search"
-
-
-def _exact_risks(l: LossSpec, rows: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Exact-tier Bayes risk of each row of an (R, n) batch, and each row's minimizing action.
-
-    An action matrix scores every action by `_masked_risk` over an (R, k, n)
-    product and takes the first index of the least; a proper rule scores each
-    row at itself, and its action array is None (the minimizer is the row).
-    Non-finite risks are returned, not raised.
-    """
-    if isinstance(l, ActionMatrixLoss):
-        m = l.matrix.T
-        vals = _masked_risk(rows[:, None, :], m, np.isinf(m))
-        return vals.min(axis=1), vals.argmin(axis=1)  # argmin takes the lowest index on ties
-    return _expected_scoring_loss(l, rows, rows), None
+    return "proper-fixed-point" if l.proper else "numeric-search"
 
 
 def _simplex_project(v: np.ndarray) -> np.ndarray:
@@ -291,24 +261,31 @@ def _grid_blocks(n: int, steps: int):
         yield _lattice(part[:, None], steps - part, n) / steps
 
 
-def _numeric_bayes(l: ScoringRuleLoss, p: np.ndarray, seed: int) -> BayesResult:
+def _numeric_bayes(l: ScoringRuleLoss, rows: np.ndarray, seed: int):
+    """The numeric tier over an (R, n) stack: (risks, minimizers, grid gaps or None above n = 4).
+
+    A row with no finite start gets risk inf and skips the refinement and the
+    grid check; its minimizer and gap are never read.
+    """
     from scipy.optimize import minimize  # loaded on first use
 
-    n = p.shape[0]
-    rng = np.random.default_rng(seed)
+    r, n = rows.shape
+    # multi-start projected (numeric) gradient descent, every start of every row
+    # in lockstep: per iteration, one batch of central differences along +-h e_i
+    # (2n projected points per start whose q moved) and one batch of steps.  Row
+    # i owns starts 16i .. 16i + 15: itself, the uniform point and the same 14
+    # draws of default_rng(seed).  Every operation is row-wise, so each start
+    # follows its lone path bit for bit.  A rejected step leaves q as it was, so
+    # its gradient is reused; an accepted step that leaves q's bits as they were
+    # would repeat itself until the cap, so that start retires there.
+    draws = np.random.default_rng(seed).dirichlet(np.ones(n), size=14)
+    qs = np.hstack([rows, np.full((r, n), 1.0 / n), np.tile(draws.ravel(), (r, 1))]).reshape(-1, n)
+    ps = np.repeat(rows, 16, axis=0)  # the distribution each start is scored against
 
-    def f(q):
-        return _expected_scoring_loss(l, p, q)
+    def f(starts, q):
+        return _expected_scoring_loss(l, ps[starts], q)
 
-    # multi-start projected (numeric) gradient descent, all starts in
-    # lockstep: per iteration, one batch of central differences along +-h e_i
-    # (2n projected points per start whose q moved) and one batch of steps.
-    # Every operation is row-wise, so each start follows its lone path bit
-    # for bit.  A rejected step leaves q as it was, so its gradient is reused;
-    # an accepted step that leaves q's bits as they were would repeat itself
-    # until the cap, so that start retires there.
-    qs = np.vstack([p, np.full(n, 1.0 / n), rng.dirichlet(np.ones(n), size=14)])
-    vals = f(qs)
+    vals = f(slice(None), qs)
     lr = np.full(len(qs), 0.25)
     grad = np.empty_like(qs)
     stale = np.ones(len(qs), dtype=bool)  # q moved since grad was taken
@@ -318,7 +295,7 @@ def _numeric_bayes(l: ScoringRuleLoss, p: np.ndarray, seed: int) -> BayesResult:
     for _ in range(120):
         moved = active[stale[active]]
         if moved.size:
-            fd = f(_simplex_project((qs[moved, None, :] + steps).reshape(-1, n))).reshape(-1, 2 * n)
+            fd = f(np.repeat(moved, 2 * n), _simplex_project((qs[moved, None] + steps).reshape(-1, n))).reshape(-1, 2 * n)
             with np.errstate(invalid="ignore", over="ignore"):  # inf - inf ends that start below
                 grad[moved] = (fd[:, :n] - fd[:, n:]) / (2 * h)
             stale[moved] = False
@@ -327,7 +304,7 @@ def _numeric_bayes(l: ScoringRuleLoss, p: np.ndarray, seed: int) -> BayesResult:
                 break
         q_old = qs[active]
         q_new = _simplex_project(q_old - lr[active, None] * grad[active])
-        v_new = f(q_new)
+        v_new = f(active, q_new)
         better = v_new <= vals[active]
         qs[active[better]], vals[active[better]] = q_new[better], v_new[better]
         lr[active[~better]] *= 0.5
@@ -336,51 +313,75 @@ def _numeric_bayes(l: ScoringRuleLoss, p: np.ndarray, seed: int) -> BayesResult:
         active = active[(lr[active] >= 1e-8) & ~fixed]
         if not active.size:
             break
-    # the first start with the lowest value; NaN never counts
-    i = int(np.argmin(np.where(np.isnan(vals), np.inf, vals)))
-    if not vals[i] < np.inf:
-        raise UnboundedBelow("numeric search found no finite expected loss")
-    best_q, best_v = qs[i], float(vals[i])
-
-    # Nelder-Mead refinement through the projection
-    res = minimize(
-        lambda z: f(_simplex_project(z)),
-        best_q,
-        method="Nelder-Mead",
-        options={"maxiter": 400 * n, "xatol": 1e-10, "fatol": 1e-12},
-    )
-    if np.isfinite(res.fun) and res.fun < best_v:
-        best_q, best_v = _simplex_project(res.x), float(res.fun)
-
-    gap = None
-    if n <= 4:
-        # the grid's first point of least value, block by block; NaN never counts, as in start selection
-        grid_v = math.inf
-        for grid in _grid_blocks(n, 200):
-            gvals = f(grid)
+    # each row's first start with the lowest value; NaN never counts
+    vals = np.where(np.isnan(vals), np.inf, vals).reshape(r, 16)
+    first = vals.argmin(axis=1)
+    risks, best = vals[np.arange(r), first], qs[np.arange(r) * 16 + first]
+    live = np.flatnonzero(risks < np.inf)
+    for i in live:  # Nelder-Mead refinement through the projection
+        res = minimize(lambda z, p=rows[i]: _expected_scoring_loss(l, p, _simplex_project(z)), best[i],
+                       method="Nelder-Mead", options={"maxiter": 400 * n, "xatol": 1e-10, "fatol": 1e-12})
+        if np.isfinite(res.fun) and res.fun < risks[i]:
+            best[i], risks[i] = _simplex_project(res.x), res.fun
+    if n > 4:
+        return risks, best, None
+    # each row's first grid point of least value, block by block; NaN never counts, as in start
+    # selection.  Each block's loss vectors are taken once, then scored against each row in turn.
+    grid_q, grid_v, gaps = np.zeros((r, n)), np.full(r, np.inf), np.full(r, np.nan)
+    for grid in _grid_blocks(n, 200) if live.size else ():
+        vec, bad = _scored(l, grid)
+        for i in live:
+            gvals = _masked_risk(rows[i], vec, bad)
             gvals = np.where(np.isnan(gvals), np.inf, gvals)
             gi = int(np.argmin(gvals))
-            if gvals[gi] < grid_v:
-                grid_q, grid_v = grid[gi], float(gvals[gi])
-        gap = best_v - grid_v
-        if grid_v < best_v:
-            best_q, best_v = grid_q, grid_v
-    if not np.isfinite(best_v):
-        raise UnboundedBelow("numeric search found no finite expected loss")
-    return BayesResult(risk=best_v, minimizer=Dist(best_q), method="numeric-search", grid_gap=gap)
+            if gvals[gi] < grid_v[i]:
+                grid_q[i], grid_v[i] = grid[gi], gvals[gi]
+    gaps[live] = risks[live] - grid_v[live]
+    take = grid_v < risks
+    best[take], risks[take] = grid_q[take], grid_v[take]
+    return risks, best, gaps
+
+
+# What `bayes_risk` raises, per tier, when p has no finite Bayes risk.
+_UNBOUNDED = {
+    "column-min": "no action has finite expected loss under p",
+    "proper-fixed-point": "expected loss at the honest report is not finite",
+    "numeric-search": "numeric search found no finite expected loss",
+}
+
+
+def _solve(l: LossSpec, rows: np.ndarray, seed: int = 0):
+    """Bayes risk of each row of an (R, n) stack: (method, risks, minimizers, grid gaps or None).
+
+    Column-min scores every action of every row as one (R, k, n) product and
+    takes the first index of the least; a proper rule scores each row at
+    itself, its own minimizer; the numeric tier checks its rows once
+    (NegativeMass or NotNormalized, naming the row as a slice) and searches.
+    A risk with no finite value is returned, not raised.  Each row gets the
+    same bits as alone.
+    """
+    method = _tier(l, rows.shape[1])
+    if method == "column-min":
+        m = l.matrix.T
+        vals = _masked_risk(rows[:, None, :], m, np.isinf(m))
+        return method, vals.min(axis=1), vals.argmin(axis=1), None  # argmin takes the lowest index on ties
+    if method == "proper-fixed-point":
+        return method, _expected_scoring_loss(l, rows, rows), rows, None
+    _simplex(rows, 1)
+    return (method, *_numeric_bayes(l, rows, seed))
 
 
 def bayes_risk(l: LossSpec, p, seed: int = 0) -> BayesResult:
-    """Minimal expected loss against distribution p, with its minimizer.
+    """Minimal expected loss against distribution p, with its minimizer: `_solve` of one row.
 
     Exact for action matrices (column minimum, ties to the lowest index) and
-    for proper rules (evaluate at Q = P), both as one row of `_exact_risks`;
-    approximate multi-start search for arbitrary scoring rules.  A p whose
-    length differs from the loss's declared alphabet size raises
-    ParameterOutOfRange, and one that is not a distribution within
-    SIMPLEX_TOL raises NegativeMass or NotNormalized (p is checked, never
-    renormalized).  A risk with no finite value (for the numeric search, no
-    start with a finite expected loss) raises UnboundedBelow.
+    for proper rules (evaluate at Q = P); approximate multi-start search for
+    arbitrary scoring rules.  A p whose length differs from the loss's
+    declared alphabet size raises ParameterOutOfRange, and one that is not a
+    distribution within SIMPLEX_TOL raises NegativeMass or NotNormalized (p
+    is checked, never renormalized).  A risk with no finite value (for the
+    numeric search, no start with a finite expected loss) raises
+    UnboundedBelow.
 
     Known cost: the numeric search checks itself against every point of
     `simplex_grid(n, 200)` for n <= 4, scored in blocks of whole leading
@@ -388,21 +389,16 @@ def bayes_risk(l: LossSpec, p, seed: int = 0) -> BayesResult:
     one call with a `vector_fn` peaks at 86 MB RSS with numpy and scipy
     loaded (77 MB before the call).  A rule given only an `eval_fn` scores
     those points by one Python call per outcome, so at n = 4 one call takes
-    18-24 s on a 2-core Xeon VM.
+    18-24 s on a 2-core Xeon VM.  A stack (`_solve`) pays for them once.
     """
     pv = _as_probs(p)
-    method = _tier(l, pv.shape[0])
+    _tier(l, pv.shape[0])  # the length is checked before the mass
     _simplex(pv, 1)
-    if method == "numeric-search":
-        return _numeric_bayes(l, pv, seed=seed)
-    risks, act = _exact_risks(l, pv[None])
+    method, risks, minimizers, gaps = _solve(l, pv[None], seed)
     if not np.isfinite(risks[0]):
-        raise UnboundedBelow(
-            "expected loss at the honest report is not finite"
-            if act is None
-            else "no action has finite expected loss under p"
-        )
-    return BayesResult(risk=float(risks[0]), minimizer=Dist(pv) if act is None else int(act[0]), method=method)
+        raise UnboundedBelow(_UNBOUNDED[method])
+    m, gap = minimizers[0], None if gaps is None else float(gaps[0])
+    return BayesResult(float(risks[0]), Dist(m) if m.ndim else int(m), method, gap)
 
 
 def v_envelope(l: LossSpec, p, seed: int = 0) -> float:
@@ -413,13 +409,24 @@ def v_envelope(l: LossSpec, p, seed: int = 0) -> float:
     return -bayes_risk(l, p, seed=seed).risk
 
 
-def savage_from_G(g: ConvexOracle, n: Optional[int] = None) -> SavageRuleLoss:
+def savage_from_G(g: ConvexOracle, n: Optional[int] = None) -> ScoringRuleLoss:
     """Proper scoring rule ell(x, Q) = <G'(Q), Q> - G(Q) - G'_x(Q).
 
     For any P the expected loss is minimized at Q = P with value -G(P), so
-    the negative Bayes envelope of the returned rule is G itself.
+    the negative Bayes envelope of the returned rule is G itself.  Its
+    `vector_fn` scores a batch one forecast at a time, as the oracle takes them.
     """
-    return SavageRuleLoss(g=g, n=n)
+
+    def vec(q):
+        q = np.asarray(q, dtype=float)
+        if q.ndim == 2:
+            return np.array([vec(r) for r in q], dtype=float).reshape(q.shape)
+        sub = np.asarray(g.subgradient(q), dtype=float)
+        mask = q != 0.0
+        pairing = float((sub[mask] * q[mask]).sum())  # 0 * LOG_ZERO = 0
+        return pairing - g.value(q) - sub
+
+    return ScoringRuleLoss(eval_fn=lambda x, q: float(vec(q)[x]), n=n, proper=True, vector_fn=vec)
 
 
 @dataclass(frozen=True)
@@ -442,10 +449,12 @@ def audit_propriety(
     Returns the worst (most negative) margin seen; raises NotProper with the
     offending (P, Q) witness if any dishonest report strictly wins.  An `n`
     that differs from the rule's declared alphabet size raises
-    ParameterOutOfRange, as in `bayes_risk`.
+    ParameterOutOfRange, as in `bayes_risk`, and so do trials < 1.
     """
     if isinstance(l, ActionMatrixLoss):
         raise ParameterOutOfRange("propriety is defined for simplex-action rules")
+    if trials < 1:
+        raise ParameterOutOfRange(f"trials must be >= 1, got {trials}")
     if n is not None and l.n is not None and n != l.n:
         raise ParameterOutOfRange(f"audit asked for {n} symbols but loss expects {l.n}")
     size = n or l.n

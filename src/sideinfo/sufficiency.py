@@ -67,13 +67,13 @@ class Transform:
 
     @staticmethod
     def from_blocks(blocks: Sequence[Sequence[int]], n: int) -> "Transform":
-        """Merge transform from a partition; blocks labeled by their smallest member."""
-        mapping = [-1] * n
+        """Merge transform from a partition of 0..n-1 (else ParameterOutOfRange); blocks labeled by their smallest member."""
+        if any(len(b) == 0 for b in blocks) or sorted(x for b in blocks for x in b) != list(range(n)):
+            raise ParameterOutOfRange(f"blocks must partition 0..{n - 1}")
+        mapping = [0] * n
         for label, block in enumerate(sorted(blocks, key=min)):
             for x in block:
                 mapping[x] = label
-        if any(v < 0 for v in mapping):
-            raise ParameterOutOfRange("blocks do not cover the alphabet")
         return Transform(tuple(mapping))
 
 
@@ -574,8 +574,8 @@ def find_violation(
     order from a non-finite mask and the witness rule (`_witness_kinds`): a
     non-finite C first raises UnboundedBelow, as `c_value` would; a witness
     first becomes a `ViolationWitness`, is re-verified with
-    `verify_witness` and returned.  Numeric-tier rules solve their rows one
-    at a time inside the kernel, with the same seed.
+    `verify_witness` and returned.  Numeric-tier rules solve each stack's
+    rows in one lockstep search (`losses._solve`), with the same seed.
 
     Raises ParameterOutOfRange for n < 2, a negative budget, a tol that is
     negative or not finite, and a loss declared for another alphabet size.

@@ -1,4 +1,3 @@
-import importlib
 import math
 
 import numpy as np
@@ -84,18 +83,18 @@ class TestBenefit:
             eval_fn=proper.eval_fn, n=3, proper=False, vector_fn=proper.vector_fn
         )
         j = si.validate_joint([[0.2, 0.1, 0.0], [0.1, 0.2, 0.0], [0.1, 0.3, 0.0]])
-        module = importlib.import_module("sideinfo.benefit")  # the package exports the function
-        real = module.bayes_risk
-        methods = []
+        real, solved = si.losses._numeric_bayes, []
 
-        def counted(l, p, seed=0):
-            r = real(l, p, seed=seed)
-            methods.append(r.method)
-            return r
+        def counted(l, rows, seed):
+            solved.extend(map(tuple, rows.tolist()))
+            return real(l, rows, seed)
 
-        monkeypatch.setattr(module, "bayes_risk", counted)
+        monkeypatch.setattr(si.losses, "_numeric_bayes", counted)
         si.benefit(blind, j)
-        assert methods == ["numeric-search"] * (1 + 2 + 3)
+        # 3 vertices, P_X and the 2 conditionals of positive mass, each once
+        given_y = j.table[:, :2] / j.table[:, :2].sum(axis=0)
+        points = sorted(map(tuple, np.vstack([np.eye(3), j.table.sum(axis=1), given_y.T]).tolist()))
+        assert len(solved) == 6 and np.allclose(sorted(solved), points, rtol=0, atol=1e-15)
 
     def test_scale_is_report_level_only(self):
         j = si.validate_joint([[0.5, 0.0], [0.0, 0.5]])

@@ -255,6 +255,12 @@ class TestDiRate:
         # one measured increment leaves nothing to compare
         assert si.di_rate(m, "y->x", max_n=12, state_limit=2**2 * 4).last_gap == math.inf
 
+    def test_no_increment_under_the_bound_raises(self):
+        # once rate=0.0 at horizon 1, a rate measured from nothing
+        m = random_stationary_markov(0)
+        with pytest.raises(HorizonTooLarge, match=r"max\(2, 2\)\*\*2 \* 4 entries exceed the enumeration bound 5"):
+            si.di_rate(m, "y->x", max_n=12, state_limit=5)
+
 
 def _axes_entropy(table: np.ndarray, axes: frozenset) -> float:
     """Entropy of the marginal on `axes`, by one direct sum over every other axis."""

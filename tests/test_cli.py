@@ -152,7 +152,7 @@ class TestScoringRuleCommand:
         )
         assert code == 0
         # normalized Brier envelope reproduces Brier itself up to its vertex values
-        expected = si.savage_from_G(si.g_normalized(si.builtin_loss("brier", 2)), n=2).eval(
+        expected = si.savage_from_G(si.g_normalized(si.builtin_loss("brier", 2)), n=2).eval_fn(
             0, np.array([0.25, 0.75])
         )
         assert rep["results"]["value"] == pytest.approx(expected, abs=1e-12)

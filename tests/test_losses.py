@@ -7,8 +7,9 @@ import pytest
 from scipy.optimize import minimize
 
 import sideinfo as si
+from sideinfo.benefit import c_value
 from sideinfo.errors import NegativeMass, NotNormalized, NotProper, ParameterOutOfRange, UnboundedBelow, UnknownLoss
-from sideinfo.losses import _exact_risks, _expected_scoring_loss, _grid_blocks, _simplex_project, simplex_grid
+from sideinfo.losses import _expected_scoring_loss, _grid_blocks, _simplex_project, simplex_grid
 
 LN2 = math.log(2)
 
@@ -167,6 +168,12 @@ class TestBayesRisk:
         rule = si.ScoringRuleLoss(eval_fn=lambda x, q: -float(q[x]), n=2, proper=False)
         r = si.bayes_risk(rule, [0.6, 0.4])
         assert r.risk == pytest.approx(-0.6, abs=1e-9)
+
+    def test_callers_array_stays_writable(self):
+        # the proper tier's minimizer once froze the caller's own array
+        p = np.array([0.2, 0.3, 0.5])
+        r = si.bayes_risk(si.builtin_loss("brier", 3), p)
+        assert p.flags.writeable and r.minimizer.probs.tolist() == p.tolist()
 
     def test_length_must_match_declared_n(self):
         rule = si.ScoringRuleLoss(eval_fn=lambda x, q: -float(q[x]), n=2, proper=True)
@@ -355,6 +362,95 @@ def _per_start_numeric_bayes(l, p, seed):
     return best_v, np.asarray(best_q, dtype=float).tolist(), gap
 
 
+def _inf_at_zero_rule(n: int) -> si.ScoringRuleLoss:
+    """The improper score -q_x, but inf at outcome 0: a row with p_0 > 0 has no finite risk."""
+
+    def vector_fn(q):
+        out = -np.asarray(q, dtype=float)
+        out[..., 0] = np.inf
+        return out
+
+    return si.ScoringRuleLoss(eval_fn=lambda x, q: float(vector_fn(q)[x]), n=n, vector_fn=vector_fn)
+
+
+def _stack_corpus():
+    """204 numeric-tier stacks of 1-3 rows: n = 2-5, rows on faces, eval_fn-only rules, unbounded rows."""
+    rng = np.random.default_rng(1616)
+    kinds = ("linear", "brier", "kink", "log", "steep", "inf0")
+    corpus = []
+    for k in range(204):
+        n = 4 if k % 60 == 7 else (2, 3, 2, 3, 5)[k % 5]  # n = 4 pays for the 1.37M-point grid: four stacks
+        kind = "eval_fn" if k % 50 == 10 or k % 100 == 11 else kinds[k % 6]  # n = 2 and 3: a cheap grid
+        rows = rng.dirichlet(np.ones(n), size=1 + k % 3)
+        for row in rows[rng.random(len(rows)) < 0.5]:  # about half the rows on a face
+            row[rng.integers(n)] = 0.0
+        if kind == "inf0":  # rows with p_0 = 0 are finite, the others unbounded, in any order
+            rows[rng.random(len(rows)) < 0.5, 0] = 0.0
+        rows = rows / rows.sum(axis=1, keepdims=True)
+        rule = {"eval_fn": _eval_fn_rule, "inf0": _inf_at_zero_rule}.get(kind, lambda n: unflagged_rule(kind, n))(n)
+        corpus.append((kind, rule, rows, k % 5))
+    return corpus
+
+
+class TestSolveStack:
+    def test_each_row_is_its_lone_bayes_risk(self):
+        corpus, unbounded_mid_stack = _stack_corpus(), 0
+        assert len(corpus) >= 200 and {len(rows[0]) for _, _, rows, _ in corpus} == {2, 3, 4, 5}
+        for kind, rule, rows, seed in corpus:
+            method, risks, minimizers, gaps = si.losses._solve(rule, rows, seed)
+            assert method == "numeric-search" and (gaps is None) == (rows.shape[1] > 4)
+            for i, row in enumerate(rows):
+                try:
+                    lone = si.bayes_risk(rule, row, seed=seed)
+                except UnboundedBelow:
+                    assert risks[i] == np.inf, (kind, row)
+                    unbounded_mid_stack += 0 < i < len(rows) - 1
+                    continue
+                got = (float(risks[i]), minimizers[i].tobytes(), None if gaps is None else float(gaps[i]))
+                assert got == (lone.risk, lone.minimizer.probs.tobytes(), lone.grid_gap), (kind, row)
+        assert unbounded_mid_stack > 0
+
+    def test_unbounded_rows_raise_from_c_and_the_scan(self):
+        rule = _inf_at_zero_rule(3)
+        with pytest.raises(UnboundedBelow):  # P_X and both conditionals put mass on outcome 0
+            c_value(rule, si.validate_joint([[0.2, 0.1], [0.3, 0.1], [0.2, 0.1]]))
+        with pytest.raises(UnboundedBelow):  # only the second conditional does
+            c_value(rule, si.validate_joint([[0.0, 0.1], [0.3, 0.1], [0.2, 0.3]]))
+        with pytest.raises(UnboundedBelow):
+            si.find_violation(rule, 3, budget=8)
+        assert math.isfinite(c_value(rule, si.validate_joint([[0.0, 0.0], [0.3, 0.1], [0.2, 0.4]])))
+
+    def test_one_descent_and_one_grid_pass_per_stack(self, monkeypatch):
+        rule, rows = unflagged_rule("brier", 3), np.random.default_rng(5).dirichlet(np.ones(3), size=6)
+        phase, batches, blocks = ["descent"], {"descent": 0, "grid": 0}, si.losses._grid_blocks
+
+        def counted(q):
+            batches[phase[0]] += np.ndim(q) == 2  # the descent and the grid score batches; Nelder-Mead one point
+            return rule.vector_fn(q)
+
+        def grid_pass(*args):
+            phase[0] = "grid"
+            yield from blocks(*args)
+
+        monkeypatch.setattr(si.losses, "_grid_blocks", grid_pass)
+        lone_batches = 0
+        for row in rows:
+            phase[0], batches["descent"] = "descent", 0
+            si.losses._solve(dataclasses.replace(rule, vector_fn=counted), row[None], 2)
+            lone_batches += batches["descent"]
+        phase[0], batches["descent"], batches["grid"] = "descent", 0, 0
+        si.losses._solve(dataclasses.replace(rule, vector_fn=counted), rows, 2)
+        assert batches["descent"] <= 1 + 2 * 120 < lone_batches
+        assert batches["grid"] == len(list(blocks(3, 200))) == 1
+
+    def test_numeric_rows_are_checked(self):
+        # a conditional row (-0.5, 1.5) of a joint that was never validated
+        proper = si.builtin_loss("brier", 2)
+        blind = si.ScoringRuleLoss(eval_fn=proper.eval_fn, n=2, vector_fn=proper.vector_fn)
+        with pytest.raises(NegativeMass, match=r"min entry -0\.5.* \(slice 2\)"):
+            si.benefit(blind, si.Joint([[0.5, -0.1], [0.3, 0.3]]))
+
+
 class TestLossVectorBatch:
     @pytest.mark.parametrize(
         "rule",
@@ -383,7 +479,7 @@ class TestLossVectorBatch:
             batch = rng.dirichlet(np.ones(n), size=500)
             lone = np.array([si.bayes_risk(l, row).risk for row in batch])
             for layout in (batch, np.asfortranarray(batch)):
-                assert np.array_equal(_exact_risks(l, layout)[0], lone)
+                assert np.array_equal(si.losses._solve(l, layout)[1], lone)
                 if isinstance(l, si.ScoringRuleLoss):
                     assert np.array_equal(l.loss_vector(layout), np.array([l.loss_vector(row) for row in batch]))
 
@@ -545,6 +641,12 @@ class TestAuditPropriety:
             si.audit_propriety(si.builtin_loss("log", 3), n=4, trials=5)
         rep = si.audit_propriety(si.builtin_loss("log", 3), n=3, trials=5)
         assert rep.worst_p.shape == (3,)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, trials):
+        # once a report of nothing: worst_margin inf, worst_p None
+        with pytest.raises(ParameterOutOfRange, match="trials"):
+            si.audit_propriety(si.builtin_loss("brier", 3), trials=trials)
 
     def test_not_proper_witness_pinned(self):
         rule = si.ScoringRuleLoss(eval_fn=lambda x, q: -float(q[x]), n=2, proper=False)

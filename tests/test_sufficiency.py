@@ -139,6 +139,17 @@ class TestPushForward:
         with pytest.raises(ParameterOutOfRange, match="at least one symbol"):
             si.Transform(())
 
+    @pytest.mark.parametrize(
+        "blocks",
+        [[[0, -1], [1]], [[0, 1], [1, 2]], [[0, 5], [1, 2]]],
+        ids=["negative-wraps", "overlap", "out-of-range"],
+    )
+    def test_blocks_must_partition_the_alphabet(self, blocks):
+        # once (0, 1, 0), (0, 1, 1) and a bare IndexError
+        with pytest.raises(ParameterOutOfRange, match="partition"):
+            si.Transform.from_blocks(blocks, 3)
+        assert si.Transform.from_blocks([[1], [2, 0]], 3) == si.Transform((0, 1, 0))
+
     def test_mi_preserved_under_sufficient_merge(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
