@@ -90,13 +90,12 @@ def _vertex_risks(l: LossSpec, seed: int) -> np.ndarray:
     return _finite(_solve(l, np.eye(l.n), seed)[1])
 
 
-def benefit(l: LossSpec, j: Joint, seed: int = 0, scale: float = 1.0) -> BenefitReport:
+def benefit(l: LossSpec, j: Joint, seed: int = 0) -> BenefitReport:
     """The benefit of observing Y when predicting X under loss l.
 
     Zero-probability side-information symbols are skipped; their
-    conditionals are never formed.  Values are in nats for log loss (and
-    loss units otherwise); `scale` multiplies the reported numbers for
-    callers who want another unit, and is never baked into the arithmetic.
+    conditionals are never formed.  Values are in nats for log loss and in
+    loss units otherwise; the CLI's `--scale` converts them afterwards.
     """
     a = _vertex_risks(l, seed)
     c, rows, risks, minimizers, ys, ws = _c_stack(l, j.table[None], seed)
@@ -108,11 +107,11 @@ def benefit(l: LossSpec, j: Joint, seed: int = 0, scale: float = 1.0) -> Benefit
         mixed_g += w * (-risks[i] + lin[i])
     via_gap = mixed_g - (-risks[0] + lin[0])
     return BenefitReport(
-        c_value=scale * c,
-        risk_no_side=scale * float(risks[0]),
-        risk_with_side=scale * with_side,
+        c_value=c,
+        risk_no_side=float(risks[0]),
+        risk_with_side=with_side,
         per_y_minimizers={int(y): Dist(m) if m.ndim else int(m) for y, m in zip(ys, minimizers[1:])},
-        decomposition_residual=abs(scale) * abs(c - via_gap),
+        decomposition_residual=abs(c - via_gap),
     )
 
 
@@ -176,7 +175,7 @@ def benefit_from_G(g: ConvexOracle, j: Joint) -> float:
     return jensen_gap(g, py[live], [condition_on_y(j, y) for y in live])
 
 
-def conditional_benefit(l: LossSpec, j: Joint, seed: int = 0, scale: float = 1.0) -> float:
+def conditional_benefit(l: LossSpec, j: Joint, seed: int = 0) -> float:
     """Benefit of Y for predicting X given common side information W.
 
     Computed as sum_w P_W(w) * benefit(l, P_{XY|W=w}), one kernel stack over
@@ -191,4 +190,4 @@ def conditional_benefit(l: LossSpec, j: Joint, seed: int = 0, scale: float = 1.0
     total = 0.0
     for w, cw in zip(live, c):
         total += pw[w] * cw
-    return scale * total
+    return total

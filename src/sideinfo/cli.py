@@ -240,14 +240,14 @@ def _cmd_benefit(args) -> tuple[dict, int]:
     j = _load_kind(args.joint, ("joint3",) if args.cond_w else ("joint",))
     l = _resolve_loss(args, j.nx)
     if args.cond_w:
-        results = {"c_value": conditional_benefit(l, j, seed=args.seed, scale=args.scale)}
+        results = {"c_value": args.scale * conditional_benefit(l, j, seed=args.seed)}
     else:
-        rep = compute_benefit(l, j, seed=args.seed, scale=args.scale)
+        rep = compute_benefit(l, j, seed=args.seed)
         results = {
-            "c_value": rep.c_value,
-            "risk_no_side": rep.risk_no_side,
-            "risk_with_side": rep.risk_with_side,
-            "decomposition_residual": rep.decomposition_residual,
+            "c_value": args.scale * rep.c_value,
+            "risk_no_side": args.scale * rep.risk_no_side,
+            "risk_with_side": args.scale * rep.risk_with_side,
+            "decomposition_residual": abs(args.scale) * rep.decomposition_residual,
             "per_y_minimizers": {
                 str(y + 1): (m + 1 if isinstance(m, int) else [float(v) for v in m.probs])
                 for y, m in rep.per_y_minimizers.items()

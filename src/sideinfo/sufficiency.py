@@ -8,19 +8,20 @@ that, and `find_violation` searches for counterexamples using the
 two-class parametric family that witnesses failures for non-logarithmic
 losses on alphabets of three or more symbols.
 
-Every C here comes from the benefit kernel (`benefit._c_stack`), one stack
-per table shape and image size, after one batched push-forward (`_push`,
-of which `push_forward` and `padded_push_forward` are the one-table case).
-A row's C is the same bits in any stack as alone, so `c_value`,
-`verify_witness`, `audit_dpa` and the scan agree exactly.
+Every C here comes from the benefit kernel (`benefit._c_stack`).  One
+decision (`_decide`) serves the scan, `audit_dpa` and `verify_witness`: it
+takes a stack of tables and mappings, gives each image size one batched
+push-forward (`_push`, of which `push_forward` and `padded_push_forward`
+are the one-table case) and one kernel stack for C after, and applies the
+witness rule.  A row's C is the same bits in any stack as alone, so all
+three agree exactly with `c_value` on the pushed-forward joint.
 
 The scan works on arrays.  Each chunk of candidates is built as raw tables
-and mappings per (|Y|, image size) group (`_chunk`), validated, pushed
-forward and decided group by group; only the first witness becomes
-`Joint`, `Transform` and `ViolationWitness` objects.  What stays one
-candidate at a time is each random candidate's own seeded generator,
-`default_rng([seed, stream, k])`: it pins candidate k of every stream,
-whatever chunk it falls in.
+and mappings per |Y| (`_chunk`), validated, and decided one |Y| at a time;
+only the first witness becomes `Joint`, `Transform` and `ViolationWitness`
+objects.  What stays one candidate at a time is each random candidate's
+own seeded generator, `default_rng([seed, stream, k])`: it pins candidate k
+of every stream, whatever chunk it falls in.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ from .benefit import _c_stack, _finite, c_value
 from .errors import AlphabetTooLarge, ParameterOutOfRange, WitnessVerificationFailed
 from .losses import LossSpec, reinstantiate
 from .prob import Joint, _simplex, validate_joint
+
+_MAX_ALPHABET = 12  # the largest X-alphabet whose merges are enumerated
+_PERM_SAMPLES = 24  # permutations sampled beyond n = 5
+_VALUE_TOL = 1e-12  # how closely a witness's stored C must reproduce
 
 
 @dataclass(frozen=True)
@@ -106,8 +111,9 @@ def check_sufficient(t: Transform, j: Joint, tol: float = 1e-9) -> SufficiencyCe
     total variation (`_conditional_tv`, the rule `enumerate_sufficient`
     shares).  A merge it lists at tol always passes; near tol, one that
     passes may go unlisted.  Raises ParameterOutOfRange when t maps another
-    number of symbols than j has.
+    number of symbols than j has, and for a tol that is negative or not finite.
     """
+    _check_tol(tol)
     _same_alphabet(t.n, j.nx)
     live, tv = _conditional_tv(j)
     labels = np.array(t.mapping)[live]
@@ -119,6 +125,11 @@ def check_sufficient(t: Transform, j: Joint, tol: float = 1e-9) -> SufficiencyCe
 def _same_alphabet(n: int, nx: int) -> None:
     if n != nx:
         raise ParameterOutOfRange(f"transform maps {n} symbols but the joint has {nx}")
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ParameterOutOfRange(f"tol must be finite and >= 0, got {tol}")
 
 
 def _push(tables: np.ndarray, maps: np.ndarray, m: int, padded: bool = False) -> np.ndarray:
@@ -192,44 +203,35 @@ class SufficientSet:
     permutations_exhaustive: bool
 
 
-def enumerate_sufficient(
-    j: Joint,
-    tol: float = 1e-9,
-    seed: int = 0,
-    max_alphabet: int = 12,
-    perm_samples: int = 24,
-) -> SufficientSet:
+def enumerate_sufficient(j: Joint, tol: float = 1e-9, seed: int = 0) -> SufficientSet:
     """Sufficient merge-transforms, from partitions refining the row classes.
 
     The rows of a class are pairwise within tol, so every listed merge
     passes `check_sufficient` at tol; near tol, a sufficient merge may go
     unlisted.  Zero-mass symbols form their own vacuous class.  Raises
-    AlphabetTooLarge beyond the partition-enumeration bound.
+    AlphabetTooLarge beyond the partition-enumeration bound, and
+    ParameterOutOfRange for a tol that is negative or not finite.
     """
+    _check_tol(tol)
     n = j.nx
-    if n > max_alphabet:
-        raise AlphabetTooLarge(f"alphabet size {n} exceeds enumeration bound {max_alphabet}")
+    if n > _MAX_ALPHABET:
+        raise AlphabetTooLarge(f"alphabet size {n} exceeds enumeration bound {_MAX_ALPHABET}")
     groups, zero = _row_classes(j, tol)
     if zero:
         groups.append(zero)
-    merge_list: list[Transform] = []
-    per_group = [list(_set_partitions(g)) for g in groups]
-    for combo in itertools.product(*per_group):
-        blocks = [block for group_part in combo for block in group_part]
-        merge_list.append(Transform.from_blocks(blocks, n))
+    combos = itertools.product(*(_set_partitions(g) for g in groups))
+    merges = tuple(Transform.from_blocks([block for part in combo for block in part], n) for combo in combos)
     if n <= 5:
-        perms = tuple(
-            Transform(tuple(p)) for p in itertools.permutations(range(n))
-        )
+        perms = tuple(Transform(p) for p in itertools.permutations(range(n)))
         exhaustive = True
     else:
         rng = np.random.default_rng(seed)
         seen = {tuple(range(n))}
-        for _ in range(perm_samples):
+        for _ in range(_PERM_SAMPLES):
             seen.add(tuple(int(v) for v in rng.permutation(n)))
         perms = tuple(Transform(p) for p in sorted(seen))
         exhaustive = False
-    return SufficientSet(merges=tuple(merge_list), permutations=perms, permutations_exhaustive=exhaustive)
+    return SufficientSet(merges=merges, permutations=perms, permutations_exhaustive=exhaustive)
 
 
 @dataclass(frozen=True)
@@ -248,11 +250,6 @@ class ViolationWitness:
     kind: str
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ParameterOutOfRange(f"tol must be finite and >= 0, got {tol}")
-
-
 def _witness_kinds(maps: np.ndarray, before, after: np.ndarray, tol: float) -> np.ndarray:
     """The witness rule, row by row over mappings (K, n) and their C before/after.
 
@@ -263,11 +260,6 @@ def _witness_kinds(maps: np.ndarray, before, after: np.ndarray, tol: float) -> n
     perm = maps.max(axis=1) == n - 1
     moved = (np.abs(after - before) > tol) & (maps != np.arange(n)).any(axis=1)
     return np.where(perm, np.where(moved, "asymmetry", ""), np.where(after > before + tol, "dpa_violation", ""))
-
-
-def _witness_kind(t: Transform, before: float, after: float, tol: float) -> Optional[str]:
-    """The witness rule for one transform: its kind of evidence, or None."""
-    return str(_witness_kinds(np.array([t.mapping]), np.array([before]), np.array([after]), tol)[0]) or None
 
 
 def _after(l: LossSpec, nx: int, m: int) -> tuple[LossSpec, bool]:
@@ -285,37 +277,43 @@ def _after(l: LossSpec, nx: int, m: int) -> tuple[LossSpec, bool]:
     return l, True
 
 
-def _c_batch(l: LossSpec, tables: np.ndarray, maps: np.ndarray, m: int, seed: int = 0) -> np.ndarray:
-    """C after pushing each table of a (K, n, b) stack through its row of `maps` (K, n), all onto m labels.
+def _decide(l: LossSpec, tables: np.ndarray, maps: np.ndarray, before, tol: float, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """C after each table of a (K, n, b) stack is pushed through its row of `maps` (K, n), and each row's witness kind.
 
-    One push-forward and one kernel stack, on the loss `_after` picks.
-    Non-finite C is returned, not raised.
+    The one place a witness is decided, for the scan, `audit_dpa` and
+    `verify_witness` alike, so an exact check of a witness belongs here.
+    Each image size gets one push-forward and one kernel stack on the loss
+    `_after` picks; a row's C is the same bits as `c_value` of its pushed
+    joint.  `before` is C before, per row or one for all.  Non-finite C is
+    returned, not raised.
     """
-    loss, padded = _after(l, tables.shape[1], m)
-    return _c_stack(loss, _push(tables, maps, m, padded), seed)[0]
+    sizes = maps.max(axis=1) + 1
+    after = np.empty(len(maps))
+    for m in np.unique(sizes).tolist():
+        idx = np.flatnonzero(sizes == m)
+        loss, padded = _after(l, tables.shape[1], m)
+        after[idx] = _c_stack(loss, _push(tables[idx], maps[idx], m, padded), seed)[0]
+    return after, _witness_kinds(maps, before, after, tol)
 
 
-def _c_after(l: LossSpec, j: Joint, t: Transform, seed: int = 0) -> float:
-    """Benefit after applying a sufficient transform, on the loss and joint `_after` picks."""
-    loss, padded = _after(l, j.nx, t.image_size)
-    return c_value(loss, (padded_push_forward if padded else push_forward)(j, t), seed=seed)
-
-
-def verify_witness(l: LossSpec, w: ViolationWitness, tol: float = 1e-9, value_tol: float = 1e-12) -> bool:
+def verify_witness(l: LossSpec, w: ViolationWitness, tol: float = 1e-9) -> bool:
     """Recompute both benefits from the stored joint and transform.
 
     The witness holds only if its transform is sufficient for its joint
     (`check_sufficient` at its default tolerance), both values reproduce
-    within value_tol, and its kind is the one the witness rule gives for
-    its transform.
+    within `_VALUE_TOL`, and its kind is the one the witness rule gives for
+    its transform, which is never "".  A non-finite C raises UnboundedBelow,
+    and a tol that is negative or not finite ParameterOutOfRange.
     """
+    _check_tol(tol)
     if not check_sufficient(w.transform, w.joint).is_sufficient:
         return False
     before = c_value(l, w.joint)
-    after = _c_after(l, w.joint, w.transform)
-    if abs(before - w.c_before) > value_tol or abs(after - w.c_after) > value_tol:
+    after, kinds = _decide(l, w.joint.table[None], np.array([w.transform.mapping]), before, tol)
+    after = float(_finite(after)[0])
+    if abs(before - w.c_before) > _VALUE_TOL or abs(after - w.c_after) > _VALUE_TOL:
         return False
-    return _witness_kind(w.transform, before, after, tol) == w.kind
+    return kinds[0] != "" and kinds[0] == w.kind
 
 
 @dataclass(frozen=True)
@@ -357,14 +355,9 @@ def audit_dpa(l: LossSpec, j: Joint, tol: float = 1e-9, seed: int = 0) -> DpaAud
     suff = enumerate_sufficient(j, seed=seed)
     transforms = suff.merges + suff.permutations
     maps = np.array([t.mapping for t in transforms])
-    sizes = maps.max(axis=1) + 1
-    after = np.empty(len(transforms))
-    for m in np.unique(sizes).tolist():  # one push-forward and one kernel stack per image size
-        idx = np.flatnonzero(sizes == m)
-        after[idx] = _c_batch(l, np.broadcast_to(j.table, (len(idx),) + j.table.shape), maps[idx], m, seed)
+    after, kinds = _decide(l, np.broadcast_to(j.table, (len(maps),) + j.table.shape), maps, before, tol, seed)
     _finite(after)
-    kinds = _witness_kinds(maps, before, after, tol)
-    moved = (sizes < j.nx) & (np.abs(after - before) > tol)
+    moved = (maps.max(axis=1) + 1 < j.nx) & (np.abs(after - before) > tol)
     entries = tuple(AuditEntry(transform=t, c_after=float(c)) for t, c in zip(transforms, after))
     return DpaAuditReport(
         c_before=before,
@@ -508,8 +501,8 @@ def _check_labels(maps: np.ndarray) -> None:
         raise ParameterOutOfRange(f"labels must be contiguous from 0, got {sorted(set(s[bad.argmax()].tolist()))}")
 
 
-def _chunk(n: int, start: int, stop: int, seed: int) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Scan candidates start..stop-1 as {(|Y|, image size): (positions, tables (K, n, |Y|), mappings (K, n))}.
+def _chunk(n: int, start: int, stop: int, seed: int) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Scan candidates start..stop-1 as {|Y|: (positions, tables (K, n, |Y|), mappings (K, n))}.
 
     Scan index idx is candidate idx // 3 of stream idx % 3 (grid, merge,
     permutation); its position is idx - start, and each group lists its rows
@@ -518,11 +511,11 @@ def _chunk(n: int, start: int, stop: int, seed: int) -> dict[tuple[int, int], tu
     `validate_joint` would and the mappings checked as `Transform` would,
     one pass per group.
     """
-    found: dict[tuple[int, int], tuple[list, list, list]] = {}
+    found: dict[int, tuple[list, list, list]] = {}
     for phase, draw in ((1, _merge_draw), (2, _perm_draw)):
         for idx in range(start + (phase - start) % 3, stop, 3):
             table, mapping = draw(n, idx // 3, seed)
-            pos, tables, maps = found.setdefault((table.shape[1], max(mapping) + 1), ([], [], []))
+            pos, tables, maps = found.setdefault(table.shape[1], ([], [], []))
             pos.append(idx - start)
             tables.append(table)
             maps.append(mapping)
@@ -530,9 +523,9 @@ def _chunk(n: int, start: int, stop: int, seed: int) -> dict[tuple[int, int], tu
     if n >= 3:
         ks, tables = _grid_stream(n, np.arange(-(-start // 3), -(-stop // 3)), seed)
         grid = (3 * ks - start, tables, np.tile([0, 0, *range(1, n - 1)], (len(ks), 1)))
-        if (2, n - 1) in groups:
-            grid = tuple(np.concatenate(pair) for pair in zip(grid, groups[2, n - 1]))
-        groups[2, n - 1] = grid
+        if 2 in groups:
+            grid = tuple(np.concatenate(pair) for pair in zip(grid, groups[2]))
+        groups[2] = grid
     out = {}
     for key, (pos, tables, maps) in groups.items():
         if len(pos):
@@ -563,19 +556,18 @@ def find_violation(
 
     The scan runs in chunks of 1, 2, 4, ... up to 256 candidates, so a scan
     that hits early stays cheap.  Each chunk is arrays (`_chunk`): raw
-    tables and mappings per (|Y|, image size) group, validated in one pass
-    per group.  Only the seeded draws stay per candidate: candidate k of a
-    random stream, and the n >= 4 tail of grid candidate k, draws from its
-    own `default_rng([seed, stream, k])`, which pins it whatever the
-    chunking.  Per group, C before is one kernel stack and C after one
-    batched push-forward and one stack (`_c_batch`, on `_c_after`'s choice
-    of loss and push-forward), each the same bits as `c_value` and
-    `_c_after` give the candidate alone.  The chunk is decided in scan
-    order from a non-finite mask and the witness rule (`_witness_kinds`): a
-    non-finite C first raises UnboundedBelow, as `c_value` would; a witness
-    first becomes a `ViolationWitness`, is re-verified with
-    `verify_witness` and returned.  Numeric-tier rules solve each stack's
-    rows in one lockstep search (`losses._solve`), with the same seed.
+    tables and mappings per |Y|, validated in one pass per |Y|.  Only the
+    seeded draws stay per candidate: candidate k of a random stream, and
+    the n >= 4 tail of grid candidate k, draws from its own
+    `default_rng([seed, stream, k])`, which pins it whatever the chunking.
+    Per |Y|, C before is one kernel stack, and C after and each witness
+    kind come from `_decide`, which `audit_dpa` and `verify_witness` share;
+    each C is the same bits as the candidate's alone.  The chunk is decided
+    in scan order: a non-finite C first raises UnboundedBelow, as `c_value`
+    would; a witness first becomes a `ViolationWitness`, is re-verified
+    with `verify_witness` and returned.  Numeric-tier rules solve each
+    stack's rows in one lockstep search (`losses._solve`), with the same
+    seed.
 
     Raises ParameterOutOfRange for n < 2, a negative budget, a tol that is
     negative or not finite, and a loss declared for another alphabet size.
@@ -592,20 +584,18 @@ def find_violation(
         stop = min(start + size, budget)
         groups = _chunk(n, start, stop, seed)
         before, after = np.zeros(stop - start), np.zeros(stop - start)  # 0 and 0 at a skipped position: no witness
-        hit = np.zeros(stop - start, dtype=bool)
-        for (_, m), (pos, tables, maps) in groups.items():
+        kinds = np.full(stop - start, "", dtype=object)  # "" at a skipped position
+        for pos, tables, maps in groups.values():
             before[pos] = _c_stack(l, tables)[0]
-            after[pos] = _c_batch(l, tables, maps, m)
-            hit[pos] = _witness_kinds(maps, before[pos], after[pos], tol) != ""
-        first = np.flatnonzero(hit | ~np.isfinite(before) | ~np.isfinite(after))
+            after[pos], kinds[pos] = _decide(l, tables, maps, before[pos], tol)
+        first = np.flatnonzero((kinds != "") | ~np.isfinite(before) | ~np.isfinite(after))
         if first.size:
             i = first[0]
             _finite(np.array([before[i], after[i]]))
             pos, tables, maps = next(g for g in groups.values() if i in g[0])
             r = int(np.searchsorted(pos, i))
             joint, transform = Joint(tables[r].copy()), Transform(tuple(maps[r].tolist()))
-            b, a = float(before[i]), float(after[i])
-            w = ViolationWitness(joint, transform, b, a, _witness_kind(transform, b, a, tol))
+            w = ViolationWitness(joint, transform, float(before[i]), float(after[i]), str(kinds[i]))
             if not verify_witness(l, w, tol=tol):
                 raise WitnessVerificationFailed("witness failed re-verification; numeric instability")
             return w

@@ -96,14 +96,6 @@ class TestBenefit:
         points = sorted(map(tuple, np.vstack([np.eye(3), j.table.sum(axis=1), given_y.T]).tolist()))
         assert len(solved) == 6 and np.allclose(sorted(solved), points, rtol=0, atol=1e-15)
 
-    def test_scale_is_report_level_only(self):
-        j = si.validate_joint([[0.5, 0.0], [0.0, 0.5]])
-        l = si.builtin_loss("log", 2)
-        base = si.benefit(l, j)
-        doubled = si.benefit(l, j, scale=2.0)
-        assert doubled.c_value == pytest.approx(2.0 * base.c_value, abs=1e-15)
-        assert doubled.risk_no_side == pytest.approx(2.0 * base.risk_no_side, abs=1e-15)
-
 
 class TestGNormalized:
     def test_savage_rule_without_n(self):

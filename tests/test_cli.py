@@ -77,7 +77,7 @@ class TestBenefitCommand:
         assert code == 0
         assert rep["results"]["c_value"] == pytest.approx(0.25, abs=1e-12)
 
-    def test_scale_flag(self, capsys, witness_file):
+    def test_scale_flag(self, capsys, witness_file, tmp_path):
         code, rep = run_json(
             capsys,
             ["benefit", "--joint", witness_file, "--builtin", "zero-one", "--scale", "4"],
@@ -85,6 +85,21 @@ class TestBenefitCommand:
         assert code == 0
         assert rep["results"]["c_value"] == pytest.approx(1.0, abs=1e-12)
         assert rep["args"]["scale"] == 4.0
+        # every reported number is scaled, the residual by |scale|, with and without --cond-w
+        j = si.validate_joint([[0.1, 0.2, 0.05], [0.15, 0.1, 0.4]])
+        j3 = si.Joint(np.random.default_rng(0).dirichlet(np.ones(12)).reshape(2, 2, 3))
+        si.write_model(j, tmp_path / "j.json")
+        si.write_model(j3, tmp_path / "j3.json")
+        base = si.benefit(si.builtin_loss("log", 2), j)
+        assert base.decomposition_residual > 0.0
+        _, rep = run_json(capsys, ["benefit", "--joint", str(tmp_path / "j.json"), "--builtin", "log", "--scale", "-2"])
+        assert rep["results"]["c_value"] == -2.0 * base.c_value
+        assert rep["results"]["risk_no_side"] == -2.0 * base.risk_no_side
+        assert rep["results"]["risk_with_side"] == -2.0 * base.risk_with_side
+        assert rep["results"]["decomposition_residual"] == 2.0 * base.decomposition_residual
+        cond = si.conditional_benefit(si.builtin_loss("log", 2), j3)
+        argv = ["benefit", "--joint", str(tmp_path / "j3.json"), "--builtin", "log", "--cond-w", "--scale", "-2"]
+        assert run_json(capsys, argv)[1]["results"]["c_value"] == -2.0 * cond
 
     def test_negative_exponent_scale(self, capsys, witness_file):
         code, rep = run_json(

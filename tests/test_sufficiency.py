@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -338,9 +339,27 @@ class TestFindViolation:
         t = np.array([[0.2, 0.1], [0.2, 0.097], [0.1, 0.3]])
         j = si.validate_joint(t / t.sum())
         l, merge = si.builtin_loss("brier", 3), si.Transform((0, 0, 1))
-        before, after = c_value(l, j), sufficiency._c_after(l, j, merge)
+        before, after = c_value(l, j), _c_after(l, j, merge)
         assert after > before + 0.01
         assert not si.verify_witness(l, si.ViolationWitness(j, merge, before, after, "dpa_violation"))
+
+    def test_verify_rejects_witness_of_no_kind(self):
+        # the identity changes nothing, so its values reproduce, but "" names no evidence
+        l = si.builtin_loss("zero_one", 3)
+        w = si.find_violation(l, 3, budget=2_000, seed=7)
+        c = w.c_before
+        assert not si.verify_witness(l, si.ViolationWitness(w.joint, si.Transform((0, 1, 2)), c, c, ""))
+
+    def test_verify_raises_on_unbounded_c_after(self):
+        # finite on the interior only: the padded merge leaves a zero-mass symbol
+        def vector_fn(q):
+            return np.where(np.min(q, axis=-1, keepdims=True) > 0.0, 1.0 - q, np.inf)
+
+        l = si.ScoringRuleLoss(eval_fn=lambda x, q: float(vector_fn(q)[x]), n=3, proper=True, vector_fn=vector_fn)
+        j = si.validate_joint(np.array([0.3, 0.3, 0.4])[:, None] * np.array([[0.6, 0.4], [0.6, 0.4], [0.2, 0.8]]))
+        c = c_value(l, j)
+        with pytest.raises(UnboundedBelow):
+            si.verify_witness(l, si.ViolationWitness(j, si.Transform((0, 0, 1)), c, c, "dpa_violation"))
 
     def test_failed_reverification_raises(self, monkeypatch):
         monkeypatch.setattr(sufficiency, "verify_witness", lambda *a, **k: False)
@@ -360,6 +379,14 @@ class TestFindViolation:
             si.find_violation(si.builtin_loss("log", 3), 3, budget=300, tol=tol)
         with pytest.raises(ParameterOutOfRange):
             si.audit_dpa(si.builtin_loss("log", 3), witness_joint, tol=tol)
+        with pytest.raises(ParameterOutOfRange):
+            si.check_sufficient(si.Transform.identity(3), witness_joint, tol=tol)
+        with pytest.raises(ParameterOutOfRange):
+            si.enumerate_sufficient(witness_joint, tol=tol)
+        l = si.builtin_loss("zero_one", 3)
+        (w,) = si.audit_dpa(l, witness_joint).violations
+        with pytest.raises(ParameterOutOfRange):
+            si.verify_witness(l, w, tol=tol)
 
     def test_negative_budget(self):
         with pytest.raises(ParameterOutOfRange):
@@ -459,6 +486,17 @@ def _candidate(n, idx, seed):
     return _perm_candidate(n, k, seed)
 
 
+def _c_after(l, j, t, seed=0):
+    """C after a sufficient transform, alone: `c_value` of the push-forward, on the loss and joint `_after` picks."""
+    loss, padded = sufficiency._after(l, j.nx, t.image_size)
+    return c_value(loss, (si.padded_push_forward if padded else si.push_forward)(j, t), seed=seed)
+
+
+def _witness_kind(t, before, after, tol):
+    """The witness rule for one transform: its kind of evidence, or None."""
+    return str(sufficiency._witness_kinds(np.array([t.mapping]), np.array([before]), np.array([after]), tol)[0]) or None
+
+
 def _scalar_scan(l, n, budget, seed=0, tol=1e-9):
     """The scan one candidate at a time, through `c_value` and `_c_after`, in scan order."""
     for idx in range(budget):
@@ -467,8 +505,8 @@ def _scalar_scan(l, n, budget, seed=0, tol=1e-9):
             continue
         joint, transform = made
         before = sufficiency.c_value(l, joint)
-        after = sufficiency._c_after(l, joint, transform)
-        kind = sufficiency._witness_kind(transform, before, after, tol)
+        after = _c_after(l, joint, transform)
+        kind = _witness_kind(transform, before, after, tol)
         if kind is not None:
             return sufficiency.ViolationWitness(joint, transform, before, after, kind)
     return None
@@ -520,7 +558,7 @@ def _first_unbounded(l, n, seed=0):
             continue
         try:
             sufficiency.c_value(l, made[0])
-            sufficiency._c_after(l, *made)
+            _c_after(l, *made)
         except UnboundedBelow:
             return idx
 
@@ -528,10 +566,9 @@ def _first_unbounded(l, n, seed=0):
 def _chunk_rows(n, start, stop, seed):
     """`sufficiency._chunk` as {scan index: (table, mapping)}, after checking each group's shape and order."""
     rows = {}
-    for (b, m), (pos, tables, maps) in sufficiency._chunk(n, start, stop, seed).items():
+    for b, (pos, tables, maps) in sufficiency._chunk(n, start, stop, seed).items():
         assert (np.diff(pos) > 0).all()
         assert tables.shape == (len(pos), n, b) and maps.shape == (len(pos), n)
-        assert (maps.max(axis=1) == m - 1).all()
         for p, table, mapping in zip(pos.tolist(), tables, maps.tolist()):
             rows[start + p] = (table, tuple(mapping))
     return rows
@@ -540,6 +577,47 @@ def _chunk_rows(n, start, stop, seed):
 # the scan's chunks for a budget of 900: 1, 2, 4, ..., 256, 256 candidates, then one cut short by the budget
 _SCAN_CHUNKS = [(2**i - 1, 2 ** (i + 1) - 1) for i in range(9)] + [(511, 767), (767, 900)]
 _GRID_END = 3 * 20 * 20 * 190  # scan index of the first grid candidate past the grid
+
+
+def _encode_witness(w):
+    if w is None:
+        return "None"
+    t = w.joint.table
+    return f"{w.kind}|{w.transform.mapping}|{w.c_before.hex()}|{w.c_after.hex()}|{t.shape}|{t.tobytes().hex()}"
+
+
+def _parity_corpus():
+    """Scans of every built-in loss, n = 2-5, seeds 0-3, three tols; audits of 40 random 3-5-symbol joints."""
+    out = []
+    for name in si.losses.BUILTIN_LOSSES:
+        for n in range(2, 6):
+            l = si.builtin_loss(name, n)
+            for seed in range(4):
+                for tol in (1e-9, 1e-12, 0.0):
+                    out.append(_encode_witness(si.find_violation(l, n, budget=1_500, seed=seed, tol=tol)))
+    rng = np.random.default_rng(2024)
+    for _ in range(40):
+        n = int(rng.integers(3, 6))
+        rows = rng.dirichlet(np.ones(int(rng.integers(2, 4))), size=int(rng.integers(1, n)))
+        j = si.Joint(rng.dirichlet(np.ones(n))[:, None] * rows[rng.integers(0, len(rows), size=n)])
+        for name in si.losses.BUILTIN_LOSSES:
+            rep = si.audit_dpa(si.builtin_loss(name, n), j)
+            out.append("|".join([
+                rep.c_before.hex(),
+                ",".join(e.c_after.hex() for e in rep.entries),
+                ";".join(_encode_witness(w) for w in rep.violations),
+                ",".join(str(e.transform.mapping) for e in rep.equality_deviations),
+            ]))
+    return out
+
+
+def test_scan_and_audit_parity_corpus():
+    # 440 outputs, every float as hex and every table as bytes; the hash was
+    # recorded before scan, audit and verify shared one C-after decision
+    out = _parity_corpus()
+    assert len(out) == 440
+    digest = hashlib.sha256("\n".join(out).encode()).hexdigest()
+    assert digest == "2ac4c5f1582d76aa7ade1a8e44db6985525ef8907a047ad06e9a8d316bc9018a"
 
 
 class TestChunkOracle:
@@ -626,7 +704,7 @@ class TestBatchedPush:
             entries = si.audit_dpa(l, j).entries
             assert len(entries) == math.prod(len(list(sufficiency._set_partitions(list(range(s))))) for s in sizes) + 120
             for e in entries:
-                assert e.c_after == sufficiency._c_after(l, j, e.transform)
+                assert e.c_after == _c_after(l, j, e.transform)
 
 
 class TestScreen:
