@@ -19,9 +19,12 @@ three agree exactly with `c_value` on the pushed-forward joint.
 The scan works on arrays.  Each chunk of candidates is built as raw tables
 and mappings per |Y| (`_chunk`), validated, and decided one |Y| at a time;
 only the first witness becomes `Joint`, `Transform` and `ViolationWitness`
-objects.  What stays one candidate at a time is each random candidate's
-own seeded generator, `default_rng([seed, stream, k])`: it pins candidate k
-of every stream, whatever chunk it falls in.
+objects.  Candidate k of a random stream is exactly what
+`default_rng([seed, stream, k])` draws, which pins it whatever chunk it
+falls in, but no candidate builds that generator: a chunk hashes every
+seed it needs in one pass (`_seed_states`, numpy's SeedSequence and PCG64
+seeding on arrays) and sets one generator to each candidate's state in
+turn.
 """
 
 from __future__ import annotations
@@ -132,6 +135,14 @@ def _check_tol(tol: float) -> None:
         raise ParameterOutOfRange(f"tol must be finite and >= 0, got {tol}")
 
 
+def _check_count(name: str, v) -> None:
+    """A seed or budget: an integer (numpy integers count) that is >= 0."""
+    if not isinstance(v, (int, np.integer)):
+        raise ParameterOutOfRange(f"{name} must be an integer, got {type(v).__name__}")
+    if v < 0:
+        raise ParameterOutOfRange(f"{name} must be >= 0, got {v}")
+
+
 def _push(tables: np.ndarray, maps: np.ndarray, m: int, padded: bool = False) -> np.ndarray:
     """Each table of a (K, n, ...) stack pushed forward through its row of `maps` (K, n) onto m labels.
 
@@ -210,9 +221,11 @@ def enumerate_sufficient(j: Joint, tol: float = 1e-9, seed: int = 0) -> Sufficie
     passes `check_sufficient` at tol; near tol, a sufficient merge may go
     unlisted.  Zero-mass symbols form their own vacuous class.  Raises
     AlphabetTooLarge beyond the partition-enumeration bound, and
-    ParameterOutOfRange for a tol that is negative or not finite.
+    ParameterOutOfRange for a tol that is negative or not finite and a seed
+    that is negative or not an integer.
     """
     _check_tol(tol)
+    _check_count("seed", seed)
     n = j.nx
     if n > _MAX_ALPHABET:
         raise AlphabetTooLarge(f"alphabet size {n} exceeds enumeration bound {_MAX_ALPHABET}")
@@ -348,9 +361,11 @@ def audit_dpa(l: LossSpec, j: Joint, tol: float = 1e-9, seed: int = 0) -> DpaAud
     `tol` compares C only.  Which transforms are sufficient is decided by
     `enumerate_sufficient` at its own default tolerance, whatever `tol` is,
     so a loose `tol` never admits a merge of rows that differ.  Raises
-    ParameterOutOfRange for a tol that is negative or not finite.
+    ParameterOutOfRange for a tol that is negative or not finite and a seed
+    that is negative or not an integer.
     """
     _check_tol(tol)
+    _check_count("seed", seed)
     before = c_value(l, j, seed=seed)
     suff = enumerate_sufficient(j, seed=seed)
     transforms = suff.merges + suff.permutations
@@ -438,43 +453,131 @@ _S1, _S2 = _S_GRID[
 _PER_T = len(_ALPHA_GRID) * len(_S1)
 _GRID_SIZE = len(_T_GRID) * _PER_T
 
+# numpy's SeedSequence hash (NEP 19 keeps it stable): hashmix and mix on
+# uint32 words, and PCG64's 128-bit LCG multiplier for its seeding step
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_MULT_A = 0x931E8875
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-def _grid_stream(n: int, ks: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Grid-stream candidates ks as (the ks inside the grid, raw tables (K, n, 2)); each merges x1 with x2.
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**i mod 2**32 for i = 0..count, as a (count + 1, 1) uint32 column."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+_HASH_A = _hash_consts(0x43B0D7E5, _MULT_A, 16)  # the pool's 4 fill and 12 mixing hashmix calls
+_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)  # generate_state's 8 output words
+_OTHERS = [np.array([d for d in range(4) if d != src]) for src in range(4)]
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """hashmix of each row of values with consecutive constants: row i xors consts[i] and multiplies by consts[i + 1]."""
+    v = values ^ consts[:-1]
+    v *= consts[1:]
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> 16)
+
+
+def _seed_states(seed: int, streams, ks) -> list[dict]:
+    """`PCG64(SeedSequence([seed, stream, k])).state["state"]` for every row of streams and ks at once.
+
+    seed is an integer >= 0, streams are below 2**32 and ks are >= 0.
+    Each entropy word is 32 bits, little end first; a pool of four words
+    is filled and mixed as SeedSequence does, where for one source word the
+    three updates of the other words are independent, so each is one
+    (3, K) step.  Words past the pool (a seed of 2**64 or more, or a k of
+    2**32 or more) take the extra mixing loop, row by row as present.  Eight
+    output words then seed PCG64: inc = (initseq << 1) | 1 and state =
+    ((inc + initstate) * M + inc) mod 2**128.
+    """
+    ks, seed = np.asarray(ks, dtype=np.uint64), int(seed)
+    words = []
+    while True:
+        words.append(np.full(len(ks), seed & _MASK32, dtype=np.uint32))
+        seed >>= 32
+        if not seed:
+            break
+    hi = (ks >> np.uint64(32)).astype(np.uint32)
+    words += [np.asarray(streams, dtype=np.uint32), ks.astype(np.uint32), hi]
+    present = len(words) - 1 + (hi > 0)  # words per row: a k below 2**32 is one word
+    pool = np.zeros((4, len(ks)), dtype=np.uint32)
+    pool[: min(4, len(words))] = words[:4]  # a short entropy hashes zeros into the rest
+    pool = _hashmix(pool, _HASH_A[:5])
+    for src in range(4):
+        pool[_OTHERS[src]] = _mix(pool[_OTHERS[src]], _hashmix(pool[src], _HASH_A[4 + 3 * src : 8 + 3 * src]))
+    const = int(_HASH_A[-1, 0])
+    for i in range(4, len(words)):
+        consts = _hash_consts(const, _MULT_A, 4)
+        const = int(consts[-1, 0])
+        pool = np.where(i < present, _mix(pool, _hashmix(words[i], consts)), pool)
+    out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B).astype(np.uint64)
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in (out[0::2] | out[1::2] << np.uint64(32)).T.tolist():
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        states.append({"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, "inc": inc})
+    return states
+
+
+def _reseed(rng: np.random.Generator, state: dict) -> np.random.Generator:
+    """rng with its PCG64 set to `state`, a row of `_seed_states`, as a generator freshly seeded with it would be."""
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
+def _dirichlet(rng: np.random.Generator, k: int, size: Optional[int] = None) -> np.ndarray:
+    """`rng.dirichlet(np.ones(k), size)`, the same bits and draws.
+
+    With every alpha 1, each gamma draw of `Generator.dirichlet` is a
+    standard exponential, and each row is scaled by 1.0 / acc, acc its left
+    fold from 0.0: the last entry of np.add.accumulate, a sequential sum.
+    """
+    e = rng.standard_exponential((k,) if size is None else (size, k))
+    return e * (1.0 / np.add.accumulate(e, axis=-1)[..., -1:])
+
+
+def _grid_stream(n: int, ks: np.ndarray, rng: np.random.Generator, states: list) -> np.ndarray:
+    """Raw tables (K, n, 2) of grid-stream candidates ks, all inside the grid; each merges x1 with x2.
 
     (t, alpha, lambda pair) come from index arithmetic on k.  For n >= 4 each
-    k also draws a tail mass and its split from its own seeded generator.
-    lambda1 < lambda2 always holds: s1 < s2 on the grid and r >= 0.4.
+    k also draws a tail mass and its split from `rng` set to its row of
+    `states`, the `_seed_states` of (seed, 101, k).  lambda1 < lambda2
+    always holds: s1 < s2 on the grid and r >= 0.4.
     """
-    ks = ks[ks < _GRID_SIZE]
     t, rem = _T_GRID[ks // _PER_T], ks % _PER_T
     alpha, pair = _ALPHA_GRID[rem // len(_S1)], rem % len(_S1)
     tail, r = np.zeros((len(ks), 0)), 1.0
     if n > 3:
         mass, split = [], []
-        for k in ks.tolist():
-            rng = np.random.default_rng([seed, 101, k])
+        for state in states:
+            _reseed(rng, state)
             mass.append(float(rng.uniform(0.05, 0.6)))
-            split.append(rng.dirichlet(np.ones(n - 3)))
+            split.append(_dirichlet(rng, n - 3))
         mass = np.array(mass)
         tail, r = mass[:, None] * np.array(split).reshape(len(ks), n - 3), 1.0 - mass
-    return ks, _proof_tables(n, t, _S1[pair] * r, _S2[pair] * r, alpha, tail)
+    return _proof_tables(n, t, _S1[pair] * r, _S2[pair] * r, alpha, tail)
 
 
-def _merge_draw(n: int, k: int, seed: int) -> tuple[np.ndarray, list[int]]:
-    """Merge-stream candidate k as (raw table, mapping).
+def _merge_draw(n: int, rng: np.random.Generator) -> tuple[np.ndarray, list[int]]:
+    """A merge-stream candidate, drawn from a freshly seeded `rng`, as (raw table, mapping).
 
     A random joint whose conditional rows repeat within classes, and the
     sufficient merge of one class with two or more members; there are fewer
     classes than symbols, so such a class always exists.
     """
-    rng = np.random.default_rng([seed, 202, k])
     m = int(rng.integers(2, 4))
     n_classes = int(rng.integers(1, n))
-    rows = rng.dirichlet(np.ones(m), size=n_classes)
+    rows = _dirichlet(rng, m, n_classes)
     assignment = list(range(n_classes)) + rng.integers(0, n_classes, size=n - n_classes).tolist()
     rng.shuffle(assignment)
-    px = rng.dirichlet(np.ones(n))
+    px = _dirichlet(rng, n)
     mergeable = [c for c in range(n_classes) if assignment.count(c) >= 2]
     cls = mergeable[int(rng.integers(0, len(mergeable)))]
     first, labels = assignment.index(cls), {}
@@ -482,11 +585,10 @@ def _merge_draw(n: int, k: int, seed: int) -> tuple[np.ndarray, list[int]]:
     return px[:, None] * rows[assignment], mapping
 
 
-def _perm_draw(n: int, k: int, seed: int) -> tuple[np.ndarray, list[int]]:
-    """Permutation-stream candidate k as (raw table, mapping): a random joint and a permutation other than the identity."""
-    rng = np.random.default_rng([seed, 303, k])
+def _perm_draw(n: int, rng: np.random.Generator) -> tuple[np.ndarray, list[int]]:
+    """A permutation-stream candidate, drawn from a freshly seeded `rng`, as (raw table, mapping): a random joint and a permutation other than the identity."""
     m = int(rng.integers(2, 4))
-    table = rng.dirichlet(np.ones(n * m)).reshape(n, m)
+    table = _dirichlet(rng, n * m).reshape(n, m)
     perm = rng.permutation(n).tolist()
     if perm == list(range(n)):
         perm = perm[-1:] + perm[:-1]
@@ -507,21 +609,35 @@ def _chunk(n: int, start: int, stop: int, seed: int) -> dict[int, tuple[np.ndarr
     Scan index idx is candidate idx // 3 of stream idx % 3 (grid, merge,
     permutation); its position is idx - start, and each group lists its rows
     in scan order.  Grid candidates are skipped for n = 2 and past the end of
-    the grid, and appear nowhere.  The tables are validated as
-    `validate_joint` would and the mappings checked as `Transform` would,
+    the grid, and appear nowhere.  Every seeded draw of the chunk (merge
+    candidate k on stream 202, permutation candidate k on 303, the n >= 4
+    tail of grid candidate k on 101) is what `default_rng([seed, stream,
+    k])` draws: one `_seed_states` call gives each its PCG64 state, and one
+    generator is set to each state in turn.  The tables are validated
+    as `validate_joint` would and the mappings checked as `Transform` would,
     one pass per group.
     """
+    merges = range(start + (1 - start) % 3, stop, 3)
+    perms = range(start + (2 - start) % 3, stop, 3)
+    ks = np.arange(-(-start // 3), -(-stop // 3)) if n >= 3 else np.arange(0)
+    ks = ks[ks < _GRID_SIZE]
+    tails = ks if n > 3 else ks[:0]
+    draws = [(_merge_draw, idx) for idx in merges] + [(_perm_draw, idx) for idx in perms]
+    states, rng = [], None
+    if draws or len(tails):
+        streams = np.repeat([202, 303, 101], [len(merges), len(perms), len(tails)])
+        states = _seed_states(seed, streams, np.concatenate([np.array(merges) // 3, np.array(perms) // 3, tails]))
+        rng = np.random.Generator(np.random.PCG64(0))  # every draw follows a `_reseed`
     found: dict[int, tuple[list, list, list]] = {}
-    for phase, draw in ((1, _merge_draw), (2, _perm_draw)):
-        for idx in range(start + (phase - start) % 3, stop, 3):
-            table, mapping = draw(n, idx // 3, seed)
-            pos, tables, maps = found.setdefault(table.shape[1], ([], [], []))
-            pos.append(idx - start)
-            tables.append(table)
-            maps.append(mapping)
+    for (draw, idx), state in zip(draws, states):
+        table, mapping = draw(n, _reseed(rng, state))
+        pos, tables, maps = found.setdefault(table.shape[1], ([], [], []))
+        pos.append(idx - start)
+        tables.append(table)
+        maps.append(mapping)
     groups = {key: (np.array(pos), np.stack(tables), np.array(maps)) for key, (pos, tables, maps) in found.items()}
     if n >= 3:
-        ks, tables = _grid_stream(n, np.arange(-(-start // 3), -(-stop // 3)), seed)
+        tables = _grid_stream(n, ks, rng, states[len(draws):])
         grid = (3 * ks - start, tables, np.tile([0, 0, *range(1, n - 1)], (len(ks), 1)))
         if 2 in groups:
             grid = tuple(np.concatenate(pair) for pair in zip(grid, groups[2]))
@@ -556,10 +672,11 @@ def find_violation(
 
     The scan runs in chunks of 1, 2, 4, ... up to 256 candidates, so a scan
     that hits early stays cheap.  Each chunk is arrays (`_chunk`): raw
-    tables and mappings per |Y|, validated in one pass per |Y|.  Only the
-    seeded draws stay per candidate: candidate k of a random stream, and
-    the n >= 4 tail of grid candidate k, draws from its own
-    `default_rng([seed, stream, k])`, which pins it whatever the chunking.
+    tables and mappings per |Y|, validated in one pass per |Y|.  Candidate
+    k of a random stream, and the n >= 4 tail of grid candidate k, is what
+    `default_rng([seed, stream, k])` draws, which pins it whatever the
+    chunking; a chunk hashes all its seeds in one pass and draws from one
+    generator set to each candidate's state.
     Per |Y|, C before is one kernel stack, and C after and each witness
     kind come from `_decide`, which `audit_dpa` and `verify_witness` share;
     each C is the same bits as the candidate's alone.  The chunk is decided
@@ -569,13 +686,14 @@ def find_violation(
     stack's rows in one lockstep search (`losses._solve`), with the same
     seed.
 
-    Raises ParameterOutOfRange for n < 2, a negative budget, a tol that is
-    negative or not finite, and a loss declared for another alphabet size.
+    Raises ParameterOutOfRange, before any work, for n < 2, a budget or
+    seed that is negative or not an integer, a tol that is negative or not
+    finite, and a loss declared for another alphabet size.
     """
     if n < 2:
         raise ParameterOutOfRange("alphabet size must be >= 2")
-    if budget < 0:
-        raise ParameterOutOfRange(f"budget must be >= 0, got {budget}")
+    _check_count("budget", budget)
+    _check_count("seed", seed)
     _check_tol(tol)
     if l.n is not None and l.n != n:
         raise ParameterOutOfRange(f"loss expects {l.n} symbols but the scan is over {n}")

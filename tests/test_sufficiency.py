@@ -392,6 +392,32 @@ class TestFindViolation:
         with pytest.raises(ParameterOutOfRange):
             si.find_violation(si.builtin_loss("log", 3), 3, budget=-5)
 
+    @pytest.mark.parametrize("budget", [1, 5, 300])
+    @pytest.mark.parametrize("seed", [-1, 1.0, 2.5, "3", None])
+    def test_seed_out_of_range(self, seed, budget):
+        # budget 1 is the grid candidate 0 alone, which draws nothing seeded
+        with pytest.raises(ParameterOutOfRange, match="seed"):
+            si.find_violation(si.builtin_loss("log", 3), 3, budget=budget, seed=seed)
+
+    @pytest.mark.parametrize("budget", [2.5, 5.0, "5", None])
+    def test_budget_not_an_integer(self, budget):
+        with pytest.raises(ParameterOutOfRange, match="budget"):
+            si.find_violation(si.builtin_loss("log", 3), 3, budget=budget)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("seed", [-1, 0.5])
+    def test_audit_and_enumerate_seed_out_of_range(self, n, seed):
+        j = random_joint(np.random.default_rng(n), n, 2)
+        with pytest.raises(ParameterOutOfRange, match="seed"):
+            si.audit_dpa(si.builtin_loss("log", n), j, seed=seed)
+        with pytest.raises(ParameterOutOfRange, match="seed"):
+            si.enumerate_sufficient(j, seed=seed)
+
+    def test_numpy_integer_seed_and_budget(self):
+        l = si.builtin_loss("zero_one", 4)
+        w = si.find_violation(l, 4, budget=np.int64(5_000), seed=np.uint32(1))
+        assert _encode_witness(w) == _encode_witness(si.find_violation(l, 4, budget=5_000, seed=1))
+
     def test_loss_for_other_alphabet(self):
         with pytest.raises(ParameterOutOfRange):
             si.find_violation(si.builtin_loss("zero_one", 3), 4, budget=300)
@@ -622,7 +648,7 @@ def test_scan_and_audit_parity_corpus():
 
 class TestChunkOracle:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 + 5, 2**64 + 3])
     def test_matches_pinned_generators(self, n, seed):
         # tables byte for byte, mappings, and which candidates are skipped
         for start, stop in _SCAN_CHUNKS + [(_GRID_END - 10, _GRID_END + 11)]:
@@ -642,6 +668,48 @@ class TestChunkOracle:
         for n in (3, 4):
             rows = _chunk_rows(n, _GRID_END - 3, _GRID_END + 3, 0)
             assert sorted(rows) == [_GRID_END - 3, _GRID_END - 2, _GRID_END - 1, _GRID_END + 1, _GRID_END + 2]
+
+
+class TestNumpyEquivalences:
+    """The two numpy behaviours `_chunk` reproduces, pinned so that a numpy upgrade that breaks one names it."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 3, 2**96 + 7])
+    def test_seed_states_match_seed_sequence(self, seed):
+        # one call over every (stream, k); a k of 2**32 or more is a second entropy word
+        streams, ks = zip(*itertools.product([101, 202, 303], [0, 1, 2**31, 2**32 - 1, 2**32, 2**40 + 5]))
+        got = sufficiency._seed_states(seed, np.array(streams), np.array(ks))
+        want = [np.random.PCG64(np.random.SeedSequence([seed, s, k])).state["state"] for s, k in zip(streams, ks)]
+        assert got == want
+
+    def test_reseeded_generator_matches_default_rng(self):
+        rng = np.random.Generator(np.random.PCG64(0))
+        rng.integers(0, 2**31)  # leaves half of a 64-bit draw buffered
+        for k, state in enumerate(sufficiency._seed_states(5, np.full(4, 202), np.arange(4))):
+            fresh = np.random.default_rng([5, 202, k])
+            sufficiency._reseed(rng, state)
+            assert rng.integers(0, 7, size=3).tolist() == fresh.integers(0, 7, size=3).tolist()
+            assert rng.random() == fresh.random()
+
+    def test_dirichlet_matches_generator(self):
+        # each seed runs every (k, size) in turn on one stream, so a draw too many or too few also shows
+        for seed in range(1_000):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for k in range(1, 16):
+                for size in (None, 1, 2, 3, 4):
+                    got = sufficiency._dirichlet(ours, k, size)
+                    want = theirs.dirichlet(np.ones(k), size)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (seed, k, size)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_scan_builds_no_generator_per_candidate(n, monkeypatch):
+    # a chunk hashes its seeds itself and reuses one generator
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan seeded numpy per candidate")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    assert si.find_violation(si.builtin_loss("log", n), n, budget=600) is None
 
 
 def _pinned_push(table, mapping):
