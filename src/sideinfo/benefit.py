@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterOutOfRange, UnboundedBelow
+from .errors import ParameterOutOfRange, UnboundedBelow, _check_count
 from .losses import LossSpec, _masked_risk, _solve, v_envelope
 from .prob import (
     ConvexOracle,
@@ -95,8 +95,12 @@ def benefit(l: LossSpec, j: Joint, seed: int = 0) -> BenefitReport:
 
     Zero-probability side-information symbols are skipped; their
     conditionals are never formed.  Values are in nats for log loss and in
-    loss units otherwise; the CLI's `--scale` converts them afterwards.
+    loss units otherwise; the CLI's `--scale` converts them afterwards.  A
+    seed that is negative or not an integer raises ParameterOutOfRange
+    before any work, here and in `c_value`, `conditional_benefit` and
+    `g_normalized`.
     """
+    _check_count("seed", seed)
     a = _vertex_risks(l, seed)
     c, rows, risks, minimizers, ys, ws = _c_stack(l, j.table[None], seed)
     c = float(_finite(c)[0])
@@ -117,6 +121,7 @@ def benefit(l: LossSpec, j: Joint, seed: int = 0) -> BenefitReport:
 
 def c_value(l: LossSpec, j: Joint, seed: int = 0) -> float:
     """Fast path: just the scalar C, skipping the cross-check and report."""
+    _check_count("seed", seed)
     return float(_finite(_c_stack(l, j.table[None], seed)[0])[0])
 
 
@@ -156,6 +161,7 @@ def g_normalized(l: LossSpec, seed: int = 0) -> ConvexOracle:
     Jensen gap of G.  The subgradient is numeric (central differences on
     tangent directions), so expect kinks for matrix losses.
     """
+    _check_count("seed", seed)
     a = -_vertex_risks(l, seed)  # V(delta_i)
 
     def value(q: np.ndarray) -> float:
@@ -182,6 +188,7 @@ def conditional_benefit(l: LossSpec, j: Joint, seed: int = 0) -> float:
     the w of positive mass; equals the drop in optimal risk from
     W-measurable to (Y,W)-measurable predictors.
     """
+    _check_count("seed", seed)
     if not j.has_w:
         raise ValueError("conditional benefit needs a 3-axis joint")
     pw = w_marginal(j).probs

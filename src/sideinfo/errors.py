@@ -1,4 +1,6 @@
-"""Semantic exception hierarchy shared by all sideinfo modules."""
+"""Semantic exception hierarchy shared by all sideinfo modules, and their shared seed and budget check."""
+
+import numpy as np
 
 
 class SideinfoError(Exception):
@@ -89,3 +91,11 @@ class EmptySample(SideinfoError):
 
 class UnknownSymbol(SideinfoError):
     """A sample symbol falls outside its declared alphabet."""
+
+
+def _check_count(name: str, v) -> None:
+    """A seed or budget: an integer (numpy integers count) that is >= 0, else ParameterOutOfRange."""
+    if not isinstance(v, (int, np.integer)):
+        raise ParameterOutOfRange(f"{name} must be an integer, got {type(v).__name__}")
+    if v < 0:
+        raise ParameterOutOfRange(f"{name} must be >= 0, got {v}")

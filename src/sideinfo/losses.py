@@ -43,7 +43,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import NotProper, ParameterOutOfRange, UnboundedBelow, UnknownLoss
+from .errors import NotProper, ParameterOutOfRange, UnboundedBelow, UnknownLoss, _check_count
 from .prob import ConvexOracle, Dist, _as_probs, _simplex
 
 BUILTIN_LOSSES = ("log", "zero_one", "brier", "spherical", "absolute_ordered")
@@ -381,7 +381,8 @@ def bayes_risk(l: LossSpec, p, seed: int = 0) -> BayesResult:
     distribution within SIMPLEX_TOL raises NegativeMass or NotNormalized (p
     is checked, never renormalized).  A risk with no finite value (for the
     numeric search, no start with a finite expected loss) raises
-    UnboundedBelow.
+    UnboundedBelow, and a seed that is negative or not an integer
+    ParameterOutOfRange, before any work.
 
     Known cost: the numeric search checks itself against every point of
     `simplex_grid(n, 200)` for n <= 4, scored in blocks of whole leading
@@ -391,6 +392,7 @@ def bayes_risk(l: LossSpec, p, seed: int = 0) -> BayesResult:
     those points by one Python call per outcome, so at n = 4 one call takes
     18-24 s on a 2-core Xeon VM.  A stack (`_solve`) pays for them once.
     """
+    _check_count("seed", seed)
     pv = _as_probs(p)
     _tier(l, pv.shape[0])  # the length is checked before the mass
     _simplex(pv, 1)
@@ -404,7 +406,8 @@ def bayes_risk(l: LossSpec, p, seed: int = 0) -> BayesResult:
 def v_envelope(l: LossSpec, p, seed: int = 0) -> float:
     """Negative Bayes envelope V(P) = -inf_a E_P[ell(X, a)]; convex and bounded.
 
-    Raises as `bayes_risk` does for a p that is not a distribution.
+    Raises as `bayes_risk` does for a p that is not a distribution or a
+    seed that is negative or not an integer.
     """
     return -bayes_risk(l, p, seed=seed).risk
 
@@ -449,8 +452,10 @@ def audit_propriety(
     Returns the worst (most negative) margin seen; raises NotProper with the
     offending (P, Q) witness if any dishonest report strictly wins.  An `n`
     that differs from the rule's declared alphabet size raises
-    ParameterOutOfRange, as in `bayes_risk`, and so do trials < 1.
+    ParameterOutOfRange, as in `bayes_risk`, and so do trials < 1 and a seed
+    that is negative or not an integer, before any work.
     """
+    _check_count("seed", seed)
     if isinstance(l, ActionMatrixLoss):
         raise ParameterOutOfRange("propriety is defined for simplex-action rules")
     if trials < 1:

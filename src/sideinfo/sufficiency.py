@@ -23,8 +23,12 @@ objects.  Candidate k of a random stream is exactly what
 `default_rng([seed, stream, k])` draws, which pins it whatever chunk it
 falls in, but no candidate builds that generator: a chunk hashes every
 seed it needs in one pass (`_seed_states`, numpy's SeedSequence and PCG64
-seeding on arrays) and sets one generator to each candidate's state in
-turn.
+seeding on arrays) and sets the scan's one generator to each candidate's
+state in turn.  A candidate calls numpy only for its raw words
+(`random_raw`) and its standard exponentials; its integer, shuffle and
+uniform draws are decoded from the raw words as numpy computes them
+(`_Words`), and the chunk scales all its exponentials into Dirichlet rows
+one array pass per row width (`_scale`).
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .benefit import _c_stack, _finite, c_value
-from .errors import AlphabetTooLarge, ParameterOutOfRange, WitnessVerificationFailed
+from .errors import AlphabetTooLarge, ParameterOutOfRange, WitnessVerificationFailed, _check_count
 from .losses import LossSpec, reinstantiate
 from .prob import Joint, _simplex, validate_joint
 
@@ -133,14 +137,6 @@ def _same_alphabet(n: int, nx: int) -> None:
 def _check_tol(tol: float) -> None:
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ParameterOutOfRange(f"tol must be finite and >= 0, got {tol}")
-
-
-def _check_count(name: str, v) -> None:
-    """A seed or budget: an integer (numpy integers count) that is >= 0."""
-    if not isinstance(v, (int, np.integer)):
-        raise ParameterOutOfRange(f"{name} must be an integer, got {type(v).__name__}")
-    if v < 0:
-        raise ParameterOutOfRange(f"{name} must be >= 0, got {v}")
 
 
 def _push(tables: np.ndarray, maps: np.ndarray, m: int, padded: bool = False) -> np.ndarray:
@@ -532,15 +528,78 @@ def _reseed(rng: np.random.Generator, state: dict) -> np.random.Generator:
     return rng
 
 
-def _dirichlet(rng: np.random.Generator, k: int, size: Optional[int] = None) -> np.ndarray:
-    """`rng.dirichlet(np.ones(k), size)`, the same bits and draws.
+def _scale(e: np.ndarray) -> np.ndarray:
+    """Standard exponentials (..., k) as Dirichlet(1, ..., 1) rows, every row in one pass.
 
-    With every alpha 1, each gamma draw of `Generator.dirichlet` is a
-    standard exponential, and each row is scaled by 1.0 / acc, acc its left
-    fold from 0.0: the last entry of np.add.accumulate, a sequential sum.
+    Each row is scaled by 1.0 / acc, acc its left fold from 0.0 (the last
+    entry of np.add.accumulate, a sequential sum): with every alpha 1,
+    `Generator.dirichlet` draws standard exponentials as its gammas and
+    scales them so.  A row is the same bits in any stack as alone.
     """
-    e = rng.standard_exponential((k,) if size is None else (size, k))
     return e * (1.0 / np.add.accumulate(e, axis=-1)[..., -1:])
+
+
+def _dirichlet(rng: np.random.Generator, k: int, size: Optional[int] = None) -> np.ndarray:
+    """`rng.dirichlet(np.ones(k), size)`, the same bits and draws: `_scale` of its standard exponentials."""
+    return _scale(rng.standard_exponential((k,) if size is None else (size, k)))
+
+
+class _Words:
+    """numpy's integer, shuffle and uniform draws on one PCG64, decoded from its raw 64-bit words.
+
+    A 32-bit draw (`next_uint32`) takes the low half of a fresh
+    `random_raw` word and keeps the high half for the next 32-bit draw; a
+    `standard_exponential` call in between reads whole words and leaves
+    that half where it is.  Start one per candidate, right after `_reseed`,
+    when nothing is buffered.  Tests pin each decoder against `Generator`.
+    """
+
+    __slots__ = ("raw", "half")
+
+    def __init__(self, rng: np.random.Generator):
+        self.raw, self.half = rng.bit_generator.random_raw, None
+
+    def u32(self) -> int:
+        if self.half is None:
+            w = self.raw()
+            self.half = w >> 32
+            return w & _MASK32
+        h, self.half = self.half, None
+        return h
+
+    def integers(self, lo: int, hi: int) -> int:
+        """`Generator.integers(lo, hi)` for hi - lo <= 2**32; `size=k` is k of these in turn.
+
+        Lemire's bounded draw with r = hi - lo - 1: a 32-bit draw times
+        r + 1, redrawn while its low word is below (2**32 - 1 - r) % (r + 1).
+        r = 0 draws nothing.
+        """
+        r = hi - lo - 1
+        if not r:
+            return lo
+        floor = (_MASK32 - r) % (r + 1)
+        m = self.u32() * (r + 1)
+        while m & _MASK32 < floor:
+            m = self.u32() * (r + 1)
+        return lo + (m >> 32)
+
+    def shuffle(self, x: list) -> list:
+        """`Generator.shuffle(x)` of a list, in place, and so `permutation(len(x))` when x is its range.
+
+        For i = n-1 .. 1, x[i] swaps with x[random_interval(i)]: a 32-bit
+        draw masked to the bits of i, redrawn until it is <= i.
+        """
+        for i in range(len(x) - 1, 0, -1):
+            mask = (1 << i.bit_length()) - 1
+            j = self.u32() & mask
+            while j > i:
+                j = self.u32() & mask
+            x[i], x[j] = x[j], x[i]
+        return x
+
+    def uniform(self, lo: float, hi: float) -> float:
+        """`Generator.uniform(lo, hi)`: lo + (hi - lo) times the top 53 bits of one whole word over 2**53."""
+        return lo + (hi - lo) * ((self.raw() >> 11) * 2.0**-53)
 
 
 def _grid_stream(n: int, ks: np.ndarray, rng: np.random.Generator, states: list) -> np.ndarray:
@@ -548,8 +607,10 @@ def _grid_stream(n: int, ks: np.ndarray, rng: np.random.Generator, states: list)
 
     (t, alpha, lambda pair) come from index arithmetic on k.  For n >= 4 each
     k also draws a tail mass and its split from `rng` set to its row of
-    `states`, the `_seed_states` of (seed, 101, k).  lambda1 < lambda2
-    always holds: s1 < s2 on the grid and r >= 0.4.
+    `states`, the `_seed_states` of (seed, 101, k): the mass is decoded
+    from one raw word (`_Words.uniform`) and the split is n - 3 standard
+    exponentials, all scaled in one `_scale`.  lambda1 < lambda2 always
+    holds: s1 < s2 on the grid and r >= 0.4.
     """
     t, rem = _T_GRID[ks // _PER_T], ks % _PER_T
     alpha, pair = _ALPHA_GRID[rem // len(_S1)], rem % len(_S1)
@@ -557,42 +618,49 @@ def _grid_stream(n: int, ks: np.ndarray, rng: np.random.Generator, states: list)
     if n > 3:
         mass, split = [], []
         for state in states:
-            _reseed(rng, state)
-            mass.append(float(rng.uniform(0.05, 0.6)))
-            split.append(_dirichlet(rng, n - 3))
+            mass.append(_Words(_reseed(rng, state)).uniform(0.05, 0.6))
+            split.append(rng.standard_exponential(n - 3))
         mass = np.array(mass)
-        tail, r = mass[:, None] * np.array(split).reshape(len(ks), n - 3), 1.0 - mass
+        tail, r = mass[:, None] * _scale(np.array(split).reshape(len(ks), n - 3)), 1.0 - mass
     return _proof_tables(n, t, _S1[pair] * r, _S2[pair] * r, alpha, tail)
 
 
-def _merge_draw(n: int, rng: np.random.Generator) -> tuple[np.ndarray, list[int]]:
-    """A merge-stream candidate, drawn from a freshly seeded `rng`, as (raw table, mapping).
+def _merge_draw(n: int, rng: np.random.Generator) -> tuple[np.ndarray, list[int], np.ndarray, list[int]]:
+    """A merge-stream candidate from a freshly seeded `rng`: (class-row exponentials (classes, |Y|), assignment, P_X exponentials (n,), mapping).
 
     A random joint whose conditional rows repeat within classes, and the
     sufficient merge of one class with two or more members; there are fewer
-    classes than symbols, so such a class always exists.
+    classes than symbols, so such a class always exists.  The joint is
+    px[:, None] * rows[assignment] once `_scale` makes the exponentials
+    Dirichlet rows.  Only the exponentials are `Generator` calls; the
+    integer and shuffle draws are decoded from raw words (`_Words`).
     """
-    m = int(rng.integers(2, 4))
-    n_classes = int(rng.integers(1, n))
-    rows = _dirichlet(rng, m, n_classes)
-    assignment = list(range(n_classes)) + rng.integers(0, n_classes, size=n - n_classes).tolist()
-    rng.shuffle(assignment)
-    px = _dirichlet(rng, n)
+    w = _Words(rng)
+    m = w.integers(2, 4)
+    n_classes = w.integers(1, n)
+    rows = rng.standard_exponential((n_classes, m))
+    assignment = w.shuffle(list(range(n_classes)) + [w.integers(0, n_classes) for _ in range(n - n_classes)])
+    px = rng.standard_exponential(n)
     mergeable = [c for c in range(n_classes) if assignment.count(c) >= 2]
-    cls = mergeable[int(rng.integers(0, len(mergeable)))]
+    cls = mergeable[w.integers(0, len(mergeable))]
     first, labels = assignment.index(cls), {}
     mapping = [labels.setdefault(first if a == cls else x, len(labels)) for x, a in enumerate(assignment)]
-    return px[:, None] * rows[assignment], mapping
+    return rows, assignment, px, mapping
 
 
 def _perm_draw(n: int, rng: np.random.Generator) -> tuple[np.ndarray, list[int]]:
-    """A permutation-stream candidate, drawn from a freshly seeded `rng`, as (raw table, mapping): a random joint and a permutation other than the identity."""
-    m = int(rng.integers(2, 4))
-    table = _dirichlet(rng, n * m).reshape(n, m)
-    perm = rng.permutation(n).tolist()
+    """A permutation-stream candidate from a freshly seeded `rng`: (exponentials (n * |Y|,), permutation other than the identity).
+
+    The joint is the `_scale` of the exponentials as an (n, |Y|) table; the
+    |Y| draw and the permutation are decoded from raw words (`_Words`).
+    """
+    w = _Words(rng)
+    m = w.integers(2, 4)
+    e = rng.standard_exponential(n * m)
+    perm = w.shuffle(list(range(n)))
     if perm == list(range(n)):
         perm = perm[-1:] + perm[:-1]
-    return table, perm
+    return e, perm
 
 
 def _check_labels(maps: np.ndarray) -> None:
@@ -603,7 +671,9 @@ def _check_labels(maps: np.ndarray) -> None:
         raise ParameterOutOfRange(f"labels must be contiguous from 0, got {sorted(set(s[bad.argmax()].tolist()))}")
 
 
-def _chunk(n: int, start: int, stop: int, seed: int) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _chunk(
+    n: int, start: int, stop: int, seed: int, rng: Optional[np.random.Generator] = None
+) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Scan candidates start..stop-1 as {|Y|: (positions, tables (K, n, |Y|), mappings (K, n))}.
 
     Scan index idx is candidate idx // 3 of stream idx % 3 (grid, merge,
@@ -612,43 +682,55 @@ def _chunk(n: int, start: int, stop: int, seed: int) -> dict[int, tuple[np.ndarr
     the grid, and appear nowhere.  Every seeded draw of the chunk (merge
     candidate k on stream 202, permutation candidate k on 303, the n >= 4
     tail of grid candidate k on 101) is what `default_rng([seed, stream,
-    k])` draws: one `_seed_states` call gives each its PCG64 state, and one
-    generator is set to each state in turn.  The tables are validated
-    as `validate_joint` would and the mappings checked as `Transform` would,
-    one pass per group.
+    k])` draws: one `_seed_states` call gives each its PCG64 state, and
+    `rng` (one is built when None) is set to each state in turn.  A
+    candidate's only `Generator` calls are `standard_exponential`; its
+    integer, shuffle and uniform draws are decoded from raw words
+    (`_Words`).  The exponentials become Dirichlet rows in one `_scale`
+    per row width of each stream and |Y|, each merge joint is one gather of
+    its class rows, the tables are validated as `validate_joint` would and
+    the mappings checked as `Transform` would, one pass per group.
     """
     merges = range(start + (1 - start) % 3, stop, 3)
     perms = range(start + (2 - start) % 3, stop, 3)
     ks = np.arange(-(-start // 3), -(-stop // 3)) if n >= 3 else np.arange(0)
     ks = ks[ks < _GRID_SIZE]
     tails = ks if n > 3 else ks[:0]
-    draws = [(_merge_draw, idx) for idx in merges] + [(_perm_draw, idx) for idx in perms]
-    states, rng = [], None
-    if draws or len(tails):
+    states = []
+    if len(merges) or len(perms) or len(tails):
         streams = np.repeat([202, 303, 101], [len(merges), len(perms), len(tails)])
         states = _seed_states(seed, streams, np.concatenate([np.array(merges) // 3, np.array(perms) // 3, tails]))
-        rng = np.random.Generator(np.random.PCG64(0))  # every draw follows a `_reseed`
-    found: dict[int, tuple[list, list, list]] = {}
-    for (draw, idx), state in zip(draws, states):
-        table, mapping = draw(n, _reseed(rng, state))
-        pos, tables, maps = found.setdefault(table.shape[1], ([], [], []))
-        pos.append(idx - start)
-        tables.append(table)
-        maps.append(mapping)
-    groups = {key: (np.array(pos), np.stack(tables), np.array(maps)) for key, (pos, tables, maps) in found.items()}
+        if rng is None:
+            rng = np.random.Generator(np.random.PCG64(0))  # every draw follows a `_reseed`
+    merged: dict[int, list] = {}  # |Y| -> (position, mapping, class rows, assignment, P_X) per candidate
+    for idx, state in zip(merges, states):
+        rows, assignment, px, mapping = _merge_draw(n, _reseed(rng, state))
+        merged.setdefault(rows.shape[1], []).append((idx - start, mapping, rows, assignment, px))
+    permuted: dict[int, list] = {}  # |Y| -> (position, permutation, exponentials) per candidate
+    for idx, state in zip(perms, states[len(merges):]):
+        e, perm = _perm_draw(n, _reseed(rng, state))
+        permuted.setdefault(len(e) // n, []).append((idx - start, perm, e))
+    parts: dict[int, list] = {}  # |Y| -> (positions, tables, mappings) per stream
+    for b, found in merged.items():
+        pos, maps, rows, assignments, px = zip(*found)
+        counts = [len(r) for r in rows]
+        at = np.cumsum(counts) - counts  # each candidate's first class row in the stack
+        tables = _scale(np.array(px))[:, :, None] * _scale(np.concatenate(rows))[at[:, None] + np.array(assignments)]
+        parts.setdefault(b, []).append((pos, tables, maps))
+    for b, found in permuted.items():
+        pos, maps, e = zip(*found)
+        parts.setdefault(b, []).append((pos, _scale(np.array(e)).reshape(len(pos), n, b), maps))
     if n >= 3:
-        tables = _grid_stream(n, ks, rng, states[len(draws):])
-        grid = (3 * ks - start, tables, np.tile([0, 0, *range(1, n - 1)], (len(ks), 1)))
-        if 2 in groups:
-            grid = tuple(np.concatenate(pair) for pair in zip(grid, groups[2]))
-        groups[2] = grid
+        tables = _grid_stream(n, ks, rng, states[len(merges) + len(perms):])
+        parts.setdefault(2, []).append((3 * ks - start, tables, np.tile([0, 0, *range(1, n - 1)], (len(ks), 1))))
     out = {}
-    for key, (pos, tables, maps) in groups.items():
+    for b, groups in parts.items():
+        pos, tables, maps = (np.concatenate(part) for part in zip(*groups))
         if len(pos):
             order = np.argsort(pos, kind="stable")
             _check_labels(maps)
             tables, s = _simplex(tables[order], 2)
-            out[key] = pos[order], tables / s[:, None, None], maps[order]
+            out[b] = pos[order], tables / s[:, None, None], maps[order]
     return out
 
 
@@ -675,8 +757,11 @@ def find_violation(
     tables and mappings per |Y|, validated in one pass per |Y|.  Candidate
     k of a random stream, and the n >= 4 tail of grid candidate k, is what
     `default_rng([seed, stream, k])` draws, which pins it whatever the
-    chunking; a chunk hashes all its seeds in one pass and draws from one
-    generator set to each candidate's state.
+    chunking; a chunk hashes all its seeds in one pass and draws from the
+    scan's one generator, set to each candidate's state.  Only the standard
+    exponentials are `Generator` calls: the integer, shuffle and uniform
+    draws are decoded from raw words, and each chunk scales its
+    exponentials into Dirichlet rows as whole arrays.
     Per |Y|, C before is one kernel stack, and C after and each witness
     kind come from `_decide`, which `audit_dpa` and `verify_witness` share;
     each C is the same bits as the candidate's alone.  The chunk is decided
@@ -698,9 +783,10 @@ def find_violation(
     if l.n is not None and l.n != n:
         raise ParameterOutOfRange(f"loss expects {l.n} symbols but the scan is over {n}")
     start, size = 0, 1
+    rng = np.random.Generator(np.random.PCG64(0))  # reused by every chunk; each draw follows a `_reseed`
     while start < budget:
         stop = min(start + size, budget)
-        groups = _chunk(n, start, stop, seed)
+        groups = _chunk(n, start, stop, seed, rng)
         before, after = np.zeros(stop - start), np.zeros(stop - start)  # 0 and 0 at a skipped position: no witness
         kinds = np.full(stop - start, "", dtype=object)  # "" at a skipped position
         for pos, tables, maps in groups.values():

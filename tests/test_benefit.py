@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 import sideinfo as si
 from sideinfo import sufficiency
 from sideinfo.benefit import c_value
+from sideinfo.errors import ParameterOutOfRange
 
 from conftest import random_joint, random_joint3
 
@@ -246,3 +248,34 @@ class TestConditionalBenefit:
             j = random_joint3(rng, 3, 2, 2)
             for name in ("zero_one", "brier"):
                 assert si.conditional_benefit(si.builtin_loss(name, 3), j) >= -1e-9
+
+
+def _blind_brier(n):
+    """Brier without its proper flag: a numeric-tier rule."""
+    proper = si.builtin_loss("brier", n)
+    return si.ScoringRuleLoss(eval_fn=proper.eval_fn, n=n, proper=False, vector_fn=proper.vector_fn)
+
+
+_J2 = si.validate_joint([[0.2, 0.1], [0.1, 0.2], [0.1, 0.3]])
+_J3 = si.Joint(np.full((3, 2, 2), 1.0 / 12.0) * [[[0.5, 1.5]], [[1.0, 1.0]], [[1.5, 0.5]]])
+# each seeded entry point as a float of its result
+_SEEDED = {
+    "c_value": lambda l, seed: c_value(l, _J2, seed=seed),
+    "benefit": lambda l, seed: si.benefit(l, _J2, seed=seed).c_value,
+    "conditional_benefit": lambda l, seed: si.conditional_benefit(l, _J3, seed=seed),
+    "g_normalized": lambda l, seed: si.g_normalized(l, seed=seed).value(np.array([0.2, 0.3, 0.5])),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SEEDED))
+@pytest.mark.parametrize("tier", ["exact", "numeric"])
+def test_seed_out_of_range(entry, tier, monkeypatch):
+    # once an exact tier ignored a bad seed, and the numeric tier raised
+    # numpy's bare ValueError or TypeError from default_rng
+    l = si.builtin_loss("zero_one", 3) if tier == "exact" else _blind_brier(3)
+    call = _SEEDED[entry]
+    assert call(l, np.uint32(3)) == call(l, np.int64(3)) == call(l, 3)
+    monkeypatch.setattr(sys.modules["sideinfo.benefit"], "_solve", None)  # no work before the check
+    for seed in (-1, 2.5, "3", None):
+        with pytest.raises(ParameterOutOfRange, match="seed"):
+            call(l, seed)

@@ -720,3 +720,27 @@ def test_simplex_grid_counts():
     g = simplex_grid(3, 10)
     assert g.shape == (66, 3)
     assert np.allclose(g.sum(axis=1), 1.0)
+
+
+_P3 = [0.2, 0.3, 0.5]
+# each seeded entry point as a float of its result
+_SEEDED = {
+    "bayes_risk": lambda rule, seed: si.bayes_risk(rule, _P3, seed=seed).risk,
+    "v_envelope": lambda rule, seed: si.v_envelope(rule, _P3, seed=seed),
+    "audit_propriety": lambda rule, seed: si.audit_propriety(rule, trials=3, seed=seed).worst_margin,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SEEDED))
+@pytest.mark.parametrize("tier", ["exact", "numeric"])
+def test_seed_out_of_range(entry, tier, monkeypatch):
+    # once an exact tier ignored a bad seed, and the numeric tier and the
+    # audit raised numpy's bare ValueError or TypeError from default_rng
+    rule = si.builtin_loss("brier", 3) if tier == "exact" else unflagged_rule("brier", 3)
+    call = _SEEDED[entry]
+    assert call(rule, np.uint32(3)) == call(rule, np.int64(3)) == call(rule, 3)
+    monkeypatch.setattr(si.losses, "_solve", None)  # no work before the check
+    monkeypatch.setattr(np.random, "default_rng", None)
+    for seed in (-1, 2.5, "3", None):
+        with pytest.raises(ParameterOutOfRange, match="seed"):
+            call(rule, seed)

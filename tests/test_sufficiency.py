@@ -671,7 +671,7 @@ class TestChunkOracle:
 
 
 class TestNumpyEquivalences:
-    """The two numpy behaviours `_chunk` reproduces, pinned so that a numpy upgrade that breaks one names it."""
+    """The numpy behaviours `_chunk` reproduces, pinned so that a numpy upgrade that breaks one names it."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 3, 2**96 + 7])
     def test_seed_states_match_seed_sequence(self, seed):
@@ -700,16 +700,101 @@ class TestNumpyEquivalences:
                     want = theirs.dirichlet(np.ones(k), size)
                     assert got.shape == want.shape and got.tobytes() == want.tobytes(), (seed, k, size)
 
+    @staticmethod
+    def _streams(seeds=range(1_000)):
+        """For each seed, our decoder on one default_rng(seed) and numpy's own on another."""
+        for seed in seeds:
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            yield seed, sufficiency._Words(ours), ours, theirs
+
+    @staticmethod
+    def _same_position(words, ours, theirs):
+        # the same raw word next, and the same 32-bit half buffered
+        st = theirs.bit_generator.state
+        assert ours.bit_generator.state["state"] == st["state"]
+        assert words.half == (st["uinteger"] if st["has_uint32"] else None)
+
+    # hi - lo: 1 draws nothing; 2**31 + 1 rejects about half its 32-bit draws, so the redraw loop runs
+    _RANGES = [1, 2, 5, 2**31 + 1, 3 * 2**30 + 7, 2**32 - 2]
+
+    def test_integers_decoded(self):
+        for seed, words, ours, theirs in self._streams():
+            for span in self._RANGES:
+                lo = seed % 7 - 3
+                assert words.integers(lo, lo + span) == theirs.integers(lo, lo + span), (seed, span)
+                got = [words.integers(lo, lo + span) for _ in range(3)]
+                assert got == theirs.integers(lo, lo + span, size=3).tolist(), (seed, span)
+            self._same_position(words, ours, theirs)
+
+    def test_single_value_range_draws_nothing(self):
+        for seed, words, ours, theirs in self._streams(range(50)):
+            words.integers(0, 3), theirs.integers(0, 3)  # leaves a half buffered
+            for lo in (0, 4, -2):
+                assert words.integers(lo, lo + 1) == lo == theirs.integers(lo, lo + 1)
+                assert theirs.integers(lo, lo + 1, size=4).tolist() == [lo] * 4
+            self._same_position(words, ours, theirs)
+
+    def test_buffered_half_survives_exponentials(self):
+        # a 32-bit draw, exponentials reading whole words, then the buffered high half
+        for seed, words, ours, theirs in self._streams():
+            assert words.integers(0, 7) == theirs.integers(0, 7)
+            assert words.half is not None
+            got, want = ours.standard_exponential(1 + seed % 4), theirs.standard_exponential(1 + seed % 4)
+            assert got.tobytes() == want.tobytes()
+            assert [words.integers(0, 1000) for _ in range(3)] == theirs.integers(0, 1000, size=3).tolist(), seed
+            self._same_position(words, ours, theirs)
+
+    def test_shuffle_and_permutation_decoded(self):
+        for seed, words, ours, theirs in self._streams():
+            for n in range(2, 10):
+                x, y = list(range(10, 10 + n)), list(range(10, 10 + n))
+                theirs.shuffle(y)
+                assert words.shuffle(x) == y, (seed, n)
+                assert words.shuffle(list(range(n))) == theirs.permutation(n).tolist(), (seed, n)
+            self._same_position(words, ours, theirs)
+
+    def test_uniform_decoded(self):
+        for seed, words, ours, theirs in self._streams():
+            assert words.integers(0, 3) == theirs.integers(0, 3)  # the buffered half outlives the uniform draw
+            got, want = words.uniform(0.05, 0.6), theirs.uniform(0.05, 0.6)
+            assert got.hex() == want.hex(), seed
+            self._same_position(words, ours, theirs)
+
+
+class _ExponentialsOnly(np.random.Generator):
+    """A Generator whose only callable method is standard_exponential."""
+
+    def __getattribute__(self, name):
+        if name not in ("standard_exponential", "bit_generator"):
+            raise AssertionError(f"the scan called Generator.{name}")
+        return super().__getattribute__(name)
+
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_scan_builds_no_generator_per_candidate(n, monkeypatch):
-    # a chunk hashes its seeds itself and reuses one generator
+    # a chunk hashes its seeds itself, reuses one generator and decodes every
+    # draw but the exponentials from its raw words
     def refuse(*args, **kwargs):
         raise AssertionError("the scan seeded numpy per candidate")
 
     monkeypatch.setattr(np.random, "default_rng", refuse)
     monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    monkeypatch.setattr(np.random, "Generator", _ExponentialsOnly)
     assert si.find_violation(si.builtin_loss("log", n), n, budget=600) is None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_scan_builds_one_generator(n, monkeypatch):
+    # 600 candidates take ten chunks, and every seeded draw among them uses the one generator
+    real, built = np.random.PCG64, []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "PCG64", counted)
+    assert si.find_violation(si.builtin_loss("log", n), n, budget=600) is None
+    assert len(built) == 1
 
 
 def _pinned_push(table, mapping):
