@@ -23,6 +23,9 @@ batch and one step batch per iteration, each start on the path it takes
 alone.  A start retires at a fixed point (an accepted step that leaves its
 bits unchanged would repeat until the iteration cap) and reuses its gradient
 after a rejected step (its q, and so its finite differences, are unchanged).
+Each row's best start is then refined by Nelder-Mead (`_nelder_mead`, an
+in-house port of scipy's, pinned bit for bit against it by the parity test
+in tests/test_losses.py), so no Bayes solve loads scipy.
 
 Every expected loss, in both exact tiers and in the numeric search's
 objective, is one masked elementwise product p_x * ell_x over the x with
@@ -261,14 +264,89 @@ def _grid_blocks(n: int, steps: int):
         yield _lattice(part[:, None], steps - part, n) / steps
 
 
+def _nelder_mead(f, x0: np.ndarray):
+    """Minimize f from x0: scipy 1.17.1's Nelder-Mead for the one case the numeric tier runs.
+
+    A port of `scipy.optimize.minimize(f, x0, method="Nelder-Mead", options=
+    {"maxiter": 400 n, "xatol": 1e-10, "fatol": 1e-12})`: coefficients rho 1,
+    chi 2, psi 0.5, sigma 0.5, initial steps of 5% (0.00025 for a zero entry),
+    no bounds and no limit on evaluations.  Every expression and every sort is
+    scipy's, in scipy's order, so (x, fun) are its bits and f is called as
+    often; the parity test pins this against scipy.  Returns (sim[0], min of
+    the simplex values), a NaN minimum included.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.array(x0, dtype=float)  # scipy's own copy
+    N = len(x0)
+    maxiter = 400 * N
+    sim = np.empty((N + 1, N), dtype=float)
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        if y[k] != 0:
+            y[k] = (1 + 0.05) * y[k]
+        else:
+            y[k] = 0.00025
+        sim[k + 1] = y
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+    for k in range(N + 1):
+        fsim[k] = f(sim[k])
+    ind = np.argsort(fsim)  # scipy sorts twice before the loop
+    sim = np.take(sim, ind, 0)
+    fsim = np.take(fsim, ind, 0)
+    ind = np.argsort(fsim)
+    fsim = np.take(fsim, ind, 0)
+    sim = np.take(sim, ind, 0)
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= 1e-10 and
+                np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-12):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:  # expand
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = f(xe)
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:  # reflect
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            doshrink = False
+            if fxr < fsim[-1]:  # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    doshrink = True
+            else:  # inside contraction
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    doshrink = True
+            if doshrink:  # toward the best vertex, one vertex at a time
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim)
+
+
 def _numeric_bayes(l: ScoringRuleLoss, rows: np.ndarray, seed: int):
     """The numeric tier over an (R, n) stack: (risks, minimizers, grid gaps or None above n = 4).
 
     A row with no finite start gets risk inf and skips the refinement and the
     grid check; its minimizer and gap are never read.
     """
-    from scipy.optimize import minimize  # loaded on first use
-
     r, n = rows.shape
     # multi-start projected (numeric) gradient descent, every start of every row
     # in lockstep: per iteration, one batch of central differences along +-h e_i
@@ -318,11 +396,10 @@ def _numeric_bayes(l: ScoringRuleLoss, rows: np.ndarray, seed: int):
     first = vals.argmin(axis=1)
     risks, best = vals[np.arange(r), first], qs[np.arange(r) * 16 + first]
     live = np.flatnonzero(risks < np.inf)
-    for i in live:  # Nelder-Mead refinement through the projection
-        res = minimize(lambda z, p=rows[i]: _expected_scoring_loss(l, p, _simplex_project(z)), best[i],
-                       method="Nelder-Mead", options={"maxiter": 400 * n, "xatol": 1e-10, "fatol": 1e-12})
-        if np.isfinite(res.fun) and res.fun < risks[i]:
-            best[i], risks[i] = _simplex_project(res.x), res.fun
+    for i in live:  # Nelder-Mead refinement through the projection: scipy's arithmetic, run in-house
+        x, fun = _nelder_mead(lambda z, p=rows[i]: _expected_scoring_loss(l, p, _simplex_project(z)), best[i])
+        if np.isfinite(fun) and fun < risks[i]:
+            best[i], risks[i] = _simplex_project(x), fun
     if n > 4:
         return risks, best, None
     # each row's first grid point of least value, block by block; NaN never counts, as in start
@@ -387,10 +464,10 @@ def bayes_risk(l: LossSpec, p, seed: int = 0) -> BayesResult:
     Known cost: the numeric search checks itself against every point of
     `simplex_grid(n, 200)` for n <= 4, scored in blocks of whole leading
     coordinates (`GRID_BLOCK` points or so each), so at n = 4 (1.37M points)
-    one call with a `vector_fn` peaks at 86 MB RSS with numpy and scipy
-    loaded (77 MB before the call).  A rule given only an `eval_fn` scores
-    those points by one Python call per outcome, so at n = 4 one call takes
-    18-24 s on a 2-core Xeon VM.  A stack (`_solve`) pays for them once.
+    one call with a `vector_fn` peaks at 44 MB RSS (30 MB with numpy loaded,
+    before the call).  A rule given only an `eval_fn` scores those points by
+    one Python call per outcome, so at n = 4 one call takes 18-24 s on a
+    2-core Xeon VM.  A stack (`_solve`) pays for them once.
     """
     _check_count("seed", seed)
     pv = _as_probs(p)

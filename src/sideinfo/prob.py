@@ -18,6 +18,7 @@ from .errors import (
     NegativeMass,
     NotNormalized,
     ZeroConditioningEvent,
+    _check_count,
 )
 
 SIMPLEX_TOL = 1e-9
@@ -300,8 +301,11 @@ def check_convex_oracle(
 
     Checks midpoint convexity, the supporting-hyperplane inequality for the
     reported subgradient, and (if flagged) permutation invariance.  This is a
-    probabilistic guardrail, not a proof; raises ConvexityViolation on failure.
+    probabilistic guardrail, not a proof; raises ConvexityViolation on failure,
+    and ParameterOutOfRange, before any work, for a seed that is negative or
+    not an integer.
     """
+    _check_count("seed", seed)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(pairs):

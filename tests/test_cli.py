@@ -451,7 +451,7 @@ def _imported_modules(argv, cwd) -> set[str]:
 
 
 class TestLazyScipy:
-    """scipy loads on first use (numeric Bayes tier, geweke), never with the package."""
+    """scipy loads on first use, by geweke alone, never with the package or a Bayes solve."""
 
     def test_package_import_leaves_scipy_out(self, tmp_path):
         mods = _imported_modules(["-c", "import sideinfo, sideinfo.cli"], tmp_path)
@@ -460,6 +460,24 @@ class TestLazyScipy:
 
     def test_mi_command_leaves_scipy_out(self, tmp_path, witness_file):
         assert "scipy" not in _imported_modules(["-m", "sideinfo", "mi", "--joint", witness_file], tmp_path)
+
+    def test_numeric_bayes_tier_leaves_scipy_out(self, tmp_path):
+        script = (
+            "import sys, numpy as np, sideinfo as si\n"
+            "from sideinfo.benefit import c_value\n"
+            "from sideinfo.errors import NotProper\n"
+            "rule = si.ScoringRuleLoss(eval_fn=lambda x, q: -float(q[x]), n=3, vector_fn=lambda q: -np.asarray(q))\n"
+            "assert si.bayes_risk(rule, [0.2, 0.3, 0.5]).method == 'numeric-search'\n"
+            "c_value(rule, si.Joint([[0.1, 0.2], [0.3, 0.1], [0.2, 0.1]]))\n"
+            "try:\n"
+            "    si.audit_propriety(rule, trials=3)\n"
+            "except NotProper:\n"
+            "    pass\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path,
+                             env=package_env())
+        assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
 
     def test_geweke_command_loads_scipy(self, tmp_path):
         path = tmp_path / "var.json"

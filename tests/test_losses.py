@@ -1,6 +1,9 @@
+import ast
+import collections
 import dataclasses
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from scipy.optimize import minimize
 import sideinfo as si
 from sideinfo.benefit import c_value
 from sideinfo.errors import NegativeMass, NotNormalized, NotProper, ParameterOutOfRange, UnboundedBelow, UnknownLoss
-from sideinfo.losses import _expected_scoring_loss, _grid_blocks, _simplex_project, simplex_grid
+from sideinfo.losses import _expected_scoring_loss, _grid_blocks, _nelder_mead, _simplex_project, simplex_grid
 
 LN2 = math.log(2)
 
@@ -449,6 +452,113 @@ class TestSolveStack:
         blind = si.ScoringRuleLoss(eval_fn=proper.eval_fn, n=2, vector_fn=proper.vector_fn)
         with pytest.raises(NegativeMass, match=r"min entry -0\.5.* \(slice 2\)"):
             si.benefit(blind, si.Joint([[0.5, -0.1], [0.3, 0.3]]))
+
+
+def _nm_steps(values, n_dim) -> collections.Counter:
+    """The Nelder-Mead step of each iteration, read back from the sequence of objective values.
+
+    Replays only the ordering of the simplex values: after the n_dim + 1
+    starting values, each iteration scores a reflection, then an expansion
+    (below the best), nothing more (below the second worst) or a contraction,
+    outside (below the worst) or inside; a failed contraction shrinks, which
+    rescores every vertex but the best.
+    """
+    fsim, i, steps = np.sort(values[: n_dim + 1]), n_dim + 1, collections.Counter()
+    while i < len(values):
+        fxr, i = values[i], i + 1
+        if fxr < fsim[0]:
+            steps["expand" if values[i] < fxr else "expand rejected"] += 1
+            fsim[-1], i = values[i] if values[i] < fxr else fxr, i + 1
+        elif fxr < fsim[-2]:
+            steps["reflect"] += 1
+            fsim[-1] = fxr
+        else:
+            outside, f2, i = fxr < fsim[-1], values[i], i + 1
+            steps["outside" if outside else "inside"] += 1
+            if (f2 <= fxr) if outside else (f2 < fsim[-1]):
+                fsim[-1] = f2
+            else:
+                steps["shrink"] += 1
+                fsim[1:], i = values[i : i + n_dim], i + n_dim
+        fsim = np.sort(fsim)
+    return steps
+
+
+def _nan_rule(n: int) -> si.ScoringRuleLoss:
+    """The improper score -q_x, NaN at outcome 0 wherever q_0 > 0.4."""
+
+    def vector_fn(q):
+        out = -np.asarray(q, dtype=float)
+        out[..., 0] = np.where(out[..., 0] < -0.4, np.nan, out[..., 0])
+        return out
+
+    return si.ScoringRuleLoss(eval_fn=lambda x, q: float(vector_fn(q)[x]), n=n, vector_fn=vector_fn)
+
+
+def _nelder_mead_corpus():
+    """72 refinements of the numeric tier's kind: n = 2-6, starts and rows on faces, inf, ties and NaN."""
+    rng = np.random.default_rng(2020)
+    const = lambda n: si.ScoringRuleLoss(eval_fn=lambda x, q: 1.0, n=n, vector_fn=lambda q: np.ones_like(q))
+    rules = {**{k: (lambda n, k=k: unflagged_rule(k, n)) for k in ("linear", "brier", "kink", "log", "steep")},
+             "const": const, "nan": _nan_rule, "inf0": _inf_at_zero_rule}
+    corpus = []
+    for k in range(72):
+        n, kind = 2 + k % 5, list(rules)[k % len(rules)]
+        p, x0 = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        if k % 3 == 0:  # a row on a face
+            p[rng.integers(n)] = 0.0
+            p /= p.sum()
+        if k % 4 < 2:  # a start with zero entries: the 0.00025 step
+            x0[rng.permutation(n)[: 1 + k % (n - 1)]] = 0.0
+            x0 /= x0.sum()
+        if kind == "inf0" and k % 2 and k % 3:  # p_0 = 0 off a face: a finite row
+            p[0] = 0.0
+            p /= p.sum()
+        corpus.append((kind, rules[kind](n), p, x0))
+    return corpus
+
+
+class TestNelderMead:
+    """`losses._nelder_mead` is scipy's Nelder-Mead under the numeric tier's options, bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")  # inf - inf
+    def test_matches_scipy_bit_for_bit(self):
+        steps, nan_seen = collections.Counter(), False
+        for kind, rule, p, x0 in _nelder_mead_corpus():
+            logs = ([], [])
+
+            def objective(z, log):
+                v = _expected_scoring_loss(rule, p, _simplex_project(z))
+                log.append(v)
+                return v
+
+            n = len(x0)
+            res = minimize(lambda z: objective(z, logs[0]), x0, method="Nelder-Mead",
+                           options={"maxiter": 400 * n, "xatol": 1e-10, "fatol": 1e-12})
+            x, fun = _nelder_mead(lambda z: objective(z, logs[1]), x0)
+            assert x.tobytes() == res.x.tobytes(), (kind, p, x0)
+            assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes(), (kind, p, x0)
+            assert len(logs[1]) == res.nfev, (kind, p, x0)
+            assert np.array(logs[1]).tobytes() == np.array(logs[0]).tobytes(), (kind, p, x0)
+            steps += _nm_steps(np.array(logs[1]), n)
+            nan_seen |= bool(np.isnan(logs[1]).any())
+        assert all(steps[s] > 0 for s in ("expand", "expand rejected", "outside", "inside", "shrink")), steps
+        assert nan_seen
+
+    def test_step_reader_counts_every_evaluation(self):
+        # a constant objective: every value ties, so each iteration's reflection is not below the
+        # worst and its inside contraction not below it either, and the simplex shrinks; the 5%
+        # steps (0.025) fall within xatol = 1e-10 after 28 halvings
+        values = []
+        _nelder_mead(lambda z: values.append(1.0) or 1.0, np.array([0.5, 0.5]))
+        assert _nm_steps(np.array(values), 2) == collections.Counter(inside=28, shrink=28)
+        assert len(values) == 3 + 28 * (2 + 2)
+
+    def test_losses_module_imports_no_scipy(self):
+        tree = ast.parse(Path(si.losses.__file__).read_text())
+        names = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+        names += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert not [m for m in names if m.split(".")[0] == "scipy"]
 
 
 class TestLossVectorBatch:

@@ -283,6 +283,16 @@ class TestConvexOracleChecks:
         with pytest.raises(si.ConvexityViolation):
             si.check_convex_oracle(bad, 3, pairs=64, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, "3", None])
+    def test_seed_out_of_range(self, seed, monkeypatch):
+        # once -1 raised numpy's bare ValueError and 2.5 a TypeError from default_rng
+        g = si.sum_squares_oracle()
+        check = lambda s: si.check_convex_oracle(g, 3, pairs=32, seed=s)
+        assert check(np.uint32(3)) == check(np.int64(3)) == check(3)
+        monkeypatch.setattr(np.random, "default_rng", None)  # no work before the check
+        with pytest.raises(ParameterOutOfRange, match="seed"):
+            check(seed)
+
 
 # Each in-memory validator: a valid flat parameter vector, a builder from it, and its documented error.
 _VALIDATORS = {
