@@ -14,7 +14,9 @@ takes a stack of tables and mappings, gives each image size one batched
 push-forward (`_push`, of which `push_forward` and `padded_push_forward`
 are the one-table case) and one kernel stack for C after, and applies the
 witness rule.  A row's C is the same bits in any stack as alone, so all
-three agree exactly with `c_value` on the pushed-forward joint.
+three agree exactly with `c_value` on the pushed-forward joint.  A hit
+within 1e-12 of the rule's threshold is then re-decided beyond float
+rounding (`_certify`), so a tol of 0 finds no witness in rounding noise.
 
 The scan works on arrays.  Each chunk of candidates is built as raw tables
 and mappings per |Y| (`_chunk`), validated, and decided one |Y| at a time;
@@ -42,7 +44,7 @@ import numpy as np
 
 from .benefit import _c_stack, _finite, c_value
 from .errors import AlphabetTooLarge, ParameterOutOfRange, WitnessVerificationFailed, _check_count
-from .losses import LossSpec, reinstantiate
+from .losses import ActionMatrixLoss, LossSpec, reinstantiate
 from .prob import Joint, _simplex, validate_joint
 
 _MAX_ALPHABET = 12  # the largest X-alphabet whose merges are enumerated
@@ -286,15 +288,99 @@ def _after(l: LossSpec, nx: int, m: int) -> tuple[LossSpec, bool]:
     return l, True
 
 
+_CERTIFY_MARGIN = 1e-12  # a hit whose float margin over the witness threshold is at most this is re-decided
+_CERTIFIED_ZERO = "1e-40"  # a 50-digit decimal |delta C| at most this counts as zero
+
+
+def _scaled_risk(l: LossSpec, v: list, ln):
+    """rho(v) = s R(v / s), s = sum(v), for the masses v of one column of a table, in `_certify`'s arithmetic.
+
+    R is homogeneous this way, so C of a table of total mass S is
+    (rho(P_X) - sum_y rho(P(., y))) / S with no division per column.  A
+    finite action matrix gives a minimum over actions (in Fractions), Brier
+    s - |v|^2 / s, log s ln s - sum v ln v (`ln` of a Decimal) and
+    spherical -|v|.
+    """
+    if isinstance(l, ActionMatrixLoss):
+        from fractions import Fraction
+
+        return min(sum(x * Fraction(c) for x, c in zip(v, col)) for col in l.matrix.T.tolist())
+    s = sum(v)
+    if not s:
+        return s
+    if l.name == "brier":
+        return s - sum(x * x for x in v) / s
+    if l.name == "log":
+        return s * ln(s) - sum(x * ln(x) for x in v if x)
+    return -sum(x * x for x in v).sqrt()
+
+
+def _certify(l: LossSpec, tables: np.ndarray, maps: np.ndarray, before, after: np.ndarray, kinds: np.ndarray, tol: float) -> np.ndarray:
+    """`kinds` with each hit whose float margin over the witness threshold is <= `_CERTIFY_MARGIN` re-decided beyond rounding.
+
+    Such a hit's delta C = C after - C before is recomputed from its table
+    (taken as exact), pushed forward in the same arithmetic, on the loss
+    `_after` picks.  Rational losses (action matrices with finite entries,
+    and Brier) get delta C exactly, in `fractions.Fraction`.  Log and
+    spherical get it in `decimal` at 50 digits, where |delta C| <= 1e-40
+    counts as zero: certified to 1e-40, not exact.  Every other rule (a
+    matrix with an infinite entry, a `vector_fn` or Savage rule, the
+    numeric tier) is decided on float C only.  A hit that fails is "".
+    Hits farther from the threshold, and rows that are no hit, keep their
+    float decision.
+    """
+    if isinstance(l, ActionMatrixLoss):
+        route = "fraction" if np.isfinite(l.matrix).all() else None
+    else:
+        route = {"brier": "fraction", "log": "decimal", "spherical": "decimal"}.get(l.name) if l.proper else None
+    with np.errstate(invalid="ignore"):
+        near = (kinds != "") & (np.abs(after - before) - tol <= _CERTIFY_MARGIN)
+    if route is None or not near.any():
+        return kinds
+    from decimal import Decimal, localcontext
+    from fractions import Fraction
+
+    kinds, logs = kinds.copy(), {}
+
+    def ln(x):  # rows of one stack share most values (an audit's rows share its whole table)
+        if x not in logs:
+            logs[x] = x.ln()
+        return logs[x]
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        num = Fraction if route == "fraction" else Decimal
+        for i in np.flatnonzero(near).tolist():
+            n, m = maps.shape[1], int(maps[i].max()) + 1
+            loss, padded = _after(l, n, m)
+            rows = [[num(v) for v in row] for row in tables[i].tolist()]
+            labels = maps[i].tolist()
+            classes: dict = {}  # a class of one keeps its row's values, and with them their logs
+            for x, row in enumerate(rows):
+                to = labels.index(labels[x]) if padded else labels[x]
+                classes[to] = [a + b for a, b in zip(classes[to], row)] if to in classes else row
+            pushed = [classes.get(x, [num(0)] * len(row)) for x in range(n if padded else m)]
+            before_s, after_s = (
+                _scaled_risk(f, [sum(r) for r in t], ln) - sum(_scaled_risk(f, list(col), ln) for col in zip(*t))
+                for f, t in ((l, rows), (loss, pushed))
+            )
+            delta = (after_s - before_s) / sum(sum(r) for r in rows)
+            if route == "decimal" and abs(delta) <= Decimal(_CERTIFIED_ZERO):
+                delta = 0
+            if not (delta if kinds[i] == "dpa_violation" else abs(delta)) > num(tol):
+                kinds[i] = ""
+    return kinds
+
+
 def _decide(l: LossSpec, tables: np.ndarray, maps: np.ndarray, before, tol: float, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """C after each table of a (K, n, b) stack is pushed through its row of `maps` (K, n), and each row's witness kind.
 
     The one place a witness is decided, for the scan, `audit_dpa` and
-    `verify_witness` alike, so an exact check of a witness belongs here.
-    Each image size gets one push-forward and one kernel stack on the loss
-    `_after` picks; a row's C is the same bits as `c_value` of its pushed
-    joint.  `before` is C before, per row or one for all.  Non-finite C is
-    returned, not raised.
+    `verify_witness` alike: the witness rule on float C, then `_certify`
+    on the hits near its threshold.  Each image size gets one push-forward
+    and one kernel stack on the loss `_after` picks; a row's C is the same
+    bits as `c_value` of its pushed joint.  `before` is C before, per row
+    or one for all.  Non-finite C is returned, not raised.
     """
     sizes = maps.max(axis=1) + 1
     after = np.empty(len(maps))
@@ -302,7 +388,7 @@ def _decide(l: LossSpec, tables: np.ndarray, maps: np.ndarray, before, tol: floa
         idx = np.flatnonzero(sizes == m)
         loss, padded = _after(l, tables.shape[1], m)
         after[idx] = _c_stack(loss, _push(tables[idx], maps[idx], m, padded), seed)[0]
-    return after, _witness_kinds(maps, before, after, tol)
+    return after, _certify(l, tables, maps, before, after, _witness_kinds(maps, before, after, tol), tol)
 
 
 def verify_witness(l: LossSpec, w: ViolationWitness, tol: float = 1e-9) -> bool:
@@ -310,8 +396,11 @@ def verify_witness(l: LossSpec, w: ViolationWitness, tol: float = 1e-9) -> bool:
 
     The witness holds only if its transform is sufficient for its joint
     (`check_sufficient` at its default tolerance), both values reproduce
-    within `_VALUE_TOL`, and its kind is the one the witness rule gives for
-    its transform, which is never "".  A non-finite C raises UnboundedBelow,
+    within `_VALUE_TOL`, and its kind is the one `_decide` gives for its
+    transform, which is never "".  So a witness within 1e-12 of the
+    threshold tol must also hold beyond rounding (`_certify`): exactly for
+    finite action matrices and Brier, to 1e-40 for log and spherical, and
+    on float C alone for other rules.  A non-finite C raises UnboundedBelow,
     and a tol that is negative or not finite ParameterOutOfRange.
     """
     _check_tol(tol)

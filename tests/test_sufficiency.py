@@ -518,9 +518,11 @@ def _c_after(l, j, t, seed=0):
     return c_value(loss, (si.padded_push_forward if padded else si.push_forward)(j, t), seed=seed)
 
 
-def _witness_kind(t, before, after, tol):
-    """The witness rule for one transform: its kind of evidence, or None."""
-    return str(sufficiency._witness_kinds(np.array([t.mapping]), np.array([before]), np.array([after]), tol)[0]) or None
+def _witness_kind(l, j, t, before, after, tol):
+    """The witness rule for one transform, certified as `_decide` certifies it: its kind of evidence, or None."""
+    maps, before, after = np.array([t.mapping]), np.array([before]), np.array([after])
+    kinds = sufficiency._witness_kinds(maps, before, after, tol)
+    return str(sufficiency._certify(l, j.table[None], maps, before, after, kinds, tol)[0]) or None
 
 
 def _scalar_scan(l, n, budget, seed=0, tol=1e-9):
@@ -532,7 +534,7 @@ def _scalar_scan(l, n, budget, seed=0, tol=1e-9):
         joint, transform = made
         before = sufficiency.c_value(l, joint)
         after = _c_after(l, joint, transform)
-        kind = _witness_kind(transform, before, after, tol)
+        kind = _witness_kind(l, joint, transform, before, after, tol)
         if kind is not None:
             return sufficiency.ViolationWitness(joint, transform, before, after, kind)
     return None
@@ -639,11 +641,45 @@ def _parity_corpus():
 
 def test_scan_and_audit_parity_corpus():
     # 440 outputs, every float as hex and every table as bytes; the hash was
-    # recorded before scan, audit and verify shared one C-after decision
+    # recorded when near-threshold witnesses were first certified beyond rounding
     out = _parity_corpus()
     assert len(out) == 440
     digest = hashlib.sha256("\n".join(out).encode()).hexdigest()
-    assert digest == "2ac4c5f1582d76aa7ade1a8e44db6985525ef8907a047ad06e9a8d316bc9018a"
+    assert digest == "9cc476d58808d629a6b0bbe7a393d8f2af2720497cf8f72054790e049447bea3"
+
+
+class TestCertification:
+    """At tol 0 a float delta C at rounding scale is no witness: hits near the threshold are re-decided beyond rounding."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_log_has_no_witness_at_tol_zero(self, n):
+        # Theorem 1: log's C is I(X;Y), which no sufficient transform raises
+        assert si.find_violation(si.builtin_loss("log", n), n, budget=600, seed=0, tol=0.0) is None
+
+    @pytest.mark.parametrize("name", si.losses.BUILTIN_LOSSES)
+    def test_no_builtin_witness_on_binary_at_tol_zero(self, name):
+        # Theorem 2: every built-in is symmetric at n = 2
+        assert si.find_violation(si.builtin_loss(name, 2), 2, budget=1_500, seed=0, tol=0.0) is None
+
+    def test_log_audit_clean_at_tol_zero(self):
+        # 120 joints, n = 3-5, each with one duplicated conditional row
+        rng = np.random.default_rng(120)
+        for n in (3, 4, 5):
+            for _ in range(40):
+                rows = rng.dirichlet(np.ones(int(rng.integers(2, 4))), size=n - 1)
+                assignment = rng.permutation(np.append(np.arange(n - 1), rng.integers(n - 1)))
+                j = si.Joint(rng.dirichlet(np.ones(n))[:, None] * rows[assignment])
+                assert si.audit_dpa(si.builtin_loss("log", n), j, tol=0.0).clean
+
+    def test_verify_rejects_rounding_scale_witness(self):
+        # X and Y independent, so every merge is sufficient and C is 0; in floats this one "raises" C by 2.8e-16
+        l, t = si.builtin_loss("log", 3), si.Transform((0, 1, 0))
+        rng = np.random.default_rng(0)
+        rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(2))
+        j = si.Joint(np.outer(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(2))))
+        before, after = c_value(l, j), _c_after(l, j, t)
+        assert after > before
+        assert not si.verify_witness(l, si.ViolationWitness(j, t, before, after, "dpa_violation"), tol=0.0)
 
 
 class TestChunkOracle:
