@@ -21,16 +21,10 @@ rounding (`_certify`), so a tol of 0 finds no witness in rounding noise.
 The scan works on arrays.  Each chunk of candidates is built as raw tables
 and mappings per |Y| (`_chunk`), validated, and decided one |Y| at a time;
 only the first witness becomes `Joint`, `Transform` and `ViolationWitness`
-objects.  Candidate k of a random stream is exactly what
-`default_rng([seed, stream, k])` draws, which pins it whatever chunk it
-falls in, but no candidate builds that generator: a chunk hashes every
-seed it needs in one pass (`_seed_states`, numpy's SeedSequence and PCG64
-seeding on arrays) and sets the scan's one generator to each candidate's
-state in turn.  A candidate calls numpy only for its raw words
-(`random_raw`) and its standard exponentials; its integer, shuffle and
-uniform draws are decoded from the raw words as numpy computes them
-(`_Words`), and the chunk scales all its exponentials into Dirichlet rows
-one array pass per row width (`_scale`).
+objects.  Every random draw here, the scan's and `enumerate_sufficient`'s,
+reads one counter-based stream (`_words`): a word is a pure function of
+(seed, stream, candidate k, word index), so a chunk draws each stream's
+candidates as one array, and candidate k is the same in any chunk.
 """
 
 from __future__ import annotations
@@ -232,17 +226,13 @@ def enumerate_sufficient(j: Joint, tol: float = 1e-9, seed: int = 0) -> Sufficie
         groups.append(zero)
     combos = itertools.product(*(_set_partitions(g) for g in groups))
     merges = tuple(Transform.from_blocks([block for part in combo for block in part], n) for combo in combos)
-    if n <= 5:
-        perms = tuple(Transform(p) for p in itertools.permutations(range(n)))
-        exhaustive = True
-    else:
-        rng = np.random.default_rng(seed)
-        seen = {tuple(range(n))}
-        for _ in range(_PERM_SAMPLES):
-            seen.add(tuple(int(v) for v in rng.permutation(n)))
-        perms = tuple(Transform(p) for p in sorted(seen))
-        exhaustive = False
-    return SufficientSet(merges=merges, permutations=perms, permutations_exhaustive=exhaustive)
+    exhaustive = n <= 5
+    if exhaustive:
+        perms = itertools.permutations(range(n))
+    else:  # each sample is the stable argsort of n stream words
+        drawn = np.argsort(_words(seed, _PERM_SAMPLE, np.arange(_PERM_SAMPLES), n), axis=1, kind="stable")
+        perms = sorted({tuple(range(n)), *map(tuple, drawn.tolist())})
+    return SufficientSet(merges, tuple(Transform(p) for p in perms), exhaustive)
 
 
 @dataclass(frozen=True)
@@ -269,7 +259,8 @@ def _witness_kinds(maps: np.ndarray, before, after: np.ndarray, tol: float) -> n
     """
     n = maps.shape[1]
     perm = maps.max(axis=1) == n - 1
-    moved = (np.abs(after - before) > tol) & (maps != np.arange(n)).any(axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which moves nothing
+        moved = (np.abs(after - before) > tol) & (maps != np.arange(n)).any(axis=1)
     return np.where(perm, np.where(moved, "asymmetry", ""), np.where(after > before + tol, "dpa_violation", ""))
 
 
@@ -538,286 +529,151 @@ _S1, _S2 = _S_GRID[
 _PER_T = len(_ALPHA_GRID) * len(_S1)
 _GRID_SIZE = len(_T_GRID) * _PER_T
 
-# numpy's SeedSequence hash (NEP 19 keeps it stable): hashmix and mix on
-# uint32 words, and PCG64's 128-bit LCG multiplier for its seeding step
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-_MULT_A = 0x931E8875
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): its state advances by the
+# golden gamma and each output is the state through this finalizer
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_GRID, _MERGE, _PERM, _PERM_SAMPLE = 101, 202, 303, 404  # stream ids
 
 
-def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """init * mult**i mod 2**32 for i = 0..count, as a (count + 1, 1) uint32 column."""
-    out = [init]
-    for _ in range(count):
-        out.append(out[-1] * mult & _MASK32)
-    return np.array(out, dtype=np.uint32)[:, None]
+def _splitmix(states: np.ndarray, d: int) -> np.ndarray:
+    """The first d outputs of SplitMix64 from each of the states (K,), as (K, d) uint64; words wrap mod 2**64."""
+    z = states[:, None] + _GAMMA * np.arange(1, d + 1, dtype=np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
 
 
-_HASH_A = _hash_consts(0x43B0D7E5, _MULT_A, 16)  # the pool's 4 fill and 12 mixing hashmix calls
-_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)  # generate_state's 8 output words
-_OTHERS = [np.array([d for d in range(4) if d != src]) for src in range(4)]
+def _words(seed: int, stream: int, ks, d: int) -> np.ndarray:
+    """d random words (K, d) uint64 for each candidate k of ks on a stream, a pure function of (seed, stream, k, word).
 
-
-def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """hashmix of each row of values with consecutive constants: row i xors consts[i] and multiplies by consts[i + 1]."""
-    v = values ^ consts[:-1]
-    v *= consts[1:]
-    return v ^ (v >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = _MIX_L * x - _MIX_R * y
-    return r ^ (r >> 16)
-
-
-def _seed_states(seed: int, streams, ks) -> list[dict]:
-    """`PCG64(SeedSequence([seed, stream, k])).state["state"]` for every row of streams and ks at once.
-
-    seed is an integer >= 0, streams are below 2**32 and ks are >= 0.
-    Each entropy word is 32 bits, little end first; a pool of four words
-    is filled and mixed as SeedSequence does, where for one source word the
-    three updates of the other words are independent, so each is one
-    (3, K) step.  Words past the pool (a seed of 2**64 or more, or a k of
-    2**32 or more) take the extra mixing loop, row by row as present.  Eight
-    output words then seed PCG64: inc = (initseq << 1) | 1 and state =
-    ((inc + initstate) * M + inc) mod 2**128.
+    The key folds in the seed 64 bits at a time (little end first, so any
+    seed >= 0 is valid), then the stream, then k: each step xors the next
+    value into the key and takes SplitMix64's first output from it.  The
+    words are SplitMix64's first d outputs from the key.
     """
-    ks, seed = np.asarray(ks, dtype=np.uint64), int(seed)
-    words = []
-    while True:
-        words.append(np.full(len(ks), seed & _MASK32, dtype=np.uint32))
-        seed >>= 32
-        if not seed:
-            break
-    hi = (ks >> np.uint64(32)).astype(np.uint32)
-    words += [np.asarray(streams, dtype=np.uint32), ks.astype(np.uint32), hi]
-    present = len(words) - 1 + (hi > 0)  # words per row: a k below 2**32 is one word
-    pool = np.zeros((4, len(ks)), dtype=np.uint32)
-    pool[: min(4, len(words))] = words[:4]  # a short entropy hashes zeros into the rest
-    pool = _hashmix(pool, _HASH_A[:5])
-    for src in range(4):
-        pool[_OTHERS[src]] = _mix(pool[_OTHERS[src]], _hashmix(pool[src], _HASH_A[4 + 3 * src : 8 + 3 * src]))
-    const = int(_HASH_A[-1, 0])
-    for i in range(4, len(words)):
-        consts = _hash_consts(const, _MULT_A, 4)
-        const = int(consts[-1, 0])
-        pool = np.where(i < present, _mix(pool, _hashmix(words[i], consts)), pool)
-    out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B).astype(np.uint64)
-    states = []
-    for s_hi, s_lo, q_hi, q_lo in (out[0::2] | out[1::2] << np.uint64(32)).T.tolist():
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        states.append({"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, "inc": inc})
-    return states
+    seed, key = int(seed), np.zeros(1, dtype=np.uint64)
+    for v in [seed >> i & 2**64 - 1 for i in range(0, max(seed.bit_length(), 1), 64)] + [stream, ks]:
+        key = _splitmix(key ^ np.asarray(v, dtype=np.uint64), 1)[:, 0]
+    return _splitmix(key, d)
 
 
-def _reseed(rng: np.random.Generator, state: dict) -> np.random.Generator:
-    """rng with its PCG64 set to `state`, a row of `_seed_states`, as a generator freshly seeded with it would be."""
-    rng.bit_generator.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
-    return rng
+def _uniforms(w: np.ndarray) -> np.ndarray:
+    """The top 53 bits of each word over 2**53: a uniform double in [0, 1)."""
+    return (w >> np.uint64(11)) * 2.0**-53
 
 
-def _scale(e: np.ndarray) -> np.ndarray:
-    """Standard exponentials (..., k) as Dirichlet(1, ..., 1) rows, every row in one pass.
+def _ints(w: np.ndarray, r) -> np.ndarray:
+    """An integer in [0, r) from each word by multiply-shift: its top 32 bits times r, over 2**32, for 1 <= r <= 2**32.
 
-    Each row is scaled by 1.0 / acc, acc its left fold from 0.0 (the last
-    entry of np.add.accumulate, a sequential sum): with every alpha 1,
-    `Generator.dirichlet` draws standard exponentials as its gammas and
-    scales them so.  A row is the same bits in any stack as alone.
+    No draw is rejected, so one value may be up to r / 2**32 more likely
+    than another.  `r` broadcasts with w.
     """
-    return e * (1.0 / np.add.accumulate(e, axis=-1)[..., -1:])
+    return ((w >> np.uint64(32)) * np.asarray(r, dtype=np.uint64) >> np.uint64(32)).astype(np.int64)
 
 
-def _dirichlet(rng: np.random.Generator, k: int, size: Optional[int] = None) -> np.ndarray:
-    """`rng.dirichlet(np.ones(k), size)`, the same bits and draws: `_scale` of its standard exponentials."""
-    return _scale(rng.standard_exponential((k,) if size is None else (size, k)))
+def _dirichlet(w: np.ndarray) -> np.ndarray:
+    """A Dirichlet(1, ..., 1) row of width d + 1 from each row of words (..., d): the spacings of their d sorted uniforms on [0, 1].
 
-
-class _Words:
-    """numpy's integer, shuffle and uniform draws on one PCG64, decoded from its raw 64-bit words.
-
-    A 32-bit draw (`next_uint32`) takes the low half of a fresh
-    `random_raw` word and keeps the high half for the next 32-bit draw; a
-    `standard_exponential` call in between reads whole words and leaves
-    that half where it is.  Start one per candidate, right after `_reseed`,
-    when nothing is buffered.  Tests pin each decoder against `Generator`.
+    Sorting and subtraction are exact in any order, so a row is the same
+    bits on every CPU and in any stack as alone.
     """
-
-    __slots__ = ("raw", "half")
-
-    def __init__(self, rng: np.random.Generator):
-        self.raw, self.half = rng.bit_generator.random_raw, None
-
-    def u32(self) -> int:
-        if self.half is None:
-            w = self.raw()
-            self.half = w >> 32
-            return w & _MASK32
-        h, self.half = self.half, None
-        return h
-
-    def integers(self, lo: int, hi: int) -> int:
-        """`Generator.integers(lo, hi)` for hi - lo <= 2**32; `size=k` is k of these in turn.
-
-        Lemire's bounded draw with r = hi - lo - 1: a 32-bit draw times
-        r + 1, redrawn while its low word is below (2**32 - 1 - r) % (r + 1).
-        r = 0 draws nothing.
-        """
-        r = hi - lo - 1
-        if not r:
-            return lo
-        floor = (_MASK32 - r) % (r + 1)
-        m = self.u32() * (r + 1)
-        while m & _MASK32 < floor:
-            m = self.u32() * (r + 1)
-        return lo + (m >> 32)
-
-    def shuffle(self, x: list) -> list:
-        """`Generator.shuffle(x)` of a list, in place, and so `permutation(len(x))` when x is its range.
-
-        For i = n-1 .. 1, x[i] swaps with x[random_interval(i)]: a 32-bit
-        draw masked to the bits of i, redrawn until it is <= i.
-        """
-        for i in range(len(x) - 1, 0, -1):
-            mask = (1 << i.bit_length()) - 1
-            j = self.u32() & mask
-            while j > i:
-                j = self.u32() & mask
-            x[i], x[j] = x[j], x[i]
-        return x
-
-    def uniform(self, lo: float, hi: float) -> float:
-        """`Generator.uniform(lo, hi)`: lo + (hi - lo) times the top 53 bits of one whole word over 2**53."""
-        return lo + (hi - lo) * ((self.raw() >> 11) * 2.0**-53)
+    return np.diff(np.sort(_uniforms(w), axis=-1), axis=-1, prepend=0.0, append=1.0)
 
 
-def _grid_stream(n: int, ks: np.ndarray, rng: np.random.Generator, states: list) -> np.ndarray:
+def _ys(w: np.ndarray) -> dict[int, np.ndarray]:
+    """{|Y|: the rows whose |Y| it is}, |Y| in {2, 3} drawn from each word of w (K,)."""
+    ys = 2 + _ints(w, 2)
+    return {b: np.flatnonzero(ys == b) for b in (2, 3)}
+
+
+def _grid_stream(n: int, ks: np.ndarray, seed: int) -> np.ndarray:
     """Raw tables (K, n, 2) of grid-stream candidates ks, all inside the grid; each merges x1 with x2.
 
-    (t, alpha, lambda pair) come from index arithmetic on k.  For n >= 4 each
-    k also draws a tail mass and its split from `rng` set to its row of
-    `states`, the `_seed_states` of (seed, 101, k): the mass is decoded
-    from one raw word (`_Words.uniform`) and the split is n - 3 standard
-    exponentials, all scaled in one `_scale`.  lambda1 < lambda2 always
-    holds: s1 < s2 on the grid and r >= 0.4.
+    (t, alpha, lambda pair) come from index arithmetic on k.  For n >= 4
+    candidate k reads n - 3 words: a tail mass uniform on [0.05, 0.6) and
+    its split over the n - 3 tail symbols, one Dirichlet row.
+    lambda1 < lambda2 always holds: s1 < s2 on the grid and r >= 0.4.
     """
     t, rem = _T_GRID[ks // _PER_T], ks % _PER_T
     alpha, pair = _ALPHA_GRID[rem // len(_S1)], rem % len(_S1)
     tail, r = np.zeros((len(ks), 0)), 1.0
     if n > 3:
-        mass, split = [], []
-        for state in states:
-            mass.append(_Words(_reseed(rng, state)).uniform(0.05, 0.6))
-            split.append(rng.standard_exponential(n - 3))
-        mass = np.array(mass)
-        tail, r = mass[:, None] * _scale(np.array(split).reshape(len(ks), n - 3)), 1.0 - mass
+        w = _words(seed, _GRID, ks, n - 3)
+        mass = 0.05 + (0.6 - 0.05) * _uniforms(w[:, 0])
+        tail, r = mass[:, None] * _dirichlet(w[:, 1:]), 1.0 - mass
     return _proof_tables(n, t, _S1[pair] * r, _S2[pair] * r, alpha, tail)
 
 
-def _merge_draw(n: int, rng: np.random.Generator) -> tuple[np.ndarray, list[int], np.ndarray, list[int]]:
-    """A merge-stream candidate from a freshly seeded `rng`: (class-row exponentials (classes, |Y|), assignment, P_X exponentials (n,), mapping).
+def _merge_stream(n: int, ks: np.ndarray, seed: int) -> tuple[dict, np.ndarray]:
+    """Merge-stream candidates ks as ({|Y|: (rows, raw tables (K_b, n, |Y|))}, mappings (K, n)).
 
     A random joint whose conditional rows repeat within classes, and the
-    sufficient merge of one class with two or more members; there are fewer
-    classes than symbols, so such a class always exists.  The joint is
-    px[:, None] * rows[assignment] once `_scale` makes the exponentials
-    Dirichlet rows.  Only the exponentials are `Generator` calls; the
-    integer and shuffle draws are decoded from raw words (`_Words`).
+    sufficient merge of one class with two or more members (one exists, as
+    there are fewer classes than symbols).  Candidate k reads 5n words:
+    |Y|; the class count c in [1, n - 1]; which mergeable class to merge; a
+    class per symbol (symbol i < c takes class i, so each is used); n sort
+    keys that shuffle the classes over the symbols; P_X, a Dirichlet row
+    from n - 1 words; and two words per class row, whose first |Y| - 1 make
+    its conditional.  Labels number the classes by first appearance.
     """
-    w = _Words(rng)
-    m = w.integers(2, 4)
-    n_classes = w.integers(1, n)
-    rows = rng.standard_exponential((n_classes, m))
-    assignment = w.shuffle(list(range(n_classes)) + [w.integers(0, n_classes) for _ in range(n - n_classes)])
-    px = rng.standard_exponential(n)
-    mergeable = [c for c in range(n_classes) if assignment.count(c) >= 2]
-    cls = mergeable[w.integers(0, len(mergeable))]
-    first, labels = assignment.index(cls), {}
-    mapping = [labels.setdefault(first if a == cls else x, len(labels)) for x, a in enumerate(assignment)]
-    return rows, assignment, px, mapping
+    w, x = _words(seed, _MERGE, ks, 5 * n), np.arange(n)
+    classes = 1 + _ints(w[:, 1], n - 1)[:, None]
+    drawn = np.where(x < classes, x, _ints(w[:, 3 : 3 + n], classes))
+    assignment = np.take_along_axis(drawn, np.argsort(w[:, 3 + n : 3 + 2 * n], axis=1, kind="stable"), axis=1)
+    mergeable = (assignment[:, :, None] == x[: n - 1]).sum(axis=1) >= 2
+    pick = _ints(w[:, 2], mergeable.sum(axis=1))[:, None]
+    merged = assignment == (mergeable & (np.cumsum(mergeable, axis=1) == pick + 1)).argmax(axis=1)[:, None]
+    rep = np.where(merged, merged.argmax(axis=1)[:, None], x)  # each symbol's class representative
+    maps = np.take_along_axis(np.cumsum(rep == x, axis=1) - 1, rep, axis=1)
+    px = _dirichlet(w[:, 3 + 2 * n : 2 + 3 * n])[:, :, None]
+    rows = w[:, 2 + 3 * n :].reshape(len(ks), n - 1, 2)
+    tables = {}
+    for b, sel in _ys(w[:, 0]).items():
+        given = np.take_along_axis(_dirichlet(rows[sel, :, : b - 1]), assignment[sel, :, None], axis=1)
+        tables[b] = sel, px[sel] * given
+    return tables, maps
 
 
-def _perm_draw(n: int, rng: np.random.Generator) -> tuple[np.ndarray, list[int]]:
-    """A permutation-stream candidate from a freshly seeded `rng`: (exponentials (n * |Y|,), permutation other than the identity).
+def _perm_stream(n: int, ks: np.ndarray, seed: int) -> tuple[dict, np.ndarray]:
+    """Permutation-stream candidates ks as ({|Y|: (rows, raw tables (K_b, n, |Y|))}, mappings (K, n)).
 
-    The joint is the `_scale` of the exponentials as an (n, |Y|) table; the
-    |Y| draw and the permutation are decoded from raw words (`_Words`).
+    Candidate k reads 4n words: |Y|; n sort keys, whose stable argsort is
+    the permutation (the identity becomes the cycle (n-1, 0, 1, ...)); and
+    the joint, one Dirichlet row over its n |Y| cells from the first
+    n |Y| - 1 of the last 3n - 1 words.
     """
-    w = _Words(rng)
-    m = w.integers(2, 4)
-    e = rng.standard_exponential(n * m)
-    perm = w.shuffle(list(range(n)))
-    if perm == list(range(n)):
-        perm = perm[-1:] + perm[:-1]
-    return e, perm
+    w, x = _words(seed, _PERM, ks, 4 * n), np.arange(n)
+    maps = np.argsort(w[:, 1 : 1 + n], axis=1, kind="stable")
+    maps[(maps == x).all(axis=1)] = np.roll(x, 1)
+    return {b: (sel, _dirichlet(w[sel, 1 + n : n * (b + 1)]).reshape(-1, n, b)) for b, sel in _ys(w[:, 0]).items()}, maps
 
 
-def _check_labels(maps: np.ndarray) -> None:
-    """`Transform`'s contiguous-label check on a stack of mappings (K, n), one pass."""
-    s = np.sort(maps, axis=1)
-    bad = (s[:, 0] != 0) | (np.diff(s, axis=1) > 1).any(axis=1)
-    if bad.any():
-        raise ParameterOutOfRange(f"labels must be contiguous from 0, got {sorted(set(s[bad.argmax()].tolist()))}")
-
-
-def _chunk(
-    n: int, start: int, stop: int, seed: int, rng: Optional[np.random.Generator] = None
-) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _chunk(n: int, start: int, stop: int, seed: int) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Scan candidates start..stop-1 as {|Y|: (positions, tables (K, n, |Y|), mappings (K, n))}.
 
     Scan index idx is candidate idx // 3 of stream idx % 3 (grid, merge,
     permutation); its position is idx - start, and each group lists its rows
     in scan order.  Grid candidates are skipped for n = 2 and past the end of
-    the grid, and appear nowhere.  Every seeded draw of the chunk (merge
-    candidate k on stream 202, permutation candidate k on 303, the n >= 4
-    tail of grid candidate k on 101) is what `default_rng([seed, stream,
-    k])` draws: one `_seed_states` call gives each its PCG64 state, and
-    `rng` (one is built when None) is set to each state in turn.  A
-    candidate's only `Generator` calls are `standard_exponential`; its
-    integer, shuffle and uniform draws are decoded from raw words
-    (`_Words`).  The exponentials become Dirichlet rows in one `_scale`
-    per row width of each stream and |Y|, each merge joint is one gather of
-    its class rows, the tables are validated as `validate_joint` would and
-    the mappings checked as `Transform` would, one pass per group.
+    the grid, and appear nowhere.  Each stream is one `_words` call.  The
+    tables are validated as `validate_joint` would, one pass per group;
+    every mapping is a contiguous labelling by construction.
     """
-    merges = range(start + (1 - start) % 3, stop, 3)
-    perms = range(start + (2 - start) % 3, stop, 3)
-    ks = np.arange(-(-start // 3), -(-stop // 3)) if n >= 3 else np.arange(0)
-    ks = ks[ks < _GRID_SIZE]
-    tails = ks if n > 3 else ks[:0]
-    states = []
-    if len(merges) or len(perms) or len(tails):
-        streams = np.repeat([202, 303, 101], [len(merges), len(perms), len(tails)])
-        states = _seed_states(seed, streams, np.concatenate([np.array(merges) // 3, np.array(perms) // 3, tails]))
-        if rng is None:
-            rng = np.random.Generator(np.random.PCG64(0))  # every draw follows a `_reseed`
-    merged: dict[int, list] = {}  # |Y| -> (position, mapping, class rows, assignment, P_X) per candidate
-    for idx, state in zip(merges, states):
-        rows, assignment, px, mapping = _merge_draw(n, _reseed(rng, state))
-        merged.setdefault(rows.shape[1], []).append((idx - start, mapping, rows, assignment, px))
-    permuted: dict[int, list] = {}  # |Y| -> (position, permutation, exponentials) per candidate
-    for idx, state in zip(perms, states[len(merges):]):
-        e, perm = _perm_draw(n, _reseed(rng, state))
-        permuted.setdefault(len(e) // n, []).append((idx - start, perm, e))
     parts: dict[int, list] = {}  # |Y| -> (positions, tables, mappings) per stream
-    for b, found in merged.items():
-        pos, maps, rows, assignments, px = zip(*found)
-        counts = [len(r) for r in rows]
-        at = np.cumsum(counts) - counts  # each candidate's first class row in the stack
-        tables = _scale(np.array(px))[:, :, None] * _scale(np.concatenate(rows))[at[:, None] + np.array(assignments)]
-        parts.setdefault(b, []).append((pos, tables, maps))
-    for b, found in permuted.items():
-        pos, maps, e = zip(*found)
-        parts.setdefault(b, []).append((pos, _scale(np.array(e)).reshape(len(pos), n, b), maps))
+    for stream, first in ((_merge_stream, 1), (_perm_stream, 2)):
+        idx = np.arange(start + (first - start) % 3, stop, 3)
+        if len(idx):  # a chunk of one or two scan indices leaves a stream out
+            tables, maps = stream(n, idx // 3, seed)
+            for b, (sel, t) in tables.items():
+                parts.setdefault(b, []).append((idx[sel] - start, t, maps[sel]))
     if n >= 3:
-        tables = _grid_stream(n, ks, rng, states[len(merges) + len(perms):])
-        parts.setdefault(2, []).append((3 * ks - start, tables, np.tile([0, 0, *range(1, n - 1)], (len(ks), 1))))
+        ks = np.arange(-(-start // 3), min(-(-stop // 3), _GRID_SIZE))
+        parts.setdefault(2, []).append((3 * ks - start, _grid_stream(n, ks, seed), np.tile([0, 0, *range(1, n - 1)], (len(ks), 1))))
     out = {}
     for b, groups in parts.items():
         pos, tables, maps = (np.concatenate(part) for part in zip(*groups))
         if len(pos):
             order = np.argsort(pos, kind="stable")
-            _check_labels(maps)
             tables, s = _simplex(tables[order], 2)
             out[b] = pos[order], tables / s[:, None, None], maps[order]
     return out
@@ -842,23 +698,18 @@ def find_violation(
     joints with random permutations.
 
     The scan runs in chunks of 1, 2, 4, ... up to 256 candidates, so a scan
-    that hits early stays cheap.  Each chunk is arrays (`_chunk`): raw
-    tables and mappings per |Y|, validated in one pass per |Y|.  Candidate
-    k of a random stream, and the n >= 4 tail of grid candidate k, is what
-    `default_rng([seed, stream, k])` draws, which pins it whatever the
-    chunking; a chunk hashes all its seeds in one pass and draws from the
-    scan's one generator, set to each candidate's state.  Only the standard
-    exponentials are `Generator` calls: the integer, shuffle and uniform
-    draws are decoded from raw words, and each chunk scales its
-    exponentials into Dirichlet rows as whole arrays.
-    Per |Y|, C before is one kernel stack, and C after and each witness
-    kind come from `_decide`, which `audit_dpa` and `verify_witness` share;
-    each C is the same bits as the candidate's alone.  The chunk is decided
-    in scan order: a non-finite C first raises UnboundedBelow, as `c_value`
-    would; a witness first becomes a `ViolationWitness`, is re-verified
-    with `verify_witness` and returned.  Numeric-tier rules solve each
-    stack's rows in one lockstep search (`losses._solve`), with the same
-    seed.
+    that hits early stays cheap; each chunk is arrays (`_chunk`).  The seed
+    keys the random streams: candidate k of a random stream, and the n >= 4
+    tail of grid candidate k, is decoded from the `_words` of (seed, stream,
+    k).  The grid's own parameters come from k alone, so the seed changes
+    no n = 3 grid candidate.  Per |Y|, C before is one kernel stack, and C
+    after and each witness kind come from `_decide`, which `audit_dpa` and
+    `verify_witness` share; each C is the same bits as the candidate's
+    alone.  The chunk is decided in scan order: a non-finite C first raises
+    UnboundedBelow, as `c_value` would; a witness first becomes a
+    `ViolationWitness`, is re-verified with `verify_witness` and returned.
+    Numeric-tier rules solve each stack's rows in one lockstep search
+    (`losses._solve`), with the same seed.
 
     Raises ParameterOutOfRange, before any work, for n < 2, a budget or
     seed that is negative or not an integer, a tol that is negative or not
@@ -872,10 +723,9 @@ def find_violation(
     if l.n is not None and l.n != n:
         raise ParameterOutOfRange(f"loss expects {l.n} symbols but the scan is over {n}")
     start, size = 0, 1
-    rng = np.random.Generator(np.random.PCG64(0))  # reused by every chunk; each draw follows a `_reseed`
     while start < budget:
         stop = min(start + size, budget)
-        groups = _chunk(n, start, stop, seed, rng)
+        groups = _chunk(n, start, stop, seed)
         before, after = np.zeros(stop - start), np.zeros(stop - start)  # 0 and 0 at a skipped position: no witness
         kinds = np.full(stop - start, "", dtype=object)  # "" at a skipped position
         for pos, tables, maps in groups.values():

@@ -423,9 +423,11 @@ class TestFindViolation:
             si.find_violation(si.builtin_loss("zero_one", 3), 4, budget=300)
 
 
-# The per-candidate generators the scan once ran, pinned as the oracle for
-# `sufficiency._chunk`: each builds one candidate as a Joint and a Transform,
-# with `proof_family`'s and `validate_joint`'s arithmetic written out here.
+# The scan's candidates one at a time, pinned as the oracle for
+# `sufficiency._chunk`: each builds one candidate as a Joint and a Transform
+# from its stream words, with SplitMix64 on Python ints, the word decoders
+# in scalar form, and `proof_family`'s and `validate_joint`'s arithmetic
+# written out here.
 
 
 def _pinned_validate(table):
@@ -442,6 +444,49 @@ def _pinned_proof_family(n, t, lambda1, lambda2, alpha, tail):
         return np.array([lam * t, lam * (1.0 - t), r - lam, *tail])
 
     return _pinned_validate(np.stack([alpha * member(lambda1), (1.0 - alpha) * member(lambda2)], axis=1))
+
+
+_M64 = 2**64 - 1
+
+
+def _splitmix64(state, d):
+    """The first d outputs of SplitMix64 from state: add the golden gamma, then the finalizer."""
+    out = []
+    for _ in range(d):
+        state = (state + 0x9E3779B97F4A7C15) & _M64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def _stream_words(seed, stream, k, d):
+    """Candidate k's d words: SplitMix64 from a key that folds in the seed's 64-bit limbs, the stream and k."""
+    limbs = [seed & _M64]
+    while seed >> 64:
+        seed >>= 64
+        limbs.append(seed & _M64)
+    key = 0
+    for v in limbs + [stream, k]:
+        key = _splitmix64(key ^ v, 1)[0]
+    return _splitmix64(key, d)
+
+
+def _uniform(w):
+    return (w >> 11) * 2.0**-53
+
+
+def _below(w, r):
+    return ((w >> 32) * r) >> 32
+
+
+def _flat_dirichlet(words):
+    cuts = sorted(_uniform(w) for w in words)
+    return [hi - lo for lo, hi in zip([0.0] + cuts, cuts + [1.0])]
+
+
+def _order(words):
+    return sorted(range(len(words)), key=lambda i: words[i])
 
 
 _T_GRID, _ALPHA_GRID = sufficiency._T_GRID, sufficiency._ALPHA_GRID
@@ -462,9 +507,9 @@ def _grid_candidate(n, k, seed):
         tail = ()
         r = 1.0
     else:
-        rng = np.random.default_rng([seed, 101, k])
-        mass = float(rng.uniform(0.05, 0.6))
-        tail = tuple(mass * rng.dirichlet(np.ones(n - 3)))
+        w = _stream_words(seed, 101, k, n - 3)
+        mass = 0.05 + (0.6 - 0.05) * _uniform(w[0])
+        tail = tuple(mass * v for v in _flat_dirichlet(w[1:]))
         r = 1.0 - mass
     lam1, lam2 = s1 * r, s2 * r
     if not lam1 < lam2:
@@ -474,32 +519,29 @@ def _grid_candidate(n, k, seed):
 
 
 def _merge_candidate(n, k, seed):
-    rng = np.random.default_rng([seed, 202, k])
-    m = int(rng.integers(2, 4))
-    n_classes = int(rng.integers(1, n))
-    rows = rng.dirichlet(np.ones(m), size=n_classes)
-    assignment = np.concatenate([np.arange(n_classes), rng.integers(0, n_classes, size=n - n_classes)])
-    rng.shuffle(assignment)
-    px = rng.dirichlet(np.ones(n))
-    table = px[:, None] * rows[assignment]
-    counts = np.bincount(assignment, minlength=n_classes)
-    mergeable = [c for c in range(n_classes) if counts[c] >= 2]
-    if not mergeable:
-        return None
-    cls = mergeable[int(rng.integers(0, len(mergeable)))]
-    members = [int(x) for x in np.nonzero(assignment == cls)[0]]
+    w = _stream_words(seed, 202, k, 5 * n)
+    m = 2 + _below(w[0], 2)
+    n_classes = 1 + _below(w[1], n - 1)
+    drawn = [x if x < n_classes else _below(w[3 + x], n_classes) for x in range(n)]
+    assignment = [drawn[i] for i in _order(w[3 + n : 3 + 2 * n])]
+    px = _flat_dirichlet(w[3 + 2 * n : 2 + 3 * n])
+    rows = [_flat_dirichlet(w[2 + 3 * n + 2 * c : 1 + 3 * n + 2 * c + m]) for c in range(n - 1)]
+    table = [[px[x] * v for v in rows[a]] for x, a in enumerate(assignment)]
+    mergeable = [c for c in range(n_classes) if assignment.count(c) >= 2]
+    cls = mergeable[_below(w[2], len(mergeable))]
+    members = [x for x in range(n) if assignment[x] == cls]
     blocks = [members] + [[x] for x in range(n) if x not in members]
     return _pinned_validate(table), si.Transform.from_blocks(blocks, n)
 
 
 def _perm_candidate(n, k, seed):
-    rng = np.random.default_rng([seed, 303, k])
-    m = int(rng.integers(2, 4))
-    table = rng.dirichlet(np.ones(n * m)).reshape(n, m)
-    perm = rng.permutation(n)
-    if np.array_equal(perm, np.arange(n)):
-        perm = np.roll(perm, 1)
-    return _pinned_validate(table), si.Transform(tuple(int(v) for v in perm))
+    w = _stream_words(seed, 303, k, 4 * n)
+    m = 2 + _below(w[0], 2)
+    perm = _order(w[1 : 1 + n])
+    if perm == list(range(n)):
+        perm = perm[-1:] + perm[:-1]
+    table = np.array(_flat_dirichlet(w[1 + n : n * (m + 1)])).reshape(n, m)
+    return _pinned_validate(table), si.Transform(tuple(perm))
 
 
 def _candidate(n, idx, seed):
@@ -641,11 +683,11 @@ def _parity_corpus():
 
 def test_scan_and_audit_parity_corpus():
     # 440 outputs, every float as hex and every table as bytes; the hash was
-    # recorded when near-threshold witnesses were first certified beyond rounding
+    # recorded when the scan moved to the counter-based stream (`_words`)
     out = _parity_corpus()
     assert len(out) == 440
     digest = hashlib.sha256("\n".join(out).encode()).hexdigest()
-    assert digest == "9cc476d58808d629a6b0bbe7a393d8f2af2720497cf8f72054790e049447bea3"
+    assert digest == "0c1e034619e12d85647e78d1d707a3120a433607a1b5a5655b1acbff1e681015"
 
 
 class TestCertification:
@@ -706,131 +748,24 @@ class TestChunkOracle:
             assert sorted(rows) == [_GRID_END - 3, _GRID_END - 2, _GRID_END - 1, _GRID_END + 1, _GRID_END + 2]
 
 
-class TestNumpyEquivalences:
-    """The numpy behaviours `_chunk` reproduces, pinned so that a numpy upgrade that breaks one names it."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 3, 2**96 + 7])
-    def test_seed_states_match_seed_sequence(self, seed):
-        # one call over every (stream, k); a k of 2**32 or more is a second entropy word
-        streams, ks = zip(*itertools.product([101, 202, 303], [0, 1, 2**31, 2**32 - 1, 2**32, 2**40 + 5]))
-        got = sufficiency._seed_states(seed, np.array(streams), np.array(ks))
-        want = [np.random.PCG64(np.random.SeedSequence([seed, s, k])).state["state"] for s, k in zip(streams, ks)]
-        assert got == want
-
-    def test_reseeded_generator_matches_default_rng(self):
-        rng = np.random.Generator(np.random.PCG64(0))
-        rng.integers(0, 2**31)  # leaves half of a 64-bit draw buffered
-        for k, state in enumerate(sufficiency._seed_states(5, np.full(4, 202), np.arange(4))):
-            fresh = np.random.default_rng([5, 202, k])
-            sufficiency._reseed(rng, state)
-            assert rng.integers(0, 7, size=3).tolist() == fresh.integers(0, 7, size=3).tolist()
-            assert rng.random() == fresh.random()
-
-    def test_dirichlet_matches_generator(self):
-        # each seed runs every (k, size) in turn on one stream, so a draw too many or too few also shows
-        for seed in range(1_000):
-            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            for k in range(1, 16):
-                for size in (None, 1, 2, 3, 4):
-                    got = sufficiency._dirichlet(ours, k, size)
-                    want = theirs.dirichlet(np.ones(k), size)
-                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (seed, k, size)
-
-    @staticmethod
-    def _streams(seeds=range(1_000)):
-        """For each seed, our decoder on one default_rng(seed) and numpy's own on another."""
-        for seed in seeds:
-            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            yield seed, sufficiency._Words(ours), ours, theirs
-
-    @staticmethod
-    def _same_position(words, ours, theirs):
-        # the same raw word next, and the same 32-bit half buffered
-        st = theirs.bit_generator.state
-        assert ours.bit_generator.state["state"] == st["state"]
-        assert words.half == (st["uinteger"] if st["has_uint32"] else None)
-
-    # hi - lo: 1 draws nothing; 2**31 + 1 rejects about half its 32-bit draws, so the redraw loop runs
-    _RANGES = [1, 2, 5, 2**31 + 1, 3 * 2**30 + 7, 2**32 - 2]
-
-    def test_integers_decoded(self):
-        for seed, words, ours, theirs in self._streams():
-            for span in self._RANGES:
-                lo = seed % 7 - 3
-                assert words.integers(lo, lo + span) == theirs.integers(lo, lo + span), (seed, span)
-                got = [words.integers(lo, lo + span) for _ in range(3)]
-                assert got == theirs.integers(lo, lo + span, size=3).tolist(), (seed, span)
-            self._same_position(words, ours, theirs)
-
-    def test_single_value_range_draws_nothing(self):
-        for seed, words, ours, theirs in self._streams(range(50)):
-            words.integers(0, 3), theirs.integers(0, 3)  # leaves a half buffered
-            for lo in (0, 4, -2):
-                assert words.integers(lo, lo + 1) == lo == theirs.integers(lo, lo + 1)
-                assert theirs.integers(lo, lo + 1, size=4).tolist() == [lo] * 4
-            self._same_position(words, ours, theirs)
-
-    def test_buffered_half_survives_exponentials(self):
-        # a 32-bit draw, exponentials reading whole words, then the buffered high half
-        for seed, words, ours, theirs in self._streams():
-            assert words.integers(0, 7) == theirs.integers(0, 7)
-            assert words.half is not None
-            got, want = ours.standard_exponential(1 + seed % 4), theirs.standard_exponential(1 + seed % 4)
-            assert got.tobytes() == want.tobytes()
-            assert [words.integers(0, 1000) for _ in range(3)] == theirs.integers(0, 1000, size=3).tolist(), seed
-            self._same_position(words, ours, theirs)
-
-    def test_shuffle_and_permutation_decoded(self):
-        for seed, words, ours, theirs in self._streams():
-            for n in range(2, 10):
-                x, y = list(range(10, 10 + n)), list(range(10, 10 + n))
-                theirs.shuffle(y)
-                assert words.shuffle(x) == y, (seed, n)
-                assert words.shuffle(list(range(n))) == theirs.permutation(n).tolist(), (seed, n)
-            self._same_position(words, ours, theirs)
-
-    def test_uniform_decoded(self):
-        for seed, words, ours, theirs in self._streams():
-            assert words.integers(0, 3) == theirs.integers(0, 3)  # the buffered half outlives the uniform draw
-            got, want = words.uniform(0.05, 0.6), theirs.uniform(0.05, 0.6)
-            assert got.hex() == want.hex(), seed
-            self._same_position(words, ours, theirs)
-
-
-class _ExponentialsOnly(np.random.Generator):
-    """A Generator whose only callable method is standard_exponential."""
-
-    def __getattribute__(self, name):
-        if name not in ("standard_exponential", "bit_generator"):
-            raise AssertionError(f"the scan called Generator.{name}")
-        return super().__getattribute__(name)
+def test_splitmix64_known_answer():
+    # the first outputs of SplitMix64 from state 0, as published with its reference code
+    assert _splitmix64(0, 2) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+    assert sufficiency._splitmix(np.zeros(1, dtype=np.uint64), 2).tolist() == [_splitmix64(0, 2)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_scan_builds_no_generator_per_candidate(n, monkeypatch):
-    # a chunk hashes its seeds itself, reuses one generator and decodes every
-    # draw but the exponentials from its raw words
+    # every draw of the scan and of the n > 5 permutation sample reads stream words; numpy's generators go unused
     def refuse(*args, **kwargs):
-        raise AssertionError("the scan seeded numpy per candidate")
+        raise AssertionError("a numpy generator was built")
 
-    monkeypatch.setattr(np.random, "default_rng", refuse)
-    monkeypatch.setattr(np.random, "SeedSequence", refuse)
-    monkeypatch.setattr(np.random, "Generator", _ExponentialsOnly)
+    for name in ("default_rng", "Generator", "PCG64", "SeedSequence"):
+        monkeypatch.setattr(np.random, name, refuse)
     assert si.find_violation(si.builtin_loss("log", n), n, budget=600) is None
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_scan_builds_one_generator(n, monkeypatch):
-    # 600 candidates take ten chunks, and every seeded draw among them uses the one generator
-    real, built = np.random.PCG64, []
-
-    def counted(*args, **kwargs):
-        built.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np.random, "PCG64", counted)
-    assert si.find_violation(si.builtin_loss("log", n), n, budget=600) is None
-    assert len(built) == 1
+    j = si.Joint(np.full((6, 2), 1.0 / 12.0))
+    assert len(si.enumerate_sufficient(j, seed=n).permutations) > 1
+    assert si.audit_dpa(si.builtin_loss("log", 6), j, seed=n).clean
 
 
 def _pinned_push(table, mapping):
