@@ -350,7 +350,7 @@ def _certify(l: LossSpec, tables: np.ndarray, maps: np.ndarray, before, after: n
             for x, row in enumerate(rows):
                 to = labels.index(labels[x]) if padded else labels[x]
                 classes[to] = [a + b for a, b in zip(classes[to], row)] if to in classes else row
-            pushed = [classes.get(x, [num(0)] * len(row)) for x in range(n if padded else m)]
+            pushed = [classes.get(x, [num(0)] * len(rows[0])) for x in range(n if padded else m)]
             before_s, after_s = (
                 _scaled_risk(f, [sum(r) for r in t], ln) - sum(_scaled_risk(f, list(col), ln) for col in zip(*t))
                 for f, t in ((l, rows), (loss, pushed))
@@ -582,7 +582,7 @@ def _dirichlet(w: np.ndarray) -> np.ndarray:
 
 
 def _ys(w: np.ndarray) -> dict[int, np.ndarray]:
-    """{|Y|: the rows whose |Y| it is}, |Y| in {2, 3} drawn from each word of w (K,)."""
+    """{|Y|: the indices whose |Y| it is}, |Y| in {2, 3} drawn from each word of w (K,)."""
     ys = 2 + _ints(w, 2)
     return {b: np.flatnonzero(ys == b) for b in (2, 3)}
 
@@ -606,7 +606,7 @@ def _grid_stream(n: int, ks: np.ndarray, seed: int) -> np.ndarray:
 
 
 def _merge_stream(n: int, ks: np.ndarray, seed: int) -> tuple[dict, np.ndarray]:
-    """Merge-stream candidates ks as ({|Y|: (rows, raw tables (K_b, n, |Y|))}, mappings (K, n)).
+    """Merge-stream candidates ks as ({|Y|: (indices into ks, raw tables (K_b, n, |Y|))}, mappings (K, n)).
 
     A random joint whose conditional rows repeat within classes, and the
     sufficient merge of one class with two or more members (one exists, as
@@ -636,7 +636,7 @@ def _merge_stream(n: int, ks: np.ndarray, seed: int) -> tuple[dict, np.ndarray]:
 
 
 def _perm_stream(n: int, ks: np.ndarray, seed: int) -> tuple[dict, np.ndarray]:
-    """Permutation-stream candidates ks as ({|Y|: (rows, raw tables (K_b, n, |Y|))}, mappings (K, n)).
+    """Permutation-stream candidates ks as ({|Y|: (indices into ks, raw tables (K_b, n, |Y|))}, mappings (K, n)).
 
     Candidate k reads 4n words: |Y|; n sort keys, whose stable argsort is
     the permutation (the identity becomes the cycle (n-1, 0, 1, ...)); and
