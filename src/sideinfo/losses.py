@@ -32,7 +32,9 @@ objective, is one masked elementwise product p_x * ell_x over the x with
 p_x > 0 (0 * inf = 0), summed as a left fold from 0 over x (`_masked_risk`).  No
 risk goes through a BLAS dot, spherical's included (its |q|^2 is the same
 left fold), so a row's risk is the same alone or in any batch, in any memory
-layout, on every CPU.
+layout, and its fold order the same on every CPU.  The loss values need not
+be: log loss takes `np.log`, whose SIMD path can round differently from
+libm, so its risks can differ in the last bits between CPUs.
 
 Built-ins: log, zero_one, brier, spherical, absolute_ordered.  All symbols
 are 0-based here; 1-based indexing lives only at the file/CLI boundary.

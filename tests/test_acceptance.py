@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import sideinfo as si
+from sideinfo.losses import simplex_grid
 from sideinfo.prob import LOG_ZERO
 
 from conftest import (
@@ -152,7 +153,7 @@ def test_criterion_04_lemma_invariants():
 
 def test_criterion_05_savage_representation():
     # interior lattice with 210 points (>= the stated 200), n = 3
-    grid = [q for q in si.simplex_grid(3, 22) if np.all(q > 0)]
+    grid = [q for q in simplex_grid(3, 22) if np.all(q > 0)]
     assert len(grid) >= 200
     log_rule = si.savage_from_G(si.neg_entropy_oracle(), n=3)
     brier = si.builtin_loss("brier", 3)

@@ -507,22 +507,8 @@ class TestGeweke:
                 call()
 
 
-class TestVarAutocovariances:
-    def test_white_noise_cross_lag(self):
-        v = si.VarModel(coeffs=np.array([[[0.0, 1.0], [0.0, 0.0]]]), sigma=np.eye(2))
-        gam = si.var_autocovariances(v, 3)
-        assert gam[0][0, 0] == pytest.approx(2.0, abs=1e-12)  # var x = 1 + b^2
-        assert gam[1][0, 0] == pytest.approx(0.0, abs=1e-12)  # x is white
-
-    def test_ar1_decay(self):
-        v = si.VarModel(coeffs=np.array([[[0.5, 0.0], [0.0, 0.5]]]), sigma=np.eye(2))
-        gam = si.var_autocovariances(v, 4)
-        for h in range(1, 5):
-            assert gam[h][0, 0] == pytest.approx(0.5 * gam[h - 1][0, 0], abs=1e-12)
-
-
 def _block_autocovariances(v: si.VarModel, lags: int) -> np.ndarray:
-    """Gamma(0..lags) as computed in one block before lags were streamed (the oracle)."""
+    """Gamma(0..lags) from scipy's discrete Lyapunov solve and the VAR recurrence (the oracle)."""
     p = v.order
     q = np.zeros((2 * p, 2 * p))
     q[:2, :2] = v.sigma
@@ -556,7 +542,7 @@ def _block_levinson(r: np.ndarray, k_tol: float) -> tuple[float, bool]:
 
 
 def _block_geweke(v: si.VarModel, direction: str, k_tol: float = 1e-10) -> tuple[float, int]:
-    """geweke_F with 64-lag blocks regrown x4 until Levinson settles; (F, lags computed)."""
+    """F by block Levinson-Durbin, with 64-lag blocks regrown x4 until it settles; (F, lags computed)."""
     comp = 0 if direction == "y->x" else 1
     lags = 64
     while True:
@@ -578,36 +564,36 @@ def _seeded_var(seed: int) -> si.VarModel:
             continue
 
 
-class TestGewekeStreamedLags:
-    """geweke_F reads lags on demand; results match the old block computation bit for bit."""
+class TestGewekeRiccati:
+    """geweke_F's Riccati recursion against the scipy-built block Levinson-Durbin oracle."""
 
-    def test_bit_identical_to_block_oracle(self):
+    def test_matches_block_oracle(self):
         lags_used = []
         for seed in range(12):
             v = _seeded_var(seed)
             for direction in ("y->x", "x->y"):
                 expected, lags = _block_geweke(v, direction)
-                assert si.geweke_F(v, direction) == expected
+                assert abs(si.geweke_F(v, direction) - expected) <= 1e-12
                 lags_used.append(lags)
         assert max(lags_used) > 64  # the corpus includes a model that outgrows the first block
 
-    def test_var_autocovariances_unchanged(self):
-        for seed in range(6):
-            v = _seeded_var(seed)
-            for lags in (0, 1, 2, 3, 70):
-                got = si.var_autocovariances(v, lags)
-                assert got.shape == (lags + 1, 2, 2)
-                assert got.tobytes() == _block_autocovariances(v, lags).tobytes()
-
-    def test_max_order_below_block_caps_lags_read(self):
-        v = _seeded_var(2)  # needs 76 lags in the y->x direction
+    def test_max_order_matches_oracle_order(self):
+        v = _seeded_var(2)  # Levinson needs 76 orders in the y->x direction
         full = float(v.sigma[0, 0])
         for max_order in (1, 5, 63):
             r = _block_autocovariances(v, max_order)[:, 0, 0]
             restricted, settled = _block_levinson(r, 1e-10)
             assert not settled
-            assert si.geweke_F(v, max_order=max_order) == float(np.log(restricted / full))
+            assert abs(si.geweke_F(v, max_order=max_order) - float(np.log(restricted / full))) <= 1e-12
         assert si.geweke_F(v, max_order=5) != si.geweke_F(v)
+
+    @pytest.mark.parametrize("k_tol", [1e-2, 1e-4, 1e-6])
+    def test_k_tol_matches_oracle_stop(self, k_tol):
+        for seed in range(12):
+            v = _seeded_var(seed)
+            for direction in ("y->x", "x->y"):
+                expected, _ = _block_geweke(v, direction, k_tol)
+                assert abs(si.geweke_F(v, direction, k_tol=k_tol) - expected) <= 1e-12
 
 
 class TestVarModelValidation:

@@ -1,7 +1,9 @@
+import ast
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -436,50 +438,34 @@ class TestParserReuse:
         assert outs[0] == outs[1]
 
 
-def _imported_modules(argv, cwd) -> set[str]:
-    """Top-level names of every module a child interpreter imports (python -X importtime)."""
-    out = subprocess.run(
-        [sys.executable, "-X", "importtime", *argv],
-        capture_output=True, text=True, cwd=cwd, env=package_env(),
-    )
-    assert "Traceback" not in out.stderr
-    return {
-        line.rsplit("|", 1)[1].strip().split(".")[0]
-        for line in out.stderr.splitlines()
-        if line.startswith("import time:") and line.count("|") == 2
-    }
+class TestNoScipy:
+    """The runtime needs numpy alone: no module imports scipy, and the CLI runs with it blocked."""
 
+    def test_no_module_imports_scipy(self):
+        for path in sorted(Path(si.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            names = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+            names += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+            assert not [m for m in names if m.split(".")[0] == "scipy"], path.name
 
-class TestLazyScipy:
-    """scipy loads on first use, by geweke alone, never with the package or a Bayes solve."""
-
-    def test_package_import_leaves_scipy_out(self, tmp_path):
-        mods = _imported_modules(["-c", "import sideinfo, sideinfo.cli"], tmp_path)
-        assert "sideinfo" in mods
-        assert "scipy" not in mods
-
-    def test_mi_command_leaves_scipy_out(self, tmp_path, witness_file):
-        assert "scipy" not in _imported_modules(["-m", "sideinfo", "mi", "--joint", witness_file], tmp_path)
-
-    def test_numeric_bayes_tier_leaves_scipy_out(self, tmp_path):
+    def test_runs_with_scipy_blocked(self, tmp_path, witness_file):
+        var = tmp_path / "var.json"
+        si.write_model(si.VarModel(coeffs=np.array([[[0.0, 1.0], [0.0, 0.0]]]), sigma=np.eye(2)), var)
         script = (
-            "import sys, numpy as np, sideinfo as si\n"
-            "from sideinfo.benefit import c_value\n"
-            "from sideinfo.errors import NotProper\n"
+            "import contextlib, io, json, math, sys\n"
+            "sys.modules['scipy'] = None  # any import of scipy now raises ImportError\n"
+            "import numpy as np, sideinfo as si\n"
+            "from sideinfo.cli import cli_dispatch\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    assert cli_dispatch(['geweke', '--var', sys.argv[1]]) == 0\n"
+            "    assert cli_dispatch(['mi', '--joint', sys.argv[2]]) == 0\n"
+            "f = json.loads(out.getvalue().splitlines()[0])['results']['f']\n"
+            "assert abs(f - math.log(2)) <= 1e-12, f\n"
             "rule = si.ScoringRuleLoss(eval_fn=lambda x, q: -float(q[x]), n=3, vector_fn=lambda q: -np.asarray(q))\n"
             "assert si.bayes_risk(rule, [0.2, 0.3, 0.5]).method == 'numeric-search'\n"
-            "c_value(rule, si.Joint([[0.1, 0.2], [0.3, 0.1], [0.2, 0.1]]))\n"
-            "try:\n"
-            "    si.audit_propriety(rule, trials=3)\n"
-            "except NotProper:\n"
-            "    pass\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print('ok')\n"
         )
-        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path,
-                             env=package_env())
-        assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
-
-    def test_geweke_command_loads_scipy(self, tmp_path):
-        path = tmp_path / "var.json"
-        si.write_model(si.VarModel(coeffs=np.array([[[0.0, 1.0], [0.0, 0.0]]]), sigma=np.eye(2)), path)
-        assert "scipy" in _imported_modules(["-m", "sideinfo", "geweke", "--var", str(path)], tmp_path)
+        out = subprocess.run([sys.executable, "-c", script, str(var), witness_file], capture_output=True,
+                             text=True, cwd=tmp_path, env=package_env())
+        assert (out.returncode, out.stdout) == (0, "ok\n"), out.stderr

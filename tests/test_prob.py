@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import sideinfo as si
 from sideinfo.errors import NegativeMass, NotNormalized, ParameterOutOfRange, ZeroConditioningEvent
-from sideinfo.prob import _simplex
+from sideinfo.prob import _simplex, linear_oracle
 
 from conftest import random_joint, random_joint3
 
@@ -232,7 +232,7 @@ class TestJensenGap:
 
     def test_linear_oracle_zero(self):
         rng = np.random.default_rng(8)
-        g = si.linear_oracle([1.0, -2.0, 0.5])
+        g = linear_oracle([1.0, -2.0, 0.5])
         for _ in range(20):
             pts = [si.Dist(rng.dirichlet(np.ones(3))) for _ in range(3)]
             w = rng.dirichlet(np.ones(3))
@@ -262,7 +262,7 @@ class TestJensenGap:
 
 class TestConvexOracleChecks:
     def test_builtin_oracles_pass(self):
-        for g in (si.neg_entropy_oracle(), si.sum_squares_oracle(), si.linear_oracle([1.0, 1.0, 1.0])):
+        for g in (si.neg_entropy_oracle(), si.sum_squares_oracle(), linear_oracle([1.0, 1.0, 1.0])):
             si.check_convex_oracle(g, 3, pairs=256, seed=0)
 
     def test_concave_function_fails(self):
