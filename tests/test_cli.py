@@ -438,6 +438,50 @@ class TestParserReuse:
         assert outs[0] == outs[1]
 
 
+def _imported_modules(argv, cwd) -> set[str]:
+    """Top-level names of every module a child interpreter imports (python -X importtime)."""
+    out = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        capture_output=True, text=True, cwd=cwd, env=package_env(),
+    )
+    assert "Traceback" not in out.stderr
+    return {
+        line.rsplit("|", 1)[1].strip().split(".")[0]
+        for line in out.stderr.splitlines()
+        if line.startswith("import time:") and line.count("|") == 2
+    }
+
+
+class TestLazyScipy:
+    """scipy never loads with the package, the mi command or a Bayes solve (geweke: `TestNoScipy`)."""
+
+    def test_package_import_leaves_scipy_out(self, tmp_path):
+        mods = _imported_modules(["-c", "import sideinfo, sideinfo.cli"], tmp_path)
+        assert "sideinfo" in mods
+        assert "scipy" not in mods
+
+    def test_mi_command_leaves_scipy_out(self, tmp_path, witness_file):
+        assert "scipy" not in _imported_modules(["-m", "sideinfo", "mi", "--joint", witness_file], tmp_path)
+
+    def test_numeric_bayes_tier_leaves_scipy_out(self, tmp_path):
+        script = (
+            "import sys, numpy as np, sideinfo as si\n"
+            "from sideinfo.benefit import c_value\n"
+            "from sideinfo.errors import NotProper\n"
+            "rule = si.ScoringRuleLoss(eval_fn=lambda x, q: -float(q[x]), n=3, vector_fn=lambda q: -np.asarray(q))\n"
+            "assert si.bayes_risk(rule, [0.2, 0.3, 0.5]).method == 'numeric-search'\n"
+            "c_value(rule, si.Joint([[0.1, 0.2], [0.3, 0.1], [0.2, 0.1]]))\n"
+            "try:\n"
+            "    si.audit_propriety(rule, trials=3)\n"
+            "except NotProper:\n"
+            "    pass\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path,
+                             env=package_env())
+        assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
+
+
 class TestNoScipy:
     """The runtime needs numpy alone: no module imports scipy, and the CLI runs with it blocked."""
 

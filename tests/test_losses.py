@@ -1,7 +1,9 @@
+import ast
 import collections
 import dataclasses
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -552,6 +554,12 @@ class TestNelderMead:
         _nelder_mead(lambda z: values.append(1.0) or 1.0, np.array([0.5, 0.5]))
         assert _nm_steps(np.array(values), 2) == collections.Counter(inside=28, shrink=28)
         assert len(values) == 3 + 28 * (2 + 2)
+
+    def test_losses_module_imports_no_scipy(self):
+        tree = ast.parse(Path(si.losses.__file__).read_text())
+        names = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+        names += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert not [m for m in names if m.split(".")[0] == "scipy"]
 
 
 class TestLossVectorBatch:
