@@ -18,17 +18,19 @@ three agree exactly with `c_value` on the pushed-forward joint.  A hit
 within 1e-12 of the rule's threshold is then re-decided beyond float
 rounding (`_certify`), so a tol of 0 finds no witness in rounding noise.
 
-The scan works on arrays.  Each chunk of candidates is built as raw tables
-and mappings per |Y| (`_chunk`), validated, and decided one |Y| at a time;
-only the first witness becomes `Joint`, `Transform` and `ViolationWitness`
-objects.  Every random draw here, the scan's and `enumerate_sufficient`'s,
-reads one counter-based stream (`_words`): a word is a pure function of
-(seed, stream, candidate k, word index), so a chunk draws each stream's
-candidates as one array, and candidate k is the same in any chunk.
+The scan works on arrays.  Each chunk of candidates is one stack of tables
+padded to |Y| = 3 with zero columns, and mappings (`_chunk`), decided as
+one stack; only the first witness, cut back to its own |Y|, becomes
+`Joint`, `Transform` and `ViolationWitness` objects.  Every random draw
+here, the scan's and `enumerate_sufficient`'s, reads one counter-based
+stream (`_words`): a word is a pure function of (seed, stream, candidate
+k, word index), so a chunk draws each stream's candidates as one array,
+and candidate k is the same in any chunk.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -544,18 +546,25 @@ def _splitmix(states: np.ndarray, d: int) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+@functools.lru_cache(maxsize=64)
+def _key(seed: int, stream: int) -> np.uint64:
+    """The key of (seed, stream) before any k is folded in; see `_words`."""
+    key = np.zeros(1, dtype=np.uint64)
+    for v in [seed >> i & 2**64 - 1 for i in range(0, max(seed.bit_length(), 1), 64)] + [stream]:
+        key = _splitmix(key ^ np.uint64(v), 1)[:, 0]
+    return key[0]
+
+
 def _words(seed: int, stream: int, ks, d: int) -> np.ndarray:
     """d random words (K, d) uint64 for each candidate k of ks on a stream, a pure function of (seed, stream, k, word).
 
     The key folds in the seed 64 bits at a time (little end first, so any
     seed >= 0 is valid), then the stream, then k: each step xors the next
-    value into the key and takes SplitMix64's first output from it.  The
-    words are SplitMix64's first d outputs from the key.
+    value into the key and takes SplitMix64's first output from it (the
+    (seed, stream) part once, in `_key`).  The words are SplitMix64's first
+    d outputs from the key.
     """
-    seed, key = int(seed), np.zeros(1, dtype=np.uint64)
-    for v in [seed >> i & 2**64 - 1 for i in range(0, max(seed.bit_length(), 1), 64)] + [stream, ks]:
-        key = _splitmix(key ^ np.asarray(v, dtype=np.uint64), 1)[:, 0]
-    return _splitmix(key, d)
+    return _splitmix(_splitmix(_key(int(seed), stream) ^ np.asarray(ks, dtype=np.uint64), 1)[:, 0], d)
 
 
 def _uniforms(w: np.ndarray) -> np.ndarray:
@@ -572,19 +581,16 @@ def _ints(w: np.ndarray, r) -> np.ndarray:
     return ((w >> np.uint64(32)) * np.asarray(r, dtype=np.uint64) >> np.uint64(32)).astype(np.int64)
 
 
-def _dirichlet(w: np.ndarray) -> np.ndarray:
-    """A Dirichlet(1, ..., 1) row of width d + 1 from each row of words (..., d): the spacings of their d sorted uniforms on [0, 1].
+def _dirichlet(u: np.ndarray) -> np.ndarray:
+    """A Dirichlet(1, ..., 1) row of width d + 1 from each row of uniforms (..., d): the spacings of the sorted cuts on [0, 1].
 
     Sorting and subtraction are exact in any order, so a row is the same
-    bits on every CPU and in any stack as alone.
+    bits on every CPU and in any stack as alone; a cut at 1 ends it in a 0.
     """
-    return np.diff(np.sort(_uniforms(w), axis=-1), axis=-1, prepend=0.0, append=1.0)
-
-
-def _ys(w: np.ndarray) -> dict[int, np.ndarray]:
-    """{|Y|: the indices whose |Y| it is}, |Y| in {2, 3} drawn from each word of w (K,)."""
-    ys = 2 + _ints(w, 2)
-    return {b: np.flatnonzero(ys == b) for b in (2, 3)}
+    cuts = np.sort(u, axis=-1)
+    edge = np.zeros(cuts.shape[:-1] + (1,))
+    cuts = np.concatenate([edge, cuts, edge + 1.0], axis=-1)
+    return cuts[..., 1:] - cuts[..., :-1]
 
 
 def _grid_stream(n: int, ks: np.ndarray, seed: int) -> np.ndarray:
@@ -599,14 +605,14 @@ def _grid_stream(n: int, ks: np.ndarray, seed: int) -> np.ndarray:
     alpha, pair = _ALPHA_GRID[rem // len(_S1)], rem % len(_S1)
     tail, r = np.zeros((len(ks), 0)), 1.0
     if n > 3:
-        w = _words(seed, _GRID, ks, n - 3)
-        mass = 0.05 + (0.6 - 0.05) * _uniforms(w[:, 0])
-        tail, r = mass[:, None] * _dirichlet(w[:, 1:]), 1.0 - mass
+        u = _uniforms(_words(seed, _GRID, ks, n - 3))
+        mass = 0.05 + (0.6 - 0.05) * u[:, 0]
+        tail, r = mass[:, None] * _dirichlet(u[:, 1:]), 1.0 - mass
     return _proof_tables(n, t, _S1[pair] * r, _S2[pair] * r, alpha, tail)
 
 
-def _merge_stream(n: int, ks: np.ndarray, seed: int) -> tuple[dict, np.ndarray]:
-    """Merge-stream candidates ks as ({|Y|: (indices into ks, raw tables (K_b, n, |Y|))}, mappings (K, n)).
+def _merge_stream(n: int, ks: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge-stream candidates ks as (raw tables (K, n, 3), mappings (K, n), |Y| (K,)); a |Y| = 2 table's third column is 0.
 
     A random joint whose conditional rows repeat within classes, and the
     sufficient merge of one class with two or more members (one exists, as
@@ -626,17 +632,14 @@ def _merge_stream(n: int, ks: np.ndarray, seed: int) -> tuple[dict, np.ndarray]:
     merged = assignment == (mergeable & (np.cumsum(mergeable, axis=1) == pick + 1)).argmax(axis=1)[:, None]
     rep = np.where(merged, merged.argmax(axis=1)[:, None], x)  # each symbol's class representative
     maps = np.take_along_axis(np.cumsum(rep == x, axis=1) - 1, rep, axis=1)
-    px = _dirichlet(w[:, 3 + 2 * n : 2 + 3 * n])[:, :, None]
-    rows = w[:, 2 + 3 * n :].reshape(len(ks), n - 1, 2)
-    tables = {}
-    for b, sel in _ys(w[:, 0]).items():
-        given = np.take_along_axis(_dirichlet(rows[sel, :, : b - 1]), assignment[sel, :, None], axis=1)
-        tables[b] = sel, px[sel] * given
-    return tables, maps
+    px = _dirichlet(_uniforms(w[:, 3 + 2 * n : 2 + 3 * n]))[:, :, None]
+    ys, cuts = 2 + _ints(w[:, 0], 2), _uniforms(w[:, 2 + 3 * n :].reshape(len(ks), n - 1, 2))
+    cuts[ys == 2, :, 1] = 1.0  # so a |Y| = 2 row's third cell is 0
+    return px * np.take_along_axis(_dirichlet(cuts), assignment[:, :, None], axis=1), maps, ys
 
 
-def _perm_stream(n: int, ks: np.ndarray, seed: int) -> tuple[dict, np.ndarray]:
-    """Permutation-stream candidates ks as ({|Y|: (indices into ks, raw tables (K_b, n, |Y|))}, mappings (K, n)).
+def _perm_stream(n: int, ks: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Permutation-stream candidates ks as (raw tables (K, n, 3), mappings (K, n), |Y| (K,)); a |Y| = 2 table's third column is 0.
 
     Candidate k reads 4n words: |Y|; n sort keys, whose stable argsort is
     the permutation (the identity becomes the cycle (n-1, 0, 1, ...)); and
@@ -646,37 +649,39 @@ def _perm_stream(n: int, ks: np.ndarray, seed: int) -> tuple[dict, np.ndarray]:
     w, x = _words(seed, _PERM, ks, 4 * n), np.arange(n)
     maps = np.argsort(w[:, 1 : 1 + n], axis=1, kind="stable")
     maps[(maps == x).all(axis=1)] = np.roll(x, 1)
-    return {b: (sel, _dirichlet(w[sel, 1 + n : n * (b + 1)]).reshape(-1, n, b)) for b, sel in _ys(w[:, 0]).items()}, maps
+    ys, tables = 2 + _ints(w[:, 0], 2), np.zeros((len(ks), n, 3))
+    for b in (2, 3):
+        sel = ys == b
+        tables[sel, :, :b] = _dirichlet(_uniforms(w[sel, 1 + n : n * (b + 1)])).reshape(-1, n, b)
+    return tables, maps, ys
 
 
-def _chunk(n: int, start: int, stop: int, seed: int) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Scan candidates start..stop-1 as {|Y|: (positions, tables (K, n, |Y|), mappings (K, n))}.
+def _chunk(n: int, start: int, stop: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Scan candidates start..stop-1 as (positions, tables (K, n, 3), mappings (K, n), |Y| (K,)), in scan order.
 
     Scan index idx is candidate idx // 3 of stream idx % 3 (grid, merge,
-    permutation); its position is idx - start, and each group lists its rows
-    in scan order.  Grid candidates are skipped for n = 2 and past the end of
-    the grid, and appear nowhere.  Each stream is one `_words` call.  The
-    tables are validated as `validate_joint` would, one pass per group;
-    every mapping is a contiguous labelling by construction.
+    permutation); its position is idx - start.  Grid candidates are skipped
+    for n = 2 and past the end of the grid, and appear nowhere.  Each stream
+    is one `_words` call.  The tables are validated as `validate_joint`
+    would, one pass per |Y| over their own |Y| columns, so each sum groups
+    its terms as the table's alone does; the other columns are 0.  Every
+    mapping is a contiguous labelling by construction.
     """
-    parts: dict[int, list] = {}  # |Y| -> (positions, tables, mappings) per stream
+    tables, maps, ys = np.zeros((stop - start, n, 3)), np.zeros((stop - start, n), dtype=int), np.zeros(stop - start, dtype=int)
     for stream, first in ((_merge_stream, 1), (_perm_stream, 2)):
         idx = np.arange(start + (first - start) % 3, stop, 3)
         if len(idx):  # a chunk of one or two scan indices leaves a stream out
-            tables, maps = stream(n, idx // 3, seed)
-            for b, (sel, t) in tables.items():
-                parts.setdefault(b, []).append((idx[sel] - start, t, maps[sel]))
+            tables[idx - start], maps[idx - start], ys[idx - start] = stream(n, idx // 3, seed)
     if n >= 3:
         ks = np.arange(-(-start // 3), min(-(-stop // 3), _GRID_SIZE))
-        parts.setdefault(2, []).append((3 * ks - start, _grid_stream(n, ks, seed), np.tile([0, 0, *range(1, n - 1)], (len(ks), 1))))
-    out = {}
-    for b, groups in parts.items():
-        pos, tables, maps = (np.concatenate(part) for part in zip(*groups))
-        if len(pos):
-            order = np.argsort(pos, kind="stable")
-            tables, s = _simplex(tables[order], 2)
-            out[b] = pos[order], tables / s[:, None, None], maps[order]
-    return out
+        pos = 3 * ks - start
+        tables[pos, :, :2], maps[pos], ys[pos] = _grid_stream(n, ks, seed), [0, 0, *range(1, n - 1)], 2
+    for b in (2, 3):
+        sel = ys == b
+        raw, s = _simplex(tables[sel, :, :b], 2)
+        tables[sel, :, :b] = raw / s[:, None, None]
+    pos = np.flatnonzero(ys)  # |Y| 0: a skipped scan index
+    return pos, tables[pos], maps[pos], ys[pos]
 
 
 _MAX_CHUNK = 256
@@ -697,19 +702,19 @@ def find_violation(
     conditional rows plus a random sufficient merge, (c) seeded random
     joints with random permutations.
 
-    The scan runs in chunks of 1, 2, 4, ... up to 256 candidates, so a scan
-    that hits early stays cheap; each chunk is arrays (`_chunk`).  The seed
-    keys the random streams: candidate k of a random stream, and the n >= 4
-    tail of grid candidate k, is decoded from the `_words` of (seed, stream,
-    k).  The grid's own parameters come from k alone, so the seed changes
-    no n = 3 grid candidate.  Per |Y|, C before is one kernel stack, and C
-    after and each witness kind come from `_decide`, which `audit_dpa` and
-    `verify_witness` share; each C is the same bits as the candidate's
-    alone.  The chunk is decided in scan order: a non-finite C first raises
-    UnboundedBelow, as `c_value` would; a witness first becomes a
-    `ViolationWitness`, is re-verified with `verify_witness` and returned.
-    Numeric-tier rules solve each stack's rows in one lockstep search
-    (`losses._solve`), with the same seed.
+    The scan runs in chunks of 1, 4, 16, ... up to 256 candidates, so a
+    scan that hits early stays cheap.  The seed keys the random streams:
+    candidate k of a random stream, and the n >= 4 tail of grid candidate
+    k, is decoded from the `_words` of (seed, stream, k); the grid's own
+    parameters come from k alone.  A chunk is one stack of tables padded to
+    |Y| = 3 (`_chunk`): C before is one kernel stack, and C after and each
+    witness kind come from `_decide`, which `audit_dpa` and `verify_witness`
+    share.  A zero column adds nothing to C, so each C is the same bits as
+    the candidate's alone.  The chunk is decided in scan order: a non-finite
+    C first raises UnboundedBelow, as `c_value` would; a witness first
+    becomes a `ViolationWitness` on its own |Y|, is re-verified with
+    `verify_witness` and returned.  Numeric-tier rules solve each stack's
+    rows in one lockstep search (`losses._solve`), with the same seed.
 
     Raises ParameterOutOfRange, before any work, for n < 2, a budget or
     seed that is negative or not an integer, a tol that is negative or not
@@ -725,22 +730,17 @@ def find_violation(
     start, size = 0, 1
     while start < budget:
         stop = min(start + size, budget)
-        groups = _chunk(n, start, stop, seed)
-        before, after = np.zeros(stop - start), np.zeros(stop - start)  # 0 and 0 at a skipped position: no witness
-        kinds = np.full(stop - start, "", dtype=object)  # "" at a skipped position
-        for pos, tables, maps in groups.values():
-            before[pos] = _c_stack(l, tables)[0]
-            after[pos], kinds[pos] = _decide(l, tables, maps, before[pos], tol)
+        _, tables, maps, ys = _chunk(n, start, stop, seed)
+        before = _c_stack(l, tables)[0]
+        after, kinds = _decide(l, tables, maps, before, tol)
         first = np.flatnonzero((kinds != "") | ~np.isfinite(before) | ~np.isfinite(after))
         if first.size:
             i = first[0]
             _finite(np.array([before[i], after[i]]))
-            pos, tables, maps = next(g for g in groups.values() if i in g[0])
-            r = int(np.searchsorted(pos, i))
-            joint, transform = Joint(tables[r].copy()), Transform(tuple(maps[r].tolist()))
+            joint, transform = Joint(tables[i, :, : ys[i]].copy()), Transform(tuple(maps[i].tolist()))
             w = ViolationWitness(joint, transform, float(before[i]), float(after[i]), str(kinds[i]))
             if not verify_witness(l, w, tol=tol):
                 raise WitnessVerificationFailed("witness failed re-verification; numeric instability")
             return w
-        start, size = stop, min(2 * size, _MAX_CHUNK)
+        start, size = stop, min(4 * size, _MAX_CHUNK)
     return None

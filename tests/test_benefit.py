@@ -65,10 +65,10 @@ class TestBenefit:
         for name in ("log", "zero_one", "brier", "spherical", "absolute_ordered"):
             for n in range(2, 6):
                 l = si.builtin_loss(name, n)
-                for _, tables, _ in sufficiency._chunk(n, 0, 60, 0).values():  # the first 60 scan candidates
-                    for table in tables:
-                        j = si.Joint(table)
-                        assert si.benefit(l, j).c_value == c_value(l, j)
+                _, tables, _, ys = sufficiency._chunk(n, 0, 60, 0)  # the first 60 scan candidates
+                for table, ny in zip(tables, ys):
+                    j = si.Joint(table[:, :ny])
+                    assert si.benefit(l, j).c_value == c_value(l, j)
 
     def test_witness_c_before_reproduced_bit_for_bit(self):
         for name in ("zero_one", "brier", "spherical", "absolute_ordered"):

@@ -634,18 +634,22 @@ def _first_unbounded(l, n, seed=0):
 
 
 def _chunk_rows(n, start, stop, seed):
-    """`sufficiency._chunk` as {scan index: (table, mapping)}, after checking each group's shape and order."""
+    """`sufficiency._chunk` as {scan index: (table cut to its own |Y|, mapping)}, after checking the stack's shape, order and padding."""
     rows = {}
-    for b, (pos, tables, maps) in sufficiency._chunk(n, start, stop, seed).items():
-        assert (np.diff(pos) > 0).all()
-        assert tables.shape == (len(pos), n, b) and maps.shape == (len(pos), n)
-        for p, table, mapping in zip(pos.tolist(), tables, maps.tolist()):
-            rows[start + p] = (table, tuple(mapping))
+    pos, tables, maps, ys = sufficiency._chunk(n, start, stop, seed)
+    assert (np.diff(pos) > 0).all()
+    assert tables.shape == (len(pos), n, 3) and maps.shape == (len(pos), n) and ys.shape == (len(pos),)
+    for p, table, mapping, b in zip(pos.tolist(), tables, maps.tolist(), ys.tolist()):
+        assert table[:, b:].tobytes() == np.zeros((n, 3 - b)).tobytes()
+        rows[start + p] = (table[:, :b], tuple(mapping))
     return rows
 
 
-# the scan's chunks for a budget of 900: 1, 2, 4, ..., 256, 256 candidates, then one cut short by the budget
-_SCAN_CHUNKS = [(2**i - 1, 2 ** (i + 1) - 1) for i in range(9)] + [(511, 767), (767, 900)]
+# chunk ranges for a budget of 900: the scan's chunks of 1, 4, 16, 64, 256, 256, 256 candidates, then one
+# cut short by the budget, and the doubling ranges of an earlier schedule (1, 2, 4, ..., 256, 256, then
+# 133), kept because `_chunk` must be right for any range
+_SCAN_CHUNKS = [(0, 1), (1, 5), (5, 21), (21, 85), (85, 341), (341, 597), (597, 853), (853, 900)]
+_SCAN_CHUNKS += [(2**i - 1, 2 ** (i + 1) - 1) for i in range(1, 9)] + [(511, 767), (767, 900)]
 _GRID_END = 3 * 20 * 20 * 190  # scan index of the first grid candidate past the grid
 
 
@@ -746,6 +750,42 @@ class TestChunkOracle:
         for n in (3, 4):
             rows = _chunk_rows(n, _GRID_END - 3, _GRID_END + 3, 0)
             assert sorted(rows) == [_GRID_END - 3, _GRID_END - 2, _GRID_END - 1, _GRID_END + 1, _GRID_END + 2]
+
+
+@pytest.mark.parametrize("name, n, budget", [("log", 3, 600), ("zero_one", 2, 700)])
+def test_one_kernel_stack_per_chunk_and_image_size(name, n, budget, monkeypatch):
+    # chunks of 1, 4, 16, 64, 256, 256 and the rest; each takes one kernel stack for C before and one per image size
+    chunk, c_stack, calls = sufficiency._chunk, sufficiency._c_stack, []
+
+    def counted_chunk(*args):
+        out = chunk(*args)
+        calls.append([len(np.unique(out[2].max(axis=1))), 0])  # [image sizes, kernel stacks]
+        return out
+
+    def counted_c_stack(*args, **kwargs):
+        calls[-1][1] += 1
+        return c_stack(*args, **kwargs)
+
+    monkeypatch.setattr(sufficiency, "_chunk", counted_chunk)
+    monkeypatch.setattr(sufficiency, "_c_stack", counted_c_stack)
+    assert si.find_violation(si.builtin_loss(name, n), n, budget=budget, seed=9) is None
+    assert len(calls) == 7
+    assert all(stacks <= 1 + sizes for sizes, stacks in calls)
+
+
+@pytest.mark.parametrize(
+    "name, n, seed, idx, ny",
+    [("zero_one", 4, 3, 6, 2), ("absolute_ordered", 4, 0, 2, 2), ("absolute_ordered", 3, 0, 5, 3), ("absolute_ordered", 4, 2, 4, 3)],
+)
+def test_witness_keeps_its_own_y_alphabet(name, n, seed, idx, ny):
+    # the chunk pads every table to |Y| = 3; the witness is the candidate at its scan index, unpadded, byte for byte
+    l = si.builtin_loss(name, n)
+    assert si.find_violation(l, n, budget=idx, seed=seed) is None
+    w = si.find_violation(l, n, budget=idx + 1, seed=seed)
+    joint, transform = _candidate(n, idx, seed)
+    assert w.joint.table.shape == joint.table.shape == (n, ny)
+    assert w.joint.table.tobytes() == joint.table.tobytes()
+    assert w.transform == transform
 
 
 def test_splitmix64_known_answer():
