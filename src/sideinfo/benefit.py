@@ -56,13 +56,15 @@ def _c_stack(l: LossSpec, tables: np.ndarray, seed: int = 0):
     P_Y(y) > 0 in (k, y) order, and nothing else; `risks` and `minimizers`
     are theirs, solved as one stack (`losses._solve`), and `y`, `P_Y(y)`
     label the conditionals.  C is R(P_X), then c -= P_Y(y) R(P_{X|Y=y}) for
-    y in order.  A non-finite risk leaves C non-finite (see `_finite`).
+    y in order.  P_Y is a left fold over x, so zero rows appended to a
+    table add +0.0 to it, whatever |Y| is.  A non-finite risk leaves C
+    non-finite (see `_finite`).
     """
     if tables.ndim != 3:
         raise ValueError("C needs 2-axis joints; use conditional_benefit for a W axis")
     tables = np.ascontiguousarray(tables)  # the marginal sums take one order, whatever the layout
     k, a, b = tables.shape
-    py = tables.sum(axis=1)
+    py = sum(tables.transpose(1, 0, 2), np.zeros((k, b)))
     kk, yy = np.nonzero(py > 0.0)
     w = py[kk, yy]
     rows = np.concatenate([tables.sum(axis=2), tables[kk, :, yy] / w[:, None]])
@@ -125,7 +127,7 @@ def c_value(l: LossSpec, j: Joint, seed: int = 0) -> float:
     return float(_finite(_c_stack(l, j.table[None], seed)[0])[0])
 
 
-def numeric_subgradient(fn, p, step: float = 1e-6) -> tuple[np.ndarray, float]:
+def numeric_subgradient(fn, p) -> tuple[np.ndarray, float]:
     """Central-difference subgradient of fn on the simplex at p.
 
     Differences are taken along the feasible directions e_i - p (projected
@@ -134,6 +136,7 @@ def numeric_subgradient(fn, p, step: float = 1e-6) -> tuple[np.ndarray, float]:
     above ~1e-3 flag a non-differentiable point (piecewise-linear envelopes
     of matrix losses have these).
     """
+    step = 1e-6
     pv = _as_probs(p)
     n = pv.shape[0]
     f0 = fn(pv)

@@ -319,26 +319,26 @@ def _is_y_to_x(direction: str) -> bool:
     return direction == "y->x"
 
 
-def _flow_step(m: MarkovJointProcess, direction: str, tol: float = 1e-9):
+def _flow_step(m: MarkovJointProcess, direction: str):
     """Check a stationary-flow input; return the per-step DI term of its direction.
 
     The x->y (delayed forward) step is the y->x (reverse) step with X and Y swapped.
     """
     if not isinstance(m, MarkovJointProcess):
         raise ParameterOutOfRange("a stationary flow measure needs a Markov joint model")
-    if not m.is_stationary(tol=tol):
+    if not m.is_stationary():
         raise NotStationary("initial distribution is not stationary for the kernel")
     return _reverse_step if _is_y_to_x(direction) else _delayed_forward_step
 
 
-def transfer_entropy(m: MarkovJointProcess, direction: str = "y->x", tol: float = 1e-9) -> float:
+def transfer_entropy(m: MarkovJointProcess, direction: str = "y->x") -> float:
     """Schreiber's single-stage stationary term, e.g. I(Y_0; X_1 | X_0) for y->x.
 
     Requires the model to start in its stationary law; at stationarity this
     is the one-step causal information flow, step 2 of the delayed reverse
     (y->x) or delayed forward (x->y) directed-information sum.
     """
-    step = _flow_step(m, direction, tol)
+    step = _flow_step(m, direction)
     return step(_prefix_entropies(m, 2, STATE_LIMIT), 2)
 
 

@@ -30,11 +30,12 @@ in tests/test_losses.py), so no Bayes solve loads scipy.
 Every expected loss, in both exact tiers and in the numeric search's
 objective, is one masked elementwise product p_x * ell_x over the x with
 p_x > 0 (0 * inf = 0), summed as a left fold from 0 over x (`_masked_risk`).  No
-risk goes through a BLAS dot, spherical's included (its |q|^2 is the same
-left fold), so a row's risk is the same alone or in any batch, in any memory
-layout, and its fold order the same on every CPU.  The loss values need not
-be: log loss takes `np.log`, whose SIMD path can round differently from
-libm, so its risks can differ in the last bits between CPUs.
+risk goes through a BLAS dot, and Brier's and spherical's |q|^2 is the same
+left fold, so a row's risk is the same alone or in any batch, in any memory
+layout, and with zero entries appended, and its fold order the same on every
+CPU.  The loss values need not be: log loss takes `np.log`, whose SIMD path
+can round differently from libm, so its risks can differ in the last bits
+between CPUs.
 
 Built-ins: log, zero_one, brier, spherical, absolute_ordered.  All symbols
 are 0-based here; 1-based indexing lives only at the file/CLI boundary.
@@ -166,7 +167,7 @@ def builtin_loss(name: str, n: int) -> LossSpec:
     elif key == "brier":
         def vec(q):
             q = _as_probs(q)
-            return (q * q).sum(axis=-1, keepdims=True) - 2.0 * q + 1.0
+            return sum((q * q).T, 0.0).T[..., None] - 2.0 * q + 1.0  # |q|^2 as `_masked_risk`'s left fold
     elif key == "spherical":
         def vec(q):
             q = _as_probs(q)
@@ -519,14 +520,11 @@ class ProprietyReport:
     worst_q: np.ndarray
 
 
-def audit_propriety(
-    l: LossSpec,
-    trials: int = 100,
-    seed: int = 0,
-    tol: float = 1e-9,
-    n: Optional[int] = None,
-) -> ProprietyReport:
-    """Check E_P[ell(X,P)] <= E_P[ell(X,Q)] + tol on random P against random and grid Q.
+_PROPRIETY_TOL = 1e-9  # how far a dishonest report may beat the honest one in `audit_propriety`
+
+
+def audit_propriety(l: LossSpec, trials: int = 100, seed: int = 0, n: Optional[int] = None) -> ProprietyReport:
+    """Check E_P[ell(X,P)] <= E_P[ell(X,Q)] + 1e-9 on random P against random and grid Q.
 
     Returns the worst (most negative) margin seen; raises NotProper with the
     offending (P, Q) witness if any dishonest report strictly wins.  An `n`
@@ -555,7 +553,7 @@ def audit_propriety(
         honest = _expected_scoring_loss(l, p, p)
         candidates = np.concatenate([rng.dirichlet(np.ones(size), size=8)] + fixed)
         margins = _expected_scoring_loss(l, p, candidates) - honest
-        hits = np.flatnonzero(margins < -tol)
+        hits = np.flatnonzero(margins < -_PROPRIETY_TOL)
         if hits.size:  # the first dishonest report in candidate order
             raise NotProper(p=p, q=candidates[hits[0]], margin=float(margins[hits[0]]))
         i = int(np.argmin(np.where(np.isnan(margins), np.inf, margins)))  # NaN margins never count

@@ -224,18 +224,13 @@ def write_model(obj, path) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def empirical_joint(
-    pairs: Sequence[tuple[int, int]],
-    nx: int,
-    ny: int,
-    index_base: int = 1,
-) -> Joint:
-    """Plug-in empirical joint from (x, y) samples (1-based by default, like CSV)."""
+def empirical_joint(pairs: Sequence[tuple[int, int]], nx: int, ny: int) -> Joint:
+    """Plug-in empirical joint from 1-based (x, y) samples, as in CSV."""
     if len(pairs) == 0:
         raise EmptySample("no samples provided")
     counts = np.zeros((nx, ny))
     for i, (x, y) in enumerate(pairs):
-        xi, yi = int(x) - index_base, int(y) - index_base
+        xi, yi = int(x) - 1, int(y) - 1
         if not (0 <= xi < nx and 0 <= yi < ny):
             raise UnknownSymbol(f"sample {i} = ({x}, {y}) outside {nx} x {ny} alphabet")
         counts[xi, yi] += 1.0

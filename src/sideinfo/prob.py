@@ -289,14 +289,11 @@ def _random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.dirichlet(np.ones(n))
 
 
-def check_convex_oracle(
-    g: ConvexOracle,
-    n: int,
-    pairs: int = 256,
-    seed: int = 0,
-    midpoint_tol: float = 1e-12,
-    plane_tol: float = 1e-9,
-) -> float:
+_MIDPOINT_TOL = 1e-12  # how far a midpoint may sit above the chord in `check_convex_oracle`
+_PLANE_TOL = 1e-9  # how far a point may sit below a supporting plane, and a symmetric G move under a permutation
+
+
+def check_convex_oracle(g: ConvexOracle, n: int, pairs: int = 256, seed: int = 0) -> float:
     """Spot-check oracle convexity on seeded random pairs; returns worst slack.
 
     Checks midpoint convexity, the supporting-hyperplane inequality for the
@@ -312,19 +309,19 @@ def check_convex_oracle(
         p = _random_simplex(rng, n)
         q = _random_simplex(rng, n)
         mid = g.value((p + q) / 2.0) - (g.value(p) + g.value(q)) / 2.0
-        if mid > midpoint_tol:
+        if mid > _MIDPOINT_TOL:
             raise ConvexityViolation(f"midpoint convexity fails by {mid:.3g} at {p}, {q}")
         sub = np.asarray(g.subgradient(p), dtype=float)
         # 0 * LOG_ZERO = 0 convention on the pairing
         diff = q - p
         mask = diff != 0.0
         plane = g.value(p) + float((sub[mask] * diff[mask]).sum()) - g.value(q)
-        if plane > plane_tol:
+        if plane > _PLANE_TOL:
             raise ConvexityViolation(f"supporting hyperplane fails by {plane:.3g} at {p}")
         worst = max(worst, mid, plane)
         if g.symmetric:
             perm = rng.permutation(n)
             gap = abs(g.value(p[perm]) - g.value(p))
-            if gap > plane_tol:
+            if gap > _PLANE_TOL:
                 raise ConvexityViolation(f"symmetry flag set but value changed by {gap:.3g}")
     return worst

@@ -10,13 +10,16 @@ losses on alphabets of three or more symbols.
 
 Every C here comes from the benefit kernel (`benefit._c_stack`).  One
 decision (`_decide`) serves the scan, `audit_dpa` and `verify_witness`: it
-takes a stack of tables and mappings, gives each image size one batched
-push-forward (`_push`, of which `push_forward` and `padded_push_forward`
-are the one-table case) and one kernel stack for C after, and applies the
-witness rule.  A row's C is the same bits in any stack as alone, so all
-three agree exactly with `c_value` on the pushed-forward joint.  A hit
-within 1e-12 of the rule's threshold is then re-decided beyond float
-rounding (`_certify`), so a tol of 0 finds no witness in rounding noise.
+pushes a stack of tables through their mappings in one batch (`_push`, of
+which `push_forward` is the one-table case), takes one kernel stack for C
+after on the loss itself, and applies the witness rule.  The push keeps
+the original n-symbol alphabet: T(X) = k lands on symbol k, and symbols
+past the image get zero rows, so C before and C after compare the same
+loss on the same alphabet.  A row's C is the same bits in any stack as
+alone, so all three agree exactly with `c_value` on the pushed-forward
+joint.  A hit within 1e-12 of the rule's threshold is then re-decided
+beyond float rounding (`_certify`), so a tol of 0 finds no witness in
+rounding noise.
 
 The scan works on arrays.  Each chunk of candidates is one stack of tables
 padded to |Y| = 3 with zero columns, and mappings (`_chunk`), decided as
@@ -40,7 +43,7 @@ import numpy as np
 
 from .benefit import _c_stack, _finite, c_value
 from .errors import AlphabetTooLarge, ParameterOutOfRange, WitnessVerificationFailed, _check_count
-from .losses import ActionMatrixLoss, LossSpec, reinstantiate
+from .losses import ActionMatrixLoss, LossSpec
 from .prob import Joint, _simplex, validate_joint
 
 _MAX_ALPHABET = 12  # the largest X-alphabet whose merges are enumerated
@@ -137,18 +140,16 @@ def _check_tol(tol: float) -> None:
         raise ParameterOutOfRange(f"tol must be finite and >= 0, got {tol}")
 
 
-def _push(tables: np.ndarray, maps: np.ndarray, m: int, padded: bool = False) -> np.ndarray:
-    """Each table of a (K, n, ...) stack pushed forward through its row of `maps` (K, n) onto m labels.
+def _push(tables: np.ndarray, maps: np.ndarray, m: int) -> np.ndarray:
+    """Each table of a (K, n, ...) stack pushed forward through its row of `maps` (K, n) onto symbols 0..m-1.
 
     One np.add.at over (k, label): every output cell sums its x in ascending
-    order from 0, as a table pushed alone does.  `padded` keeps the n-symbol
-    alphabet and puts each class's mass on its smallest member.  A map of
-    another length than the tables' X axis raises ParameterOutOfRange.
+    order from 0, as a table pushed alone does.  Label k lands on symbol k,
+    and a symbol that no x maps to gets a zero row.  A map of another length
+    than the tables' X axis raises ParameterOutOfRange.
     """
     k, n = maps.shape
     _same_alphabet(n, tables.shape[1])
-    if padded:
-        maps, m = (maps[:, :, None] == maps[:, None, :]).argmax(axis=2), n  # the first x in x's class
     out = np.zeros((k, m) + tables.shape[2:])
     np.add.at(out, (np.arange(k)[:, None], maps), tables)
     return out
@@ -157,15 +158,6 @@ def _push(tables: np.ndarray, maps: np.ndarray, m: int, padded: bool = False) ->
 def push_forward(j: Joint, t: Transform) -> Joint:
     """The joint of (T(X), Y) on the contiguous T-alphabet."""
     return Joint(_push(j.table[None], np.array([t.mapping]), t.image_size)[0])
-
-
-def padded_push_forward(j: Joint, t: Transform) -> Joint:
-    """The joint of (T(X), Y) kept on the original alphabet.
-
-    Each class's mass lands on its smallest member, so a fixed-size loss on
-    the original alphabet still applies after the merge.
-    """
-    return Joint(_push(j.table[None], np.array([t.mapping]), t.image_size, padded=True)[0])
 
 
 def _set_partitions(items: list[int]):
@@ -266,21 +258,6 @@ def _witness_kinds(maps: np.ndarray, before, after: np.ndarray, tol: float) -> n
     return np.where(perm, np.where(moved, "asymmetry", ""), np.where(after > before + tol, "dpa_violation", ""))
 
 
-def _after(l: LossSpec, nx: int, m: int) -> tuple[LossSpec, bool]:
-    """The loss that C after a sufficient transform onto m symbols is taken on, and whether the push-forward is padded.
-
-    Named loss families are re-instantiated on the reduced alphabet; a
-    fixed-size loss is evaluated on the padded push-forward instead, which
-    keeps the merged variable on the original alphabet.
-    """
-    if m == nx:
-        return l, False
-    fam = reinstantiate(l, m)
-    if fam is not None and (l.n is None or l.n == nx):
-        return fam, False
-    return l, True
-
-
 _CERTIFY_MARGIN = 1e-12  # a hit whose float margin over the witness threshold is at most this is re-decided
 _CERTIFIED_ZERO = "1e-40"  # a 50-digit decimal |delta C| at most this counts as zero
 
@@ -311,16 +288,16 @@ def _scaled_risk(l: LossSpec, v: list, ln):
 def _certify(l: LossSpec, tables: np.ndarray, maps: np.ndarray, before, after: np.ndarray, kinds: np.ndarray, tol: float) -> np.ndarray:
     """`kinds` with each hit whose float margin over the witness threshold is <= `_CERTIFY_MARGIN` re-decided beyond rounding.
 
-    Such a hit's delta C = C after - C before is recomputed from its table
-    (taken as exact), pushed forward in the same arithmetic, on the loss
-    `_after` picks.  Rational losses (action matrices with finite entries,
-    and Brier) get delta C exactly, in `fractions.Fraction`.  Log and
-    spherical get it in `decimal` at 50 digits, where |delta C| <= 1e-40
-    counts as zero: certified to 1e-40, not exact.  Every other rule (a
-    matrix with an infinite entry, a `vector_fn` or Savage rule, the
-    numeric tier) is decided on float C only.  A hit that fails is "".
-    Hits farther from the threshold, and rows that are no hit, keep their
-    float decision.
+    Such a hit's delta C = C after - C before is recomputed on `l` from its
+    table (taken as exact), pushed forward in the same arithmetic onto the
+    same n symbols as `_decide` pushes it.  Rational losses (action matrices
+    with finite entries, and Brier) get delta C exactly, in
+    `fractions.Fraction`.  Log and spherical get it in `decimal` at 50
+    digits, where |delta C| <= 1e-40 counts as zero: certified to 1e-40,
+    not exact.  Every other rule (a matrix with an infinite entry, a
+    `vector_fn` or Savage rule, the numeric tier) is decided on float C
+    only.  A hit that fails is "".  Hits farther from the threshold, and
+    rows that are no hit, keep their float decision.
     """
     if isinstance(l, ActionMatrixLoss):
         route = "fraction" if np.isfinite(l.matrix).all() else None
@@ -344,18 +321,14 @@ def _certify(l: LossSpec, tables: np.ndarray, maps: np.ndarray, before, after: n
         ctx.prec = 50
         num = Fraction if route == "fraction" else Decimal
         for i in np.flatnonzero(near).tolist():
-            n, m = maps.shape[1], int(maps[i].max()) + 1
-            loss, padded = _after(l, n, m)
             rows = [[num(v) for v in row] for row in tables[i].tolist()]
-            labels = maps[i].tolist()
             classes: dict = {}  # a class of one keeps its row's values, and with them their logs
-            for x, row in enumerate(rows):
-                to = labels.index(labels[x]) if padded else labels[x]
+            for to, row in zip(maps[i].tolist(), rows):
                 classes[to] = [a + b for a, b in zip(classes[to], row)] if to in classes else row
-            pushed = [classes.get(x, [num(0)] * len(rows[0])) for x in range(n if padded else m)]
+            pushed = [classes.get(x, [num(0)] * len(rows[0])) for x in range(len(rows))]
             before_s, after_s = (
-                _scaled_risk(f, [sum(r) for r in t], ln) - sum(_scaled_risk(f, list(col), ln) for col in zip(*t))
-                for f, t in ((l, rows), (loss, pushed))
+                _scaled_risk(l, [sum(r) for r in t], ln) - sum(_scaled_risk(l, list(col), ln) for col in zip(*t))
+                for t in (rows, pushed)
             )
             delta = (after_s - before_s) / sum(sum(r) for r in rows)
             if route == "decimal" and abs(delta) <= Decimal(_CERTIFIED_ZERO):
@@ -370,17 +343,12 @@ def _decide(l: LossSpec, tables: np.ndarray, maps: np.ndarray, before, tol: floa
 
     The one place a witness is decided, for the scan, `audit_dpa` and
     `verify_witness` alike: the witness rule on float C, then `_certify`
-    on the hits near its threshold.  Each image size gets one push-forward
-    and one kernel stack on the loss `_after` picks; a row's C is the same
-    bits as `c_value` of its pushed joint.  `before` is C before, per row
-    or one for all.  Non-finite C is returned, not raised.
+    on the hits near its threshold.  The whole stack takes one push-forward
+    onto its own n symbols (`_push`) and one kernel stack on `l`; a row's C
+    is the same bits as `c_value` of its pushed joint.  `before` is C
+    before, per row or one for all.  Non-finite C is returned, not raised.
     """
-    sizes = maps.max(axis=1) + 1
-    after = np.empty(len(maps))
-    for m in np.unique(sizes).tolist():
-        idx = np.flatnonzero(sizes == m)
-        loss, padded = _after(l, tables.shape[1], m)
-        after[idx] = _c_stack(loss, _push(tables[idx], maps[idx], m, padded), seed)[0]
+    after = _c_stack(l, _push(tables, maps, tables.shape[1]), seed)[0]
     return after, _certify(l, tables, maps, before, after, _witness_kinds(maps, before, after, tol), tol)
 
 
@@ -389,8 +357,9 @@ def verify_witness(l: LossSpec, w: ViolationWitness, tol: float = 1e-9) -> bool:
 
     The witness holds only if its transform is sufficient for its joint
     (`check_sufficient` at its default tolerance), both values reproduce
-    within `_VALUE_TOL`, and its kind is the one `_decide` gives for its
-    transform, which is never "".  So a witness within 1e-12 of the
+    within `_VALUE_TOL` (C after is l's, on the joint pushed onto its own n
+    symbols, as `_decide` takes it), and its kind is the one `_decide`
+    gives for its transform, which is never "".  So a witness within 1e-12 of the
     threshold tol must also hold beyond rounding (`_certify`): exactly for
     finite action matrices and Brier, to 1e-40 for log and spherical, and
     on float C alone for other rules.  A non-finite C raises UnboundedBelow,
@@ -709,7 +678,8 @@ def find_violation(
     parameters come from k alone.  A chunk is one stack of tables padded to
     |Y| = 3 (`_chunk`): C before is one kernel stack, and C after and each
     witness kind come from `_decide`, which `audit_dpa` and `verify_witness`
-    share.  A zero column adds nothing to C, so each C is the same bits as
+    share; a chunk with no candidate (at n = 2, the first, a grid slot) takes
+    neither.  A zero column adds nothing to C, so each C is the same bits as
     the candidate's alone.  The chunk is decided in scan order: a non-finite
     C first raises UnboundedBelow, as `c_value` would; a witness first
     becomes a `ViolationWitness` on its own |Y|, is re-verified with
@@ -731,6 +701,9 @@ def find_violation(
     while start < budget:
         stop = min(start + size, budget)
         _, tables, maps, ys = _chunk(n, start, stop, seed)
+        start, size = stop, min(4 * size, _MAX_CHUNK)
+        if not len(maps):
+            continue
         before = _c_stack(l, tables)[0]
         after, kinds = _decide(l, tables, maps, before, tol)
         first = np.flatnonzero((kinds != "") | ~np.isfinite(before) | ~np.isfinite(after))
@@ -742,5 +715,4 @@ def find_violation(
             if not verify_witness(l, w, tol=tol):
                 raise WitnessVerificationFailed("witness failed re-verification; numeric instability")
             return w
-        start, size = stop, min(4 * size, _MAX_CHUNK)
     return None

@@ -126,6 +126,16 @@ class TestAuditCommand:
         assert code == 0
         assert rep["witnesses"] == []
 
+    def test_matrix_loss_scores_merged_class_on_its_label(self, capsys, tmp_path):
+        # weighted zero-one, W(x, a) = (x + 1) [x != a]: after the {x1, x2} merge the class of x3 is T(X) = 2,
+        # so C after is 0.2 * 2, not 0.2 * 3 as it would be with that class left on x3
+        si.write_model(si.ActionMatrixLoss((1.0 - np.eye(3)) * np.arange(1.0, 4.0)[:, None]), tmp_path / "w.json")
+        si.write_model(si.validate_joint([[0.0, 0.4], [0.0, 0.4], [0.2, 0.0]]), tmp_path / "j.json")
+        argv = ["audit-dpa", "--joint", str(tmp_path / "j.json"), "--loss", str(tmp_path / "w.json")]
+        _, rep = run_json(capsys, argv)
+        assert rep["results"]["c_before"] == 0.6
+        assert rep["results"]["equality_deviations"] == [{"transform": [1, 1, 2], "c_after": 0.4}]
+
 
 class TestFindViolationCommand:
     def test_witness_reported_exit_zero(self, capsys):

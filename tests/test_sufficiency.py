@@ -121,17 +121,11 @@ class TestPushForward:
         assert out.table.shape == (1, 2)
         assert np.allclose(out.table[0], [0.5, 0.5])
 
-    def test_padded_keeps_alphabet(self, witness_joint):
-        out = si.padded_push_forward(witness_joint, si.Transform((0, 0, 1)))
-        assert out.table.shape == (3, 2)
-        assert np.allclose(out.table, [[0.0, 0.5], [0.0, 0.0], [0.5, 0.0]])
-
     @pytest.mark.parametrize("mapping", [(0, 1), (0, 1, 0, 1)], ids=["short", "long"])
     def test_map_of_other_length_rejected(self, mapping, witness_joint):
         t = si.Transform(mapping)
-        for push in (si.push_forward, si.padded_push_forward):
-            with pytest.raises(ParameterOutOfRange):
-                push(witness_joint, t)
+        with pytest.raises(ParameterOutOfRange):
+            si.push_forward(witness_joint, t)
         with pytest.raises(ParameterOutOfRange):
             si.check_sufficient(t, witness_joint)
 
@@ -201,6 +195,16 @@ class TestAuditDpa:
         rep = si.audit_dpa(si.builtin_loss("zero_one", 3), witness_joint)
         assert [e.c_after for e in rep.entries] == [0.5] + [0.25] * 7
         assert [(w.kind, w.transform.mapping) for w in rep.violations] == [("dpa_violation", (0, 0, 1))]
+
+    def test_unnamed_matrix_scores_merged_class_on_its_label(self):
+        # weighted zero-one, W(x, a) = (x + 1) [x != a]: merging {x1, x2} leaves P_T(X) = (0.8, 0.2), and
+        # class 1 lands on symbol 1 (weight 2), so C after is 0.2 * 2; on symbol 2 (weight 3) it would be 0.2 * 3
+        l = si.ActionMatrixLoss((1.0 - np.eye(3)) * np.arange(1.0, 4.0)[:, None])
+        j = si.validate_joint([[0.0, 0.4], [0.0, 0.4], [0.2, 0.0]])
+        rep = si.audit_dpa(l, j)
+        (merged,) = [e for e in rep.entries if e.transform.mapping == (0, 0, 1)]
+        assert (rep.c_before, merged.c_after) == (0.6, 0.4)
+        assert rep.equality_deviations == (merged,)
 
     def test_symmetric_g_no_asymmetry_witness(self):
         rng = np.random.default_rng(5)
@@ -351,7 +355,7 @@ class TestFindViolation:
         assert not si.verify_witness(l, si.ViolationWitness(w.joint, si.Transform((0, 1, 2)), c, c, ""))
 
     def test_verify_raises_on_unbounded_c_after(self):
-        # finite on the interior only: the padded merge leaves a zero-mass symbol
+        # finite on the interior only: the merge leaves a zero-mass symbol
         def vector_fn(q):
             return np.where(np.min(q, axis=-1, keepdims=True) > 0.0, 1.0 - q, np.inf)
 
@@ -555,9 +559,8 @@ def _candidate(n, idx, seed):
 
 
 def _c_after(l, j, t, seed=0):
-    """C after a sufficient transform, alone: `c_value` of the push-forward, on the loss and joint `_after` picks."""
-    loss, padded = sufficiency._after(l, j.nx, t.image_size)
-    return c_value(loss, (si.padded_push_forward if padded else si.push_forward)(j, t), seed=seed)
+    """C after a sufficient transform, alone: `c_value` of the joint pushed onto its own n symbols."""
+    return c_value(l, si.Joint(sufficiency._push(j.table[None], np.array([t.mapping]), j.nx)[0]), seed=seed)
 
 
 def _witness_kind(l, j, t, before, after, tol):
@@ -754,12 +757,13 @@ class TestChunkOracle:
 
 @pytest.mark.parametrize("name, n, budget", [("log", 3, 600), ("zero_one", 2, 700)])
 def test_one_kernel_stack_per_chunk_and_image_size(name, n, budget, monkeypatch):
-    # chunks of 1, 4, 16, 64, 256, 256 and the rest; each takes one kernel stack for C before and one per image size
+    # chunks of 1, 4, 16, 64, 256, 256 and the rest; each takes one kernel stack for C before and one for C
+    # after, whatever its image sizes, and a chunk with no candidate (at n = 2, the first) takes none
     chunk, c_stack, calls = sufficiency._chunk, sufficiency._c_stack, []
 
     def counted_chunk(*args):
         out = chunk(*args)
-        calls.append([len(np.unique(out[2].max(axis=1))), 0])  # [image sizes, kernel stacks]
+        calls.append([len(out[2]), 0])  # [candidates, kernel stacks]
         return out
 
     def counted_c_stack(*args, **kwargs):
@@ -770,7 +774,8 @@ def test_one_kernel_stack_per_chunk_and_image_size(name, n, budget, monkeypatch)
     monkeypatch.setattr(sufficiency, "_c_stack", counted_c_stack)
     assert si.find_violation(si.builtin_loss(name, n), n, budget=budget, seed=9) is None
     assert len(calls) == 7
-    assert all(stacks <= 1 + sizes for sizes, stacks in calls)
+    assert [stacks for _, stacks in calls] == [2 if rows else 0 for rows, _ in calls]
+    assert (calls[0][0] == 0) == (n == 2)
 
 
 @pytest.mark.parametrize(
@@ -814,15 +819,6 @@ def _pinned_push(table, mapping):
     return out
 
 
-def _pinned_padded_push(table, mapping):
-    reps = {}
-    for x, label in enumerate(mapping):
-        reps.setdefault(label, x)
-    out = np.zeros_like(table)
-    np.add.at(out, np.array([reps[label] for label in mapping]), table)
-    return out
-
-
 def _mapped_stack(seed, n, b, k, m_pick, zero_frac):
     """k tables (n, b) with some zero-mass rows, and k random maps of n symbols onto the same m labels."""
     rng = np.random.default_rng(seed)
@@ -847,13 +843,31 @@ class TestBatchedPush:
     @given(stack=mapped_stacks)
     def test_rows_equal_push_forward_alone(self, stack):
         tables, maps, m = stack
-        out = sufficiency._push(tables, maps, m)
-        padded = sufficiency._push(tables, maps, m, padded=True)
-        for table, mapping, row, prow in zip(tables, maps.tolist(), out, padded):
+        out, full = sufficiency._push(tables, maps, m), sufficiency._push(tables, maps, tables.shape[1])
+        for table, mapping, row, full_row in zip(tables, maps.tolist(), out, full):
             j, t = si.Joint(table), si.Transform(tuple(mapping))
             assert row.tobytes() == si.push_forward(j, t).table.tobytes() == _pinned_push(table, mapping).tobytes()
-            assert prow.tobytes() == si.padded_push_forward(j, t).table.tobytes()
-            assert prow.tobytes() == _pinned_padded_push(table, mapping).tobytes()
+            # on the tables' own n symbols: label k on symbol k, then zero rows
+            assert full_row.tobytes() == np.concatenate([row, np.zeros((len(table) - m, table.shape[1]))]).tobytes()
+
+    @pytest.mark.parametrize("name", si.losses.BUILTIN_LOSSES)
+    def test_builtin_c_after_equals_its_family_on_the_image(self, name):
+        # C after on the n-symbol push equals the built-in re-instantiated at the image size m on the m-symbol
+        # push, bit for bit: every fold skips or adds +0.0 for a zero row, and an action on an empty symbol never
+        # wins; random maps onto 2..n labels (m = n: permutations), joints with zero-mass rows, |Y| = 1-3
+        rng = np.random.default_rng(24)
+        for n in range(2, 13):
+            l = si.builtin_loss(name, n)
+            for b in (1, 2, 3):
+                live = (rng.uniform(size=(12, n, 1)) >= 0.3) | (np.arange(n)[:, None] == rng.integers(0, n, (12, 1, 1)))
+                tables = rng.dirichlet(np.ones(n * b), size=12).reshape(12, n, b) * live  # one row or more live
+                tables /= tables.sum(axis=(1, 2), keepdims=True)
+                ms = rng.integers(2, n + 1, size=12)
+                maps = np.array([rng.permutation(np.concatenate([np.arange(m), rng.integers(0, m, size=n - m)])) for m in ms])
+                after, _ = sufficiency._decide(l, tables, maps, np.nan, 1e-9)  # C before NaN: no row is a hit
+                for table, mapping, m, c in zip(tables, maps.tolist(), ms.tolist(), after.tolist()):
+                    oracle = c_value(si.builtin_loss(name, m), si.push_forward(si.Joint(table), si.Transform(tuple(mapping))))
+                    assert c.hex() == oracle.hex()
 
     @pytest.mark.parametrize("name", si.losses.BUILTIN_LOSSES)
     def test_audit_entries_equal_c_after_alone(self, name):
