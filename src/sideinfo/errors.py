@@ -93,9 +93,9 @@ class UnknownSymbol(SideinfoError):
     """A sample symbol falls outside its declared alphabet."""
 
 
-def _check_count(name: str, v) -> None:
-    """A seed or budget: an integer (numpy integers count) that is >= 0, else ParameterOutOfRange."""
+def _check_count(name: str, v, least: int = 0) -> None:
+    """A seed, budget or size: an integer (numpy integers count) that is >= least, else ParameterOutOfRange."""
     if not isinstance(v, (int, np.integer)):
         raise ParameterOutOfRange(f"{name} must be an integer, got {type(v).__name__}")
-    if v < 0:
-        raise ParameterOutOfRange(f"{name} must be >= 0, got {v}")
+    if v < least:
+        raise ParameterOutOfRange(f"{name} must be >= {least}, got {v}")

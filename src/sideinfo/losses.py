@@ -25,11 +25,17 @@ bits unchanged would repeat until the iteration cap) and reuses its gradient
 after a rejected step (its q, and so its finite differences, are unchanged).
 Each row's best start is then refined by Nelder-Mead (`_nelder_mead`, an
 in-house port of scipy's, pinned bit for bit against it by the parity test
-in tests/test_losses.py), so no Bayes solve loads scipy.
+in tests/test_losses.py), so no Bayes solve loads scipy.  That refinement
+scores one point at a time, and numpy's per-call cost is far larger than
+arithmetic on 2-6 numbers, so its vertices, the projection of one point
+(`_simplex_project`) and the risk of one forecast (`_expected_scoring_loss`)
+run on Python floats, each with the batch path's arithmetic in its order and
+so its bits; the descent and the grid check stay numpy batches.
 
 Every expected loss, in both exact tiers and in the numeric search's
 objective, is one masked elementwise product p_x * ell_x over the x with
-p_x > 0 (0 * inf = 0), summed as a left fold from 0 over x (`_masked_risk`).  No
+p_x > 0 (0 * inf = 0), summed as a left fold from 0 over x (`_masked_risk`,
+and the same fold on Python floats for one forecast).  No
 risk goes through a BLAS dot, and Brier's and spherical's |q|^2 is the same
 left fold, so a row's risk is the same alone or in any batch, in any memory
 layout, and with zero entries appended, and its fold order the same on every
@@ -43,6 +49,8 @@ are 0-based here; 1-based indexing lives only at the file/CLI boundary.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -120,6 +128,8 @@ class ScoringRuleLoss:
             raise ParameterOutOfRange(f"vector_fn returned shape {out.shape} for forecasts {q.shape}")
         if q.ndim == 2 and len(q) > 1:
             a, b = out[0], np.asarray(self.vector_fn(q[0]), dtype=float)
+            if (a == b).all():  # the usual case; the tolerance below only for rows that differ
+                return out
             with np.errstate(invalid="ignore"):  # inf - inf is NaN, never within 1e-12
                 same = (a == b) | (np.abs(a - b) <= 1e-12) | (np.isnan(a) & np.isnan(b))
             if not same.all():
@@ -208,13 +218,22 @@ def _scored(l, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _expected_scoring_loss(l, p: np.ndarray, q: np.ndarray):
-    """E_P[ell(X, q)], a float for one forecast and an array for a (K, n) batch.
+    """E_P[ell(X, q)], a float for one forecast (n,) and an array for a (K, n) batch.
 
     `p` is one distribution (n,) or one per forecast (K, n).  0 * inf = 0; a
-    loss that is inf or >= HUGE where p > 0 makes the row inf.
+    loss that is inf, -inf or >= HUGE where p > 0 makes the row inf.  One
+    forecast takes `_masked_risk`'s left fold on Python floats, the same bits
+    without numpy's per-call cost: NaN passes through unless some live x is bad.
     """
-    risk = _masked_risk(p, *_scored(l, q))
-    return float(risk) if risk.ndim == 0 else risk
+    if q.ndim == 2:
+        return _masked_risk(p, *_scored(l, q))
+    risk = 0.0
+    for px, ex in zip(p.tolist(), l.loss_vector(np.ascontiguousarray(q)).tolist()):
+        if px > 0.0:
+            if ex >= HUGE or ex == -math.inf:
+                return math.inf
+            risk += px * ex  # an explicit fold: Python 3.12's sum() of floats compensates
+    return risk
 
 
 def _tier(l: LossSpec, n: int) -> str:
@@ -227,13 +246,25 @@ def _tier(l: LossSpec, n: int) -> str:
 
 
 def _simplex_project(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a point, or of each row of a batch, onto the unit simplex."""
+    """Euclidean projection of a point, or of each row of a batch, onto the unit simplex.
+
+    A point (n,) is projected on Python floats by the batch's arithmetic in
+    its order, so it gets the bits of row 0 of a batch; one whose entries or
+    sum are not finite goes through the batch path.
+    """
+    if v.ndim == 1:
+        x = v.tolist()
+        u = sorted(x, reverse=True)  # a tie between 0.0 and -0.0 changes no threshold
+        css = [(c - 1.0) / i for i, c in enumerate(itertools.accumulate(u), 1)]  # cumsum's left fold
+        if css and math.isfinite(css[-1]):
+            theta = next((c for a, c in zip(u[::-1], css[::-1]) if a > c), css[-1])  # the last u > css
+            return np.array([d if d > 0.0 else 0.0 for d in [a - theta for a in x]])  # np.maximum's +0.0
+        return _simplex_project(v[None])[0]
     n = v.shape[-1]
-    u = np.sort(v, axis=-1)[..., ::-1]
+    u = np.sort(v, axis=-1)[:, ::-1]
     css = (np.cumsum(u, axis=-1) - 1.0) / np.arange(1, n + 1)
-    k = n - 1 - np.argmax((u > css)[..., ::-1], axis=-1)  # the last index where u > css
-    theta = css[k] if v.ndim == 1 else css[np.arange(len(css)), k][:, None]
-    return np.maximum(v - theta, 0.0)
+    k = n - 1 - np.argmax((u > css)[:, ::-1], axis=-1)  # the last index where u > css
+    return np.maximum(v - css[np.arange(len(css)), k][:, None], 0.0)
 
 
 def _lattice(prefix: np.ndarray, rest: np.ndarray, n: int) -> np.ndarray:
@@ -255,10 +286,23 @@ def simplex_grid(n: int, steps: int) -> np.ndarray:
     return _lattice(np.zeros((1, 0), dtype=np.int64), np.array([steps], dtype=np.int64), n) / steps
 
 
+@functools.lru_cache(maxsize=8)
+def _one_block_grid(n: int, steps: int) -> np.ndarray:
+    """`simplex_grid(n, steps)`, built once per process and read-only: a lattice of one block."""
+    grid = simplex_grid(n, steps)
+    grid.setflags(write=False)
+    return grid
+
+
 def _grid_blocks(n: int, steps: int):
-    """`simplex_grid(n, steps)` in order, in blocks of whole leading coordinates of about `GRID_BLOCK` points."""
-    if n < 2:
-        yield simplex_grid(n, steps)
+    """`simplex_grid(n, steps)` in order, in blocks of whole leading coordinates of about `GRID_BLOCK` points.
+
+    A lattice of at most `GRID_BLOCK` points (n <= 3 at 200 steps) is one
+    block, shared read-only; a larger one (n = 4: 1.37M points) is built anew
+    block by block on every pass, so it never stays in memory.
+    """
+    if math.comb(steps + n - 1, n - 1) <= GRID_BLOCK:
+        yield _one_block_grid(n, steps)
         return
     lead = np.arange(steps + 1, dtype=np.int64)
     sizes = [math.comb(steps - a + n - 2, n - 2) for a in range(steps + 1)]  # points per leading count
@@ -275,42 +319,52 @@ def _nelder_mead(f, x0: np.ndarray):
     chi 2, psi 0.5, sigma 0.5, initial steps of 5% (0.00025 for a zero entry),
     no bounds and no limit on evaluations.  Every expression and every sort is
     scipy's, in scipy's order, so (x, fun) are its bits and f is called as
-    often; the parity test pins this against scipy.  Returns (sim[0], min of
+    often; the parity test pins this against scipy.  The vertices and their
+    values are Python floats, since numpy's per-call cost dwarfs arithmetic on
+    2-6 numbers: the centroid sums each coordinate from 0.0 as numpy's axis-0
+    reduce does, and the vertex order is still `np.argsort`'s, ties included.
+    f is called with a 1-D float array.  Returns (sim[0] as an array, min of
     the simplex values), a NaN minimum included.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    x0 = np.array(x0, dtype=float)  # scipy's own copy
+    x0 = np.array(x0, dtype=float).tolist()  # scipy's own copy
     N = len(x0)
     maxiter = 400 * N
-    sim = np.empty((N + 1, N), dtype=float)
-    sim[0] = x0
+    sim = [x0]
     for k in range(N):
-        y = np.array(x0, copy=True)
+        y = list(x0)
         if y[k] != 0:
             y[k] = (1 + 0.05) * y[k]
         else:
             y[k] = 0.00025
-        sim[k + 1] = y
-    fsim = np.full((N + 1,), np.inf, dtype=float)
-    for k in range(N + 1):
-        fsim[k] = f(sim[k])
-    ind = np.argsort(fsim)  # scipy sorts twice before the loop
-    sim = np.take(sim, ind, 0)
-    fsim = np.take(fsim, ind, 0)
-    ind = np.argsort(fsim)
-    fsim = np.take(fsim, ind, 0)
-    sim = np.take(sim, ind, 0)
+        sim.append(y)
+    fsim = [float(f(np.array(x))) for x in sim]
+
+    def order(sim, fsim):  # scipy's `np.take(., np.argsort(fsim), 0)` of both
+        ind = np.argsort(fsim).tolist()
+        return [sim[i] for i in ind], [fsim[i] for i in ind]
+
+    sim, fsim = order(sim, fsim)  # scipy sorts twice before the loop
+    sim, fsim = order(sim, fsim)
     iterations = 1
     while iterations < maxiter:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= 1e-10 and
-                np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-12):
+        best, f0 = sim[0], fsim[0]
+        # np.max(...) <= tol: every entry within tol, and any NaN fails
+        if (all(abs(a - b) <= 1e-10 for x in sim[1:] for a, b in zip(x, best)) and
+                all(abs(f0 - v) <= 1e-12 for v in fsim[1:])):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        xr = (1 + rho) * xbar - rho * sim[-1]
-        fxr = f(xr)
-        if fxr < fsim[0]:  # expand
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            fxe = f(xe)
+        xbar = []
+        for col in zip(*sim[:-1]):  # np.add.reduce(sim[:-1], 0) / N: a left fold from +0.0
+            s = 0.0
+            for a in col:
+                s += a
+            xbar.append(s / N)
+        worst = sim[-1]
+        xr = [(1 + rho) * b - rho * w for b, w in zip(xbar, worst)]
+        fxr = float(f(np.array(xr)))
+        if fxr < f0:  # expand
+            xe = [(1 + rho * chi) * b - rho * chi * w for b, w in zip(xbar, worst)]
+            fxe = float(f(np.array(xe)))
             if fxe < fxr:
                 sim[-1], fsim[-1] = xe, fxe
             else:
@@ -320,28 +374,26 @@ def _nelder_mead(f, x0: np.ndarray):
         else:
             doshrink = False
             if fxr < fsim[-1]:  # outside contraction
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                fxc = f(xc)
+                xc = [(1 + psi * rho) * b - psi * rho * w for b, w in zip(xbar, worst)]
+                fxc = float(f(np.array(xc)))
                 if fxc <= fxr:
                     sim[-1], fsim[-1] = xc, fxc
                 else:
                     doshrink = True
             else:  # inside contraction
-                xcc = (1 - psi) * xbar + psi * sim[-1]
-                fxcc = f(xcc)
+                xcc = [(1 - psi) * b + psi * w for b, w in zip(xbar, worst)]
+                fxcc = float(f(np.array(xcc)))
                 if fxcc < fsim[-1]:
                     sim[-1], fsim[-1] = xcc, fxcc
                 else:
                     doshrink = True
             if doshrink:  # toward the best vertex, one vertex at a time
                 for j in range(1, N + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j])
+                    sim[j] = [b + sigma * (a - b) for a, b in zip(sim[j], best)]
+                    fsim[j] = float(f(np.array(sim[j])))
         iterations += 1
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-    return sim[0], np.min(fsim)
+        sim, fsim = order(sim, fsim)
+    return np.array(sim[0]), np.min(fsim)
 
 
 def _numeric_bayes(l: ScoringRuleLoss, rows: np.ndarray, seed: int):
@@ -468,9 +520,13 @@ def bayes_risk(l: LossSpec, p, seed: int = 0) -> BayesResult:
     `simplex_grid(n, 200)` for n <= 4, scored in blocks of whole leading
     coordinates (`GRID_BLOCK` points or so each), so at n = 4 (1.37M points)
     one call with a `vector_fn` peaks at 44 MB RSS (30 MB with numpy loaded,
-    before the call).  A rule given only an `eval_fn` scores those points by
-    one Python call per outcome, so at n = 4 one call takes 18-24 s on a
-    2-core Xeon VM.  A stack (`_solve`) pays for them once.
+    before the call).  The n = 2 and n = 3 lattices are one block each, built
+    on the first call and then kept for the process (about 0.5 MB); the n = 4
+    lattice is built anew on every call and never kept.  A rule given only an
+    `eval_fn` scores those points by one Python call per outcome, so at n = 4
+    one call takes 18-24 s on a 2-core Xeon VM.  A stack (`_solve`) pays for
+    them once.  The Nelder-Mead refinement after the descent runs at most
+    400 n iterations per live row, each scoring 1 to n + 2 single points.
     """
     _check_count("seed", seed)
     pv = _as_probs(p)
@@ -529,14 +585,16 @@ def audit_propriety(l: LossSpec, trials: int = 100, seed: int = 0, n: Optional[i
     Returns the worst (most negative) margin seen; raises NotProper with the
     offending (P, Q) witness if any dishonest report strictly wins.  An `n`
     that differs from the rule's declared alphabet size raises
-    ParameterOutOfRange, as in `bayes_risk`, and so do trials < 1 and a seed
-    that is negative or not an integer, before any work.
+    ParameterOutOfRange, as in `bayes_risk`, and so do an `n` that is not an
+    integer >= 2, `trials` that is not an integer >= 1 and a seed that is
+    negative or not an integer, before any work.
     """
     _check_count("seed", seed)
+    _check_count("trials", trials, least=1)
+    if n is not None:
+        _check_count("n", n, least=2)
     if isinstance(l, ActionMatrixLoss):
         raise ParameterOutOfRange("propriety is defined for simplex-action rules")
-    if trials < 1:
-        raise ParameterOutOfRange(f"trials must be >= 1, got {trials}")
     if n is not None and l.n is not None and n != l.n:
         raise ParameterOutOfRange(f"audit asked for {n} symbols but loss expects {l.n}")
     size = n or l.n

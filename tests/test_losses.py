@@ -759,6 +759,20 @@ class TestAuditPropriety:
         with pytest.raises(ParameterOutOfRange, match="trials"):
             si.audit_propriety(si.builtin_loss("brier", 3), trials=trials)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"n": -2}, "n"), ({"n": 1}, "n"), ({"n": 2.5}, "n"), ({"n": "3"}, "n"),
+         ({"trials": 2.5}, "trials"), ({"trials": "5"}, "trials"), ({"trials": None}, "trials")],
+    )
+    def test_sizes_checked_before_any_work(self, kwargs, name, monkeypatch):
+        # once n = -2 raised numpy's ValueError, n = 1 returned a report and trials = 2.5 a TypeError
+        rule = dataclasses.replace(si.builtin_loss("brier", 3), n=None)  # any alphabet size
+        call = {"n": 3, "trials": 2, **kwargs}
+        assert si.audit_propriety(rule, n=np.int64(2), trials=np.uint8(1)).trials == 1
+        monkeypatch.setattr(np.random, "default_rng", None)
+        with pytest.raises(ParameterOutOfRange, match=name):
+            si.audit_propriety(rule, **call)
+
     def test_not_proper_witness_pinned(self):
         rule = si.ScoringRuleLoss(eval_fn=lambda x, q: -float(q[x]), n=2, proper=False)
         with pytest.raises(NotProper) as exc:
@@ -800,6 +814,15 @@ def test_grid_blocks_concatenate_to_the_grid(n, steps, rows, monkeypatch):
         assert all(a.isdisjoint(b) for a, b in itertools.combinations(heads, 2))
 
 
+def test_one_block_lattices_are_built_once_and_read_only():
+    # n = 2 and 3 at 200 steps fit one block and are kept; n = 4 (42 blocks) is built anew each pass
+    for n in (2, 3):
+        first, again = list(_grid_blocks(n, 200)), list(_grid_blocks(n, 200))
+        assert len(first) == 1 and first[0] is again[0] and not first[0].flags.writeable
+        assert first[0].tobytes() == simplex_grid(n, 200).tobytes()
+    assert next(_grid_blocks(4, 200)) is not next(_grid_blocks(4, 200))
+
+
 def _project_along_axis(v):
     """`_simplex_project` with its threshold read by `take_along_axis`: the reference for direct indexing."""
     n = v.shape[-1]
@@ -824,6 +847,85 @@ def test_simplex_project_matches_take_along_axis():
             assert _simplex_project(row).tobytes() == _project_along_axis(row).tobytes()
         assert _simplex_project(batch).tobytes() == _project_along_axis(batch).tobytes()
         assert _simplex_project(batch[:0]).shape == (0, n)
+
+
+def test_one_point_projection_is_row_zero_of_a_batch():
+    # a point is projected on Python floats; the batch's np.maximum gives +0.0
+    # where v - theta is -0.0 (Python's max(-0.0, 0.0) is -0.0), and a
+    # non-finite entry or sum takes the batch path
+    rng = np.random.default_rng(41)
+    points = [[1.0, -0.0], [-0.0, 0.0], [-0.0, -0.0, 1.0], [0.5, -0.0, 0.5], [-0.0], [0.0, 1.0, -0.0, -0.0],
+              [math.inf, 0.2], [-math.inf, 0.5, 0.5], [math.nan, 0.5, 0.5], [1e308, 1e308, -1.0], [3.0, 3.0, -3.0]]
+    for n in range(1, 7):
+        points += rng.normal(size=(20, n)).tolist() + (rng.integers(-2, 3, size=(20, n)) / 2.0).tolist()
+        points += rng.dirichlet(np.ones(n), size=5).tolist() + np.eye(n).tolist()
+    for z in map(np.array, points):
+        with np.errstate(over="ignore", invalid="ignore"):  # 1e308 + 1e308, inf - inf
+            one, row = _simplex_project(z), _simplex_project(z[None])[0]
+        assert one.shape == z.shape and one.dtype == np.float64
+        assert one.tobytes() == row.tobytes(), z
+    batch = rng.normal(size=(30, 4))
+    batch[batch < -0.8] = -0.0
+    for z, row in zip(batch, _simplex_project(batch)):
+        assert _simplex_project(z).tobytes() == row.tobytes(), z
+    assert _simplex_project(np.array([1.0, -0.0])).tobytes() == np.array([1.0, 0.0]).tobytes()
+
+
+def _fixed_rule(values) -> si.ScoringRuleLoss:
+    """A rule whose loss vector is `values` at every forecast (row-wise, so batches pass)."""
+    values = np.array(values, dtype=float)
+    return si.ScoringRuleLoss(eval_fn=lambda x, q: float(values[x]), n=len(values),
+                              vector_fn=lambda q: np.broadcast_to(values, np.shape(q)).copy())
+
+
+def test_one_forecast_risk_is_row_zero_of_a_batch():
+    # one forecast folds p_x ell_x on Python floats: from +0.0 (so -0.0 terms sum
+    # to +0.0), 0 * inf = 0, an inf, -inf or >= HUGE loss at a live x makes it
+    # inf, and NaN passes through otherwise
+    huge = si.losses.HUGE
+    ps = [[0.2, 0.3, 0.5], [0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.5 + 5e-10, -1e-12]]
+    values = [[1.0, 2.0, 3.0], [-0.0, -0.0, -0.0], [-0.0, 5.0, -1.0], [math.inf, 1.0, 2.0], [-math.inf, 1.0, 2.0],
+              [huge, 1.0, 2.0], [1e18, -0.0, 2.0], [math.nan, 1.0, 2.0], [math.nan, math.inf, 1.0],
+              [1.0, math.nan, -math.inf], [0.0, -1e300, -1e300]]
+    rules = [_fixed_rule(v) for v in values] + [unflagged_rule(k, 3) for k in ("linear", "log", "brier")]
+    rules.append(_eval_fn_rule(3))
+    qs = np.vstack([np.eye(3), [[0.0, 0.5, 0.5], [0.25, 0.25, 0.5], [1 / 3, 1 / 3, 1 / 3]]])
+    seen = set()
+    for rule, p, q in itertools.product(rules, map(np.array, ps), qs):
+        with np.errstate(divide="ignore"):
+            one = _expected_scoring_loss(rule, p, q)
+            rows = _expected_scoring_loss(rule, p, qs), _expected_scoring_loss(rule, p[None], q[None])
+        assert type(one) is float
+        expect = rows[0][qs.tolist().index(q.tolist())]
+        assert np.float64(one).tobytes() == expect.tobytes() == rows[1][0].tobytes(), (rule, p, q)
+        seen.add("nan" if math.isnan(one) else "inf" if one == math.inf else "-0.0" if str(one) == "-0.0"
+                 else "+0.0" if one == 0.0 else "finite")
+    assert seen == {"nan", "inf", "+0.0", "finite"}
+
+
+def test_nelder_mead_edge_cases_match_scipy():
+    # starts with -0.0 entries (stepped by 0.00025, as 0.0 is), and a NaN half-line
+    # that keeps a NaN vertex to the iteration cap, so fun is np.min's NaN, not
+    # the best value that Python's min would pick; every vertex passed to f is scipy's
+    cases = [(lambda z: math.nan if z[0] > 0 else 1.0, [0.0])]
+    for x0 in ([-0.0, 0.5, 0.5], [-0.0, -0.0, 1.0], [0.25, -0.0, 0.75], [-0.0, 1.0]):
+        for kind in ("linear", "kink"):
+            rule, p = unflagged_rule(kind, len(x0)), np.full(len(x0), 1.0 / len(x0))
+            cases.append((lambda z, rule=rule, p=p: _expected_scoring_loss(rule, p, _simplex_project(z)), x0))
+    for f, x0 in cases:
+        logs = ([], [])
+
+        def objective(z, log):
+            log.append((z.tobytes(), f(z)))
+            return log[-1][1]
+
+        res = minimize(lambda z: objective(z, logs[0]), np.array(x0), method="Nelder-Mead",
+                       options={"maxiter": 400 * len(x0), "xatol": 1e-10, "fatol": 1e-12})
+        x, fun = _nelder_mead(lambda z: objective(z, logs[1]), np.array(x0))
+        assert (x.tobytes(), np.float64(fun).tobytes()) == (res.x.tobytes(), np.float64(res.fun).tobytes()), x0
+        assert [z for z, _ in logs[1]] == [z for z, _ in logs[0]], x0
+        assert np.array([v for _, v in logs[1]]).tobytes() == np.array([v for _, v in logs[0]]).tobytes(), x0
+    assert math.isnan(_nelder_mead(cases[0][0], np.array([0.0]))[1])
 
 
 def test_simplex_grid_counts():
