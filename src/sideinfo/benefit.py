@@ -49,7 +49,7 @@ class BenefitReport:
     decomposition_residual: float
 
 
-def _c_stack(l: LossSpec, tables: np.ndarray, seed: int = 0):
+def _c_stack(l: LossSpec, tables: np.ndarray):
     """C for each joint of a (K, a, b) stack, as (c, rows, risks, minimizers, y, P_Y(y)).
 
     `rows` holds P_X of every joint, then P_{X|Y=y} for every (k, y) with
@@ -68,7 +68,7 @@ def _c_stack(l: LossSpec, tables: np.ndarray, seed: int = 0):
     kk, yy = np.nonzero(py > 0.0)
     w = py[kk, yy]
     rows = np.concatenate([tables.sum(axis=2), tables[kk, :, yy] / w[:, None]])
-    _, risks, minimizers, _ = _solve(l, rows, seed)
+    _, risks, minimizers, _ = _solve(l, rows)
     given_y = np.zeros((k, b))  # a zero-mass y keeps weight 0 and risk 0, so c -= 0 leaves c as it is
     given_y[kk, yy] = risks[k:]
     c = risks[:k].copy()
@@ -85,11 +85,11 @@ def _finite(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def _vertex_risks(l: LossSpec, seed: int) -> np.ndarray:
+def _vertex_risks(l: LossSpec) -> np.ndarray:
     """R(delta_i) for each outcome i; G(P) = -R(P) + sum_i R(delta_i) p_i."""
     if l.n is None:
         raise ParameterOutOfRange("loss has no declared alphabet size; pass n= to savage_from_G")
-    return _finite(_solve(l, np.eye(l.n), seed)[1])
+    return _finite(_solve(l, np.eye(l.n))[1])
 
 
 def benefit(l: LossSpec, j: Joint, seed: int = 0) -> BenefitReport:
@@ -100,11 +100,11 @@ def benefit(l: LossSpec, j: Joint, seed: int = 0) -> BenefitReport:
     loss units otherwise; the CLI's `--scale` converts them afterwards.  A
     seed that is negative or not an integer raises ParameterOutOfRange
     before any work, here and in `c_value`, `conditional_benefit` and
-    `g_normalized`.
+    `g_normalized`; no Bayes tier uses the seed, so it is only checked.
     """
     _check_count("seed", seed)
-    a = _vertex_risks(l, seed)
-    c, rows, risks, minimizers, ys, ws = _c_stack(l, j.table[None], seed)
+    a = _vertex_risks(l)
+    c, rows, risks, minimizers, ys, ws = _c_stack(l, j.table[None])
     c = float(_finite(c)[0])
     lin = _masked_risk(rows, a, np.isinf(a))  # sum_i R(delta_i) q_i for every solved row
     with_side = mixed_g = 0.0
@@ -124,7 +124,7 @@ def benefit(l: LossSpec, j: Joint, seed: int = 0) -> BenefitReport:
 def c_value(l: LossSpec, j: Joint, seed: int = 0) -> float:
     """Fast path: just the scalar C, skipping the cross-check and report."""
     _check_count("seed", seed)
-    return float(_finite(_c_stack(l, j.table[None], seed)[0])[0])
+    return float(_finite(_c_stack(l, j.table[None])[0])[0])
 
 
 def numeric_subgradient(fn, p) -> tuple[np.ndarray, float]:
@@ -165,7 +165,7 @@ def g_normalized(l: LossSpec, seed: int = 0) -> ConvexOracle:
     tangent directions), so expect kinks for matrix losses.
     """
     _check_count("seed", seed)
-    a = -_vertex_risks(l, seed)  # V(delta_i)
+    a = -_vertex_risks(l)  # V(delta_i)
 
     def value(q: np.ndarray) -> float:
         qv = _as_probs(q)
@@ -196,7 +196,7 @@ def conditional_benefit(l: LossSpec, j: Joint, seed: int = 0) -> float:
         raise ValueError("conditional benefit needs a 3-axis joint")
     pw = w_marginal(j).probs
     live = [w for w in range(j.nw) if pw[w] > 0.0]
-    c = _finite(_c_stack(l, np.stack([slice_given_w(j, w).table for w in live]), seed)[0])
+    c = _finite(_c_stack(l, np.stack([slice_given_w(j, w).table for w in live]))[0])
     total = 0.0
     for w, cw in zip(live, c):
         total += pw[w] * cw

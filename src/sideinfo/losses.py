@@ -7,9 +7,10 @@ Two loss shapes are supported:
   column minimum.
 * ScoringRuleLoss: simplex-valued actions, ell(x, Q).  Rules flagged
   `proper` are minimized by reporting Q = P, so their Bayes risk is an
-  exact evaluation; unflagged rules fall back to a seeded numeric search
-  over the simplex (approximate, with a reported optimality gap).  The
-  Savage rules of `savage_from_G` are proper rules of this shape.
+  exact evaluation; unflagged rules fall back to a numeric search over the
+  simplex (approximate, with the gain of its local stage over its global
+  one reported).  The Savage rules of `savage_from_G` are proper rules of
+  this shape.
 
 Every Bayes risk is solved by `_solve`, over an (R, n) stack in the loss's
 tier; `bayes_risk` is its R = 1 case and the C kernel in `benefit` its caller.
@@ -17,20 +18,20 @@ tier; `bayes_risk` is its R = 1 case and the C kernel in `benefit` its caller.
 Simplex-action rules share one batched contract: `loss_vector` maps a
 forecast (n,) or a batch (K, n) to the same shape, row k holding ell(x, Q_k)
 for every x.  The numeric search and the propriety audit evaluate their
-forecasts as batches through it; the search's multi-start gradient descent
-runs the 16 starts of every row of a stack in lockstep, one finite-difference
-batch and one step batch per iteration, each start on the path it takes
-alone.  A start retires at a fixed point (an accepted step that leaves its
-bits unchanged would repeat until the iteration cap) and reuses its gradient
-after a rejected step (its q, and so its finite differences, are unchanged).
-Each row's best start is then refined by Nelder-Mead (`_nelder_mead`, an
-in-house port of scipy's, pinned bit for bit against it by the parity test
-in tests/test_losses.py), so no Bayes solve loads scipy.  That refinement
-scores one point at a time, and numpy's per-call cost is far larger than
-arithmetic on 2-6 numbers, so its vertices, the projection of one point
-(`_simplex_project`) and the risk of one forecast (`_expected_scoring_loss`)
-run on Python floats, each with the batch path's arithmetic in its order and
-so its bits; the descent and the grid check stay numpy batches.
+forecasts as batches through it.  The search runs the same way at every n
+and draws nothing at random.  A Bayes risk is a minimum of functions affine
+in P, so the risk at any forecast bounds it from above: the search scores
+one simplex lattice (the finest of at most 200 steps with at most
+`GRID_BLOCK` points, built once per process) once per stack, then polishes
+each row from its two least lattice points and from itself, and once more
+from the best polished point, by Nelder-Mead (`_nelder_mead`, an in-house
+port of scipy's, pinned bit for bit against it by the parity test in
+tests/test_losses.py), so no Bayes solve loads scipy.
+The polish scores one point at a time, and numpy's per-call cost is far
+larger than arithmetic on 2-6 numbers, so its vertices, the projection of
+one point (`_simplex_project`) and the risk of one forecast
+(`_expected_scoring_loss`) run on Python floats, each with the batch path's
+arithmetic in its order and so its bits.
 
 Every expected loss, in both exact tiers and in the numeric search's
 objective, is one masked elementwise product p_x * ell_x over the x with
@@ -65,8 +66,8 @@ BUILTIN_LOSSES = ("log", "zero_one", "brier", "spherical", "absolute_ordered")
 # Losses whose value at the honest report exceeds this are treated as infinite.
 HUGE = 1e17
 
-# Points per block of the numeric search's grid check: the n = 3 lattice
-# (20,301 points) is one block, the n = 4 lattice (1.37M points) 42.
+# Most points of the numeric search's lattice: 200 steps at n = 2 and 3, 56 at
+# n = 4, 27 at n = 5 and 17 at n = 6.
 GRID_BLOCK = 1 << 15
 
 
@@ -145,10 +146,10 @@ class BayesResult:
     """Outcome of Bayes-risk minimization.
 
     `minimizer` is an action index for matrix losses and a Dist for
-    simplex-action rules.  `grid_gap` reports search-minus-grid slack for
-    the numeric tier, whose result is checked against the step-1/200
-    simplex lattice for n <= 4; it is None above n = 4 and when the exact
-    tiers apply.
+    simplex-action rules.  `grid_gap`, for the numeric tier, is the least
+    risk on its lattice minus the returned risk: >= 0, what the Nelder-Mead
+    polish gained.  It is None when no lattice point has a finite risk and
+    when the exact tiers apply.
     """
 
     risk: float
@@ -288,27 +289,10 @@ def simplex_grid(n: int, steps: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _one_block_grid(n: int, steps: int) -> np.ndarray:
-    """`simplex_grid(n, steps)`, built once per process and read-only: a lattice of one block."""
+    """`simplex_grid(n, steps)`, built once per process and read-only."""
     grid = simplex_grid(n, steps)
     grid.setflags(write=False)
     return grid
-
-
-def _grid_blocks(n: int, steps: int):
-    """`simplex_grid(n, steps)` in order, in blocks of whole leading coordinates of about `GRID_BLOCK` points.
-
-    A lattice of at most `GRID_BLOCK` points (n <= 3 at 200 steps) is one
-    block, shared read-only; a larger one (n = 4: 1.37M points) is built anew
-    block by block on every pass, so it never stays in memory.
-    """
-    if math.comb(steps + n - 1, n - 1) <= GRID_BLOCK:
-        yield _one_block_grid(n, steps)
-        return
-    lead = np.arange(steps + 1, dtype=np.int64)
-    sizes = [math.comb(steps - a + n - 2, n - 2) for a in range(steps + 1)]  # points per leading count
-    block = (np.cumsum(sizes) - 1) // GRID_BLOCK
-    for part in np.split(lead, np.flatnonzero(np.diff(block)) + 1):
-        yield _lattice(part[:, None], steps - part, n) / steps
 
 
 def _nelder_mead(f, x0: np.ndarray):
@@ -396,81 +380,47 @@ def _nelder_mead(f, x0: np.ndarray):
     return np.array(sim[0]), np.min(fsim)
 
 
-def _numeric_bayes(l: ScoringRuleLoss, rows: np.ndarray, seed: int):
-    """The numeric tier over an (R, n) stack: (risks, minimizers, grid gaps or None above n = 4).
+def _polished(f, x0: np.ndarray, risk: float, q: np.ndarray):
+    """(risk, q), or Nelder-Mead's (value, projected point) from x0 where lower; a start with f not finite is skipped."""
+    if math.isfinite(f(x0)):
+        x, fun = _nelder_mead(f, x0)
+        if fun < risk:  # NaN never
+            return fun, _simplex_project(x)
+    return risk, q
 
-    A row with no finite start gets risk inf and skips the refinement and the
-    grid check; its minimizer and gap are never read.
+
+def _numeric_bayes(l: ScoringRuleLoss, rows: np.ndarray):
+    """The numeric tier over an (R, n) stack: (risks, minimizers, grid gaps, NaN where no lattice point is finite).
+
+    The lattice's loss vectors are taken once, then scored against each row
+    in turn (never as one (R, points, n) array).  Each row is polished by
+    Nelder-Mead through the projection from its two least lattice points (the
+    first in lattice order on ties; NaN never counts) and from itself, each
+    start whose own risk is finite, and, if a polish won, once more from its
+    point, since a converged simplex can stall beside a kink; the least value
+    is kept, the earlier on ties.  A row with no finite value gets risk inf;
+    its minimizer is never read.
     """
     r, n = rows.shape
-    # multi-start projected (numeric) gradient descent, every start of every row
-    # in lockstep: per iteration, one batch of central differences along +-h e_i
-    # (2n projected points per start whose q moved) and one batch of steps.  Row
-    # i owns starts 16i .. 16i + 15: itself, the uniform point and the same 14
-    # draws of default_rng(seed).  Every operation is row-wise, so each start
-    # follows its lone path bit for bit.  A rejected step leaves q as it was, so
-    # its gradient is reused; an accepted step that leaves q's bits as they were
-    # would repeat itself until the cap, so that start retires there.
-    draws = np.random.default_rng(seed).dirichlet(np.ones(n), size=14)
-    qs = np.hstack([rows, np.full((r, n), 1.0 / n), np.tile(draws.ravel(), (r, 1))]).reshape(-1, n)
-    ps = np.repeat(rows, 16, axis=0)  # the distribution each start is scored against
-
-    def f(starts, q):
-        return _expected_scoring_loss(l, ps[starts], q)
-
-    vals = f(slice(None), qs)
-    lr = np.full(len(qs), 0.25)
-    grad = np.empty_like(qs)
-    stale = np.ones(len(qs), dtype=bool)  # q moved since grad was taken
-    active = np.arange(len(qs))
-    h = 1e-6
-    steps = np.concatenate([np.eye(n), -np.eye(n)]) * h
-    for _ in range(120):
-        moved = active[stale[active]]
-        if moved.size:
-            fd = f(np.repeat(moved, 2 * n), _simplex_project((qs[moved, None] + steps).reshape(-1, n))).reshape(-1, 2 * n)
-            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf ends that start below
-                grad[moved] = (fd[:, :n] - fd[:, n:]) / (2 * h)
-            stale[moved] = False
-            active = active[np.isfinite(grad[active]).all(axis=1)]
-            if not active.size:
-                break
-        q_old = qs[active]
-        q_new = _simplex_project(q_old - lr[active, None] * grad[active])
-        v_new = f(active, q_new)
-        better = v_new <= vals[active]
-        qs[active[better]], vals[active[better]] = q_new[better], v_new[better]
-        lr[active[~better]] *= 0.5
-        stale[active[better]] = True
-        fixed = better & (q_new.view(np.int64) == q_old.view(np.int64)).all(axis=1)
-        active = active[(lr[active] >= 1e-8) & ~fixed]
-        if not active.size:
-            break
-    # each row's first start with the lowest value; NaN never counts
-    vals = np.where(np.isnan(vals), np.inf, vals).reshape(r, 16)
-    first = vals.argmin(axis=1)
-    risks, best = vals[np.arange(r), first], qs[np.arange(r) * 16 + first]
-    live = np.flatnonzero(risks < np.inf)
-    for i in live:  # Nelder-Mead refinement through the projection: scipy's arithmetic, run in-house
-        x, fun = _nelder_mead(lambda z, p=rows[i]: _expected_scoring_loss(l, p, _simplex_project(z)), best[i])
-        if np.isfinite(fun) and fun < risks[i]:
-            best[i], risks[i] = _simplex_project(x), fun
-    if n > 4:
-        return risks, best, None
-    # each row's first grid point of least value, block by block; NaN never counts, as in start
-    # selection.  Each block's loss vectors are taken once, then scored against each row in turn.
-    grid_q, grid_v, gaps = np.zeros((r, n)), np.full(r, np.inf), np.full(r, np.nan)
-    for grid in _grid_blocks(n, 200) if live.size else ():
-        vec, bad = _scored(l, grid)
-        for i in live:
-            gvals = _masked_risk(rows[i], vec, bad)
-            gvals = np.where(np.isnan(gvals), np.inf, gvals)
-            gi = int(np.argmin(gvals))
-            if gvals[gi] < grid_v[i]:
-                grid_q[i], grid_v[i] = grid[gi], gvals[gi]
-    gaps[live] = risks[live] - grid_v[live]
-    take = grid_v < risks
-    best[take], risks[take] = grid_q[take], grid_v[take]
+    steps = 200
+    while steps > 1 and math.comb(steps + n - 1, n - 1) > GRID_BLOCK:
+        steps -= 1
+    grid = _one_block_grid(n, steps)
+    vec, bad = _scored(l, grid)
+    risks, best, gaps = np.full(r, np.inf), np.zeros((r, n)), np.full(r, np.nan)
+    for i, p in enumerate(rows):
+        gvals = _masked_risk(p, vec, bad)
+        gvals = np.where(np.isnan(gvals), np.inf, gvals)
+        first = int(np.argmin(gvals))
+        lattice, risks[i], best[i] = gvals[first], gvals[first], grid[first]
+        gvals[first] = np.inf  # so the next argmin is the second least
+        f = lambda z, p=p: _expected_scoring_loss(l, p, _simplex_project(z))
+        for x0 in (grid[first], grid[int(np.argmin(gvals))], p):
+            risks[i], best[i] = _polished(f, x0, risks[i], best[i])
+        if risks[i] < lattice:
+            risks[i], best[i] = _polished(f, best[i], risks[i], best[i])
+        if lattice < np.inf:
+            gaps[i] = lattice - risks[i]
     return risks, best, gaps
 
 
@@ -482,8 +432,8 @@ _UNBOUNDED = {
 }
 
 
-def _solve(l: LossSpec, rows: np.ndarray, seed: int = 0):
-    """Bayes risk of each row of an (R, n) stack: (method, risks, minimizers, grid gaps or None).
+def _solve(l: LossSpec, rows: np.ndarray):
+    """Bayes risk of each row of an (R, n) stack: (method, risks, minimizers, grid gaps (NaN for none) or None).
 
     Column-min scores every action of every row as one (R, k, n) product and
     takes the first index of the least; a proper rule scores each row at
@@ -500,42 +450,42 @@ def _solve(l: LossSpec, rows: np.ndarray, seed: int = 0):
     if method == "proper-fixed-point":
         return method, _expected_scoring_loss(l, rows, rows), rows, None
     _simplex(rows, 1)
-    return (method, *_numeric_bayes(l, rows, seed))
+    return (method, *_numeric_bayes(l, rows))
 
 
 def bayes_risk(l: LossSpec, p, seed: int = 0) -> BayesResult:
     """Minimal expected loss against distribution p, with its minimizer: `_solve` of one row.
 
     Exact for action matrices (column minimum, ties to the lowest index) and
-    for proper rules (evaluate at Q = P); approximate multi-start search for
-    arbitrary scoring rules.  A p whose length differs from the loss's
-    declared alphabet size raises ParameterOutOfRange, and one that is not a
-    distribution within SIMPLEX_TOL raises NegativeMass or NotNormalized (p
-    is checked, never renormalized).  A risk with no finite value (for the
-    numeric search, no start with a finite expected loss) raises
-    UnboundedBelow, and a seed that is negative or not an integer
-    ParameterOutOfRange, before any work.
+    for proper rules (evaluate at Q = P); an approximate lattice-and-polish
+    search for arbitrary scoring rules.  A p whose length differs from the
+    loss's declared alphabet size raises ParameterOutOfRange, and one that is
+    not a distribution within SIMPLEX_TOL raises NegativeMass or
+    NotNormalized (p is checked, never renormalized).  A risk with no finite
+    value (for the numeric search, no lattice point or polish with a finite
+    expected loss) raises UnboundedBelow, and a seed that is negative or not
+    an integer ParameterOutOfRange, before any work.  No tier uses the seed:
+    every one is deterministic, and the seed is only checked.
 
-    Known cost: the numeric search checks itself against every point of
-    `simplex_grid(n, 200)` for n <= 4, scored in blocks of whole leading
-    coordinates (`GRID_BLOCK` points or so each), so at n = 4 (1.37M points)
-    one call with a `vector_fn` peaks at 44 MB RSS (30 MB with numpy loaded,
-    before the call).  The n = 2 and n = 3 lattices are one block each, built
-    on the first call and then kept for the process (about 0.5 MB); the n = 4
-    lattice is built anew on every call and never kept.  A rule given only an
-    `eval_fn` scores those points by one Python call per outcome, so at n = 4
-    one call takes 18-24 s on a 2-core Xeon VM.  A stack (`_solve`) pays for
-    them once.  The Nelder-Mead refinement after the descent runs at most
-    400 n iterations per live row, each scoring 1 to n + 2 single points.
+    Known cost: the numeric search scores every point of its lattice, at
+    most `GRID_BLOCK` of them, once per call (once per stack in `_solve`),
+    and keeps each n's lattice for the process (GRID_BLOCK n floats at most;
+    about 1 MB at n = 4).  One call at n = 4 with a `vector_fn` raises the
+    peak RSS by about 4 MB over the 36 MB of numpy loaded.  A rule given only
+    an `eval_fn` scores the lattice by one Python call per outcome and point,
+    so one call takes about 0.2 s at n = 4 and 0.3 s at n = 5 and 6 on a
+    2-core Xeon VM.  The Nelder-Mead polish runs at most 400 n iterations
+    per start and at most four starts per row, each iteration scoring 1 to
+    n + 2 single points.
     """
     _check_count("seed", seed)
     pv = _as_probs(p)
     _tier(l, pv.shape[0])  # the length is checked before the mass
     _simplex(pv, 1)
-    method, risks, minimizers, gaps = _solve(l, pv[None], seed)
+    method, risks, minimizers, gaps = _solve(l, pv[None])
     if not np.isfinite(risks[0]):
         raise UnboundedBelow(_UNBOUNDED[method])
-    m, gap = minimizers[0], None if gaps is None else float(gaps[0])
+    m, gap = minimizers[0], None if gaps is None or np.isnan(gaps[0]) else float(gaps[0])
     return BayesResult(float(risks[0]), Dist(m) if m.ndim else int(m), method, gap)
 
 
@@ -543,7 +493,7 @@ def v_envelope(l: LossSpec, p, seed: int = 0) -> float:
     """Negative Bayes envelope V(P) = -inf_a E_P[ell(X, a)]; convex and bounded.
 
     Raises as `bayes_risk` does for a p that is not a distribution or a
-    seed that is negative or not an integer.
+    seed that is negative or not an integer; the seed is only checked.
     """
     return -bayes_risk(l, p, seed=seed).risk
 

@@ -338,7 +338,7 @@ def _certify(l: LossSpec, tables: np.ndarray, maps: np.ndarray, before, after: n
     return kinds
 
 
-def _decide(l: LossSpec, tables: np.ndarray, maps: np.ndarray, before, tol: float, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _decide(l: LossSpec, tables: np.ndarray, maps: np.ndarray, before, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """C after each table of a (K, n, b) stack is pushed through its row of `maps` (K, n), and each row's witness kind.
 
     The one place a witness is decided, for the scan, `audit_dpa` and
@@ -348,7 +348,7 @@ def _decide(l: LossSpec, tables: np.ndarray, maps: np.ndarray, before, tol: floa
     is the same bits as `c_value` of its pushed joint.  `before` is C
     before, per row or one for all.  Non-finite C is returned, not raised.
     """
-    after = _c_stack(l, _push(tables, maps, tables.shape[1]), seed)[0]
+    after = _c_stack(l, _push(tables, maps, tables.shape[1]))[0]
     return after, _certify(l, tables, maps, before, after, _witness_kinds(maps, before, after, tol), tol)
 
 
@@ -409,7 +409,8 @@ def audit_dpa(l: LossSpec, j: Joint, tol: float = 1e-9, seed: int = 0) -> DpaAud
     `enumerate_sufficient` at its own default tolerance, whatever `tol` is,
     so a loose `tol` never admits a merge of rows that differ.  Raises
     ParameterOutOfRange for a tol that is negative or not finite and a seed
-    that is negative or not an integer.
+    that is negative or not an integer.  The seed picks the permutation
+    sample of `enumerate_sufficient` above n = 5; no Bayes tier uses it.
     """
     _check_tol(tol)
     _check_count("seed", seed)
@@ -417,7 +418,7 @@ def audit_dpa(l: LossSpec, j: Joint, tol: float = 1e-9, seed: int = 0) -> DpaAud
     suff = enumerate_sufficient(j, seed=seed)
     transforms = suff.merges + suff.permutations
     maps = np.array([t.mapping for t in transforms])
-    after, kinds = _decide(l, np.broadcast_to(j.table, (len(maps),) + j.table.shape), maps, before, tol, seed)
+    after, kinds = _decide(l, np.broadcast_to(j.table, (len(maps),) + j.table.shape), maps, before, tol)
     _finite(after)
     moved = (maps.max(axis=1) + 1 < j.nx) & (np.abs(after - before) > tol)
     entries = tuple(AuditEntry(transform=t, c_after=float(c)) for t, c in zip(transforms, after))
@@ -684,7 +685,7 @@ def find_violation(
     C first raises UnboundedBelow, as `c_value` would; a witness first
     becomes a `ViolationWitness` on its own |Y|, is re-verified with
     `verify_witness` and returned.  Numeric-tier rules solve each stack's
-    rows in one lockstep search (`losses._solve`), with the same seed.
+    rows as one `losses._solve` stack, its lattice scored once for all.
 
     Raises ParameterOutOfRange, before any work, for n < 2, a budget or
     seed that is negative or not an integer, a tol that is negative or not

@@ -87,9 +87,9 @@ class TestBenefit:
         j = si.validate_joint([[0.2, 0.1, 0.0], [0.1, 0.2, 0.0], [0.1, 0.3, 0.0]])
         real, solved = si.losses._numeric_bayes, []
 
-        def counted(l, rows, seed):
+        def counted(l, rows):
             solved.extend(map(tuple, rows.tolist()))
-            return real(l, rows, seed)
+            return real(l, rows)
 
         monkeypatch.setattr(si.losses, "_numeric_bayes", counted)
         si.benefit(blind, j)
