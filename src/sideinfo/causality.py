@@ -11,9 +11,9 @@ H(X^i, Y^{i-1}) and H(X^{i-1}, Y^i) are the running pair marginal dotted
 with row entropies of the kernel, and H(X^i) and H(Y^i) come from forward
 arrays P(X^{i-1}, X_i, Y_i) and their mirror (Rabiner 1989).  Their size is
 at most max(nx, ny)^n * nx * ny, and that is the enumeration bound checked
-against state_limit.  An explicit table is
-summed directly; `unroll` only converts a Markov model into one (and serves
-the tests as an oracle).  Exactness makes identities like the conservation
+against state_limit.  An explicit table (`ExplicitProcess`, the way to
+give a process that is not Markov) is summed directly, and its own horizon
+bounds the one requested.  Exactness makes identities like the conservation
 law hard numeric tests rather than statistical ones.  Geweke's measure is
 the one continuous-valued quantity: the restricted prediction variance
 comes from the innovations Riccati recursion on the VAR's companion form,
@@ -33,6 +33,7 @@ from .errors import HorizonTooLarge, NotStationary, ParameterOutOfRange
 from .prob import entropy
 
 STATE_LIMIT = 10**7
+ZERO_TOL = 1e-9  # a stationarity residual max |pi K - pi|, or a delayed reverse DI in nats, at most this counts as zero
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,9 @@ class MarkovJointProcess:
         pi = np.maximum(pi, 0.0)
         return pi / pi.sum()
 
-    def is_stationary(self, tol: float = 1e-9) -> bool:
-        return bool(np.abs(self.initial @ self.kernel - self.initial).max() <= tol)
+    def is_stationary(self) -> bool:
+        """True when initial K is initial within ZERO_TOL in every entry."""
+        return bool(np.abs(self.initial @ self.kernel - self.initial).max() <= ZERO_TOL)
 
 
 @dataclass(frozen=True)
@@ -106,25 +108,6 @@ class ExplicitProcess:
 
 
 ProcessModel = Union[MarkovJointProcess, ExplicitProcess]
-
-
-def unroll(m: MarkovJointProcess, n: int, state_limit: int = STATE_LIMIT) -> ExplicitProcess:
-    """Expand a Markov model into the explicit sequence distribution at horizon n.
-
-    The measures never call this; it converts a Markov model into an
-    ExplicitProcess, bounded by its (nx * ny)^n sequence space.
-    """
-    if n < 1:
-        raise ParameterOutOfRange(f"horizon must be >= 1, got {n}")
-    q = m.nx * m.ny
-    if q**n > state_limit:
-        raise HorizonTooLarge(
-            f"sequence space {q}**{n} exceeds the enumeration bound {state_limit}"
-        )
-    dist = m.initial.copy()  # flat over pair states, shape (q,)*i flattened
-    for _ in range(n - 1):
-        dist = (dist[..., None] * m.kernel).reshape(dist.shape + (q,))
-    return ExplicitProcess(nx=m.nx, ny=m.ny, table=dist.reshape((m.nx, m.ny) * n))
 
 
 def _forward_size(m: MarkovJointProcess, n: int) -> int:
@@ -307,9 +290,9 @@ def conservation_check(m: ProcessModel, n: int, state_limit: int = STATE_LIMIT) 
     )
 
 
-def granger_noncausal(m: ProcessModel, n: int, tol: float = 1e-9) -> bool:
-    """True when Y does not Granger-cause X at horizon n (zero delayed reverse DI)."""
-    return reverse_delayed_di(m, n) <= tol
+def granger_noncausal(m: ProcessModel, n: int) -> bool:
+    """True when Y does not Granger-cause X at horizon n: the delayed reverse DI is at most ZERO_TOL nats."""
+    return reverse_delayed_di(m, n) <= ZERO_TOL
 
 
 def _is_y_to_x(direction: str) -> bool:

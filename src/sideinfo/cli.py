@@ -105,9 +105,9 @@ def _resolve_loss(args, n: int) -> losses.LossSpec:
     if args.builtin is not None:
         return losses.builtin_loss(args.builtin, n)
     l = _load_kind(args.loss, ("loss",))
-    fam = losses.reinstantiate(l, n)
-    if fam is not None:
-        return fam
+    name = losses._builtin_name(l)
+    if name is not None and n >= 2:  # the same built-in at the joint's alphabet size
+        return losses.builtin_loss(name, n)
     if l.n is not None and l.n != n:
         raise modelio.ValidationError(
             f"loss is for {l.n} symbols but the joint has {n}", field="loss"

@@ -64,8 +64,7 @@ class HorizonTooLarge(SideinfoError):
     """An exact computation at the requested horizon exceeds its enumeration bound.
 
     For a Markov model the bound is on the forward arrays, max(nx, ny)^n * nx * ny
-    entries; `unroll` bounds the (nx * ny)^n sequence space; an explicit table
-    bounds the horizon by its own.
+    entries; an explicit table bounds the horizon by its own.
     """
 
 

@@ -44,7 +44,9 @@ CPU.  The loss values need not be: log loss takes `np.log`, whose SIMD path
 can round differently from libm, so its risks can differ in the last bits
 between CPUs.
 
-Built-ins: log, zero_one, brier, spherical, absolute_ordered.  All symbols
+Built-ins: log, zero_one, brier, spherical, absolute_ordered.  A loss is
+taken for a built-in (by the file writer, the CLI and exact certification)
+only when it is one (`_builtin_name`), never by its name alone.  All symbols
 are 0-based here; 1-based indexing lives only at the file/CLI boundary.
 """
 
@@ -158,6 +160,28 @@ class BayesResult:
     grid_gap: Optional[float] = None
 
 
+def _log_vector(q):
+    q = _as_probs(q)
+    out = np.full(q.shape, np.inf)
+    m = q > 0
+    out[m] = -np.log(q[m])
+    return out
+
+
+def _brier_vector(q):
+    q = _as_probs(q)
+    return sum((q * q).T, 0.0).T[..., None] - 2.0 * q + 1.0  # |q|^2 as `_masked_risk`'s left fold
+
+
+def _spherical_vector(q):
+    q = _as_probs(q)
+    return -q / np.sqrt(sum((q * q).T, 0.0).T)[..., None]  # |q|^2 as `_masked_risk`'s left fold
+
+
+# The `vector_fn` of each built-in scoring rule; the other built-ins are action matrices.
+_RULE_VECTORS = {"log": _log_vector, "brier": _brier_vector, "spherical": _spherical_vector}
+
+
 def builtin_loss(name: str, n: int) -> LossSpec:
     """Instantiate a built-in loss for an n-symbol alphabet."""
     if n < 2:
@@ -168,32 +192,23 @@ def builtin_loss(name: str, n: int) -> LossSpec:
     if key == "absolute_ordered":
         idx = np.arange(n)
         return ActionMatrixLoss(matrix=np.abs(idx[:, None] - idx[None, :]).astype(float), name=key)
-    if key == "log":
-        def vec(q):
-            q = _as_probs(q)
-            out = np.full(q.shape, np.inf)
-            m = q > 0
-            out[m] = -np.log(q[m])
-            return out
-    elif key == "brier":
-        def vec(q):
-            q = _as_probs(q)
-            return sum((q * q).T, 0.0).T[..., None] - 2.0 * q + 1.0  # |q|^2 as `_masked_risk`'s left fold
-    elif key == "spherical":
-        def vec(q):
-            q = _as_probs(q)
-            return -q / np.sqrt(sum((q * q).T, 0.0).T)[..., None]  # |q|^2 as `_masked_risk`'s left fold
-    else:
+    if key not in _RULE_VECTORS:
         raise UnknownLoss(f"unknown built-in loss {name!r}")
+    vec = _RULE_VECTORS[key]
     return ScoringRuleLoss(eval_fn=lambda x, q: float(vec(q)[x]), n=n, proper=True, name=key, vector_fn=vec)
 
 
-def reinstantiate(l: LossSpec, n: int) -> Optional[LossSpec]:
-    """The same named loss family at a different alphabet size, if known."""
-    name = getattr(l, "name", None)
-    if name in BUILTIN_LOSSES:
-        return builtin_loss(name, n) if n >= 2 else None
-    return None
+def _builtin_name(l: LossSpec) -> Optional[str]:
+    """The built-in name of l when l is that built-in loss, else None; a name alone never makes one.
+
+    A scoring rule counts when it is flagged proper and its `vector_fn` is
+    the family's own function; an action matrix when it equals
+    `builtin_loss(name, n).matrix`.
+    """
+    if isinstance(l, ActionMatrixLoss):
+        same = l.name in ("zero_one", "absolute_ordered") and l.n >= 2
+        return l.name if same and np.array_equal(l.matrix, builtin_loss(l.name, l.n).matrix) else None
+    return l.name if l.proper and l.name in _RULE_VECTORS and l.vector_fn is _RULE_VECTORS[l.name] else None
 
 
 def _masked_risk(p: np.ndarray, ell: np.ndarray, bad: np.ndarray):
@@ -289,7 +304,11 @@ def simplex_grid(n: int, steps: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _one_block_grid(n: int, steps: int) -> np.ndarray:
-    """`simplex_grid(n, steps)`, built once per process and read-only."""
+    """`simplex_grid(n, steps)`, built once per process and read-only.
+
+    The keys in use are the search lattices of n = 2-6 and
+    `audit_propriety`'s (2, 20) and (3, 20), seven of the eight slots.
+    """
     grid = simplex_grid(n, steps)
     grid.setflags(write=False)
     return grid
@@ -553,7 +572,7 @@ def audit_propriety(l: LossSpec, trials: int = 100, seed: int = 0, n: Optional[i
     rng = np.random.default_rng(seed)
     fixed = [np.full((1, size), 1.0 / size), np.eye(size)]
     if size <= 3:
-        fixed.append(simplex_grid(size, 20))
+        fixed.append(_one_block_grid(size, 20))  # read-only; the concatenate below copies it
     worst = np.inf
     worst_p = worst_q = None
     for _ in range(trials):

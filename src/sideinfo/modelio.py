@@ -27,7 +27,7 @@ from .errors import (
     UnknownSymbol,
     ValidationError,
 )
-from .losses import ActionMatrixLoss, BUILTIN_LOSSES, LossSpec, builtin_loss
+from .losses import ActionMatrixLoss, LossSpec, ScoringRuleLoss, _builtin_name, builtin_loss
 from .prob import Dist, Joint, _simplex
 from .sufficiency import Transform
 
@@ -120,10 +120,12 @@ def serialize_model(obj) -> dict:
         if obj.has_w:
             return _doc("joint3", dims=list(obj.table.shape), p=_enc_array(obj.table))
         return _doc("joint", rows=obj.nx, cols=obj.ny, p=_enc_array(obj.table))
-    if isinstance(obj, ActionMatrixLoss) and obj.name is None:
-        return _doc("loss", matrix=_enc_array(obj.matrix))
-    if getattr(obj, "name", None) in BUILTIN_LOSSES:
-        return _doc("loss", builtin=obj.name, n=int(obj.n))
+    if isinstance(obj, (ActionMatrixLoss, ScoringRuleLoss)):
+        name = _builtin_name(obj)  # a loss only named like a built-in is written as itself
+        if name is not None and obj.n is not None:
+            return _doc("loss", builtin=name, n=int(obj.n))
+        if isinstance(obj, ActionMatrixLoss):
+            return _doc("loss", matrix=_enc_array(obj.matrix))
     if isinstance(obj, Transform):
         return _doc("transform", map=[v + 1 for v in obj.mapping])
     if isinstance(obj, MarkovJointProcess):

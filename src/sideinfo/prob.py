@@ -56,26 +56,27 @@ class Dist:
         return self.n
 
 
-def validate_dist(probs, tol: float = SIMPLEX_TOL) -> Dist:
+def validate_dist(probs) -> Dist:
     """Validate / repair a probability vector into a Dist.
 
-    Entries in [-tol, 0) are clamped to 0 and a sum within tol of 1 is
-    renormalized; larger violations raise NegativeMass / NotNormalized.
+    Entries in [-SIMPLEX_TOL, 0) are clamped to 0 and a sum within
+    SIMPLEX_TOL of 1 is renormalized; larger violations raise NegativeMass /
+    NotNormalized.
     """
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise NotNormalized(f"expected a nonempty 1-d probability vector, got shape {p.shape}")
-    clamped, s = _simplex(p, 1, tol)
+    clamped, s = _simplex(p, 1)
     correction = float(-p[p < 0].sum()) if np.any(p < 0) else 0.0
     correction = max(correction, abs(float(s) - 1.0))
     return Dist(clamped / s, correction=correction)
 
 
-def _simplex(p: np.ndarray, ndim: int, tol: float = SIMPLEX_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """p with entries in [-tol, 0) clamped to 0, and the sums of its slices over the trailing `ndim` axes.
+def _simplex(p: np.ndarray, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """p with entries in [-SIMPLEX_TOL, 0) clamped to 0, and the sums of its slices over the trailing `ndim` axes.
 
-    Raises NegativeMass for a non-finite entry or one below -tol, and
-    NotNormalized for a sum more than tol from 1, naming a stack's first
+    Raises NegativeMass for a non-finite entry or one below -SIMPLEX_TOL, and
+    NotNormalized for a sum more than SIMPLEX_TOL from 1, naming a stack's first
     failing slice; p is not changed.  Message numbers are Python floats,
     so the text is the same under any numpy version.
     """
@@ -86,8 +87,8 @@ def _simplex(p: np.ndarray, ndim: int, tol: float = SIMPLEX_TOL) -> tuple[np.nda
     s = clamped.sum(axis=axes)
     checks = (  # in this order: a sum is read only once every entry is finite
         (NegativeMass, ~np.isfinite(t).all(axis=axes), lambda k: "entries must be finite"),
-        (NegativeMass, (t < -tol).any(axis=axes), lambda k: f"negative mass beyond tolerance: min entry {float(t[k].min())!r}"),
-        (NotNormalized, np.abs(s - 1.0) > tol, lambda k: f"entries sum to {float(s[k])!r}, not 1 within {tol}"),
+        (NegativeMass, (t < -SIMPLEX_TOL).any(axis=axes), lambda k: f"negative mass beyond tolerance: min entry {float(t[k].min())!r}"),
+        (NotNormalized, np.abs(s - 1.0) > SIMPLEX_TOL, lambda k: f"entries sum to {float(s[k])!r}, not 1 within {SIMPLEX_TOL}"),
     )
     for error, bad, message in checks:
         if bad.any():
@@ -132,12 +133,12 @@ class Joint:
         return self.table.ndim == 3
 
 
-def validate_joint(table, tol: float = SIMPLEX_TOL) -> Joint:
-    """Validate / repair a 2- or 3-axis probability table into a Joint."""
+def validate_joint(table) -> Joint:
+    """Validate / repair a 2- or 3-axis probability table into a Joint, as `validate_dist` does a vector."""
     t = np.asarray(table, dtype=float)
     if t.ndim not in (2, 3):
         raise NotNormalized(f"joint must have 2 or 3 axes, got {t.ndim}")
-    clamped, s = _simplex(t, t.ndim, tol)
+    clamped, s = _simplex(t, t.ndim)
     return Joint(clamped / s)
 
 
@@ -275,20 +276,6 @@ def sum_squares_oracle() -> ConvexOracle:
     return ConvexOracle(value=value, subgradient=subgradient, symmetric=True)
 
 
-def linear_oracle(c) -> ConvexOracle:
-    """G(P) = <c, P>; convex with zero Jensen gap."""
-    cv = np.asarray(c, dtype=float)
-    return ConvexOracle(
-        value=lambda q: float(np.dot(cv, q)),
-        subgradient=lambda q: cv.copy(),
-        symmetric=bool(np.all(cv == cv[0])),
-    )
-
-
-def _random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.dirichlet(np.ones(n))
-
-
 _MIDPOINT_TOL = 1e-12  # how far a midpoint may sit above the chord in `check_convex_oracle`
 _PLANE_TOL = 1e-9  # how far a point may sit below a supporting plane, and a symmetric G move under a permutation
 
@@ -299,15 +286,18 @@ def check_convex_oracle(g: ConvexOracle, n: int, pairs: int = 256, seed: int = 0
     Checks midpoint convexity, the supporting-hyperplane inequality for the
     reported subgradient, and (if flagged) permutation invariance.  This is a
     probabilistic guardrail, not a proof; raises ConvexityViolation on failure,
-    and ParameterOutOfRange, before any work, for a seed that is negative or
-    not an integer.
+    and ParameterOutOfRange, before any work, for an `n` that is not an
+    integer >= 2, `pairs` that is not an integer >= 1 and a seed that is
+    negative or not an integer.
     """
     _check_count("seed", seed)
+    _check_count("pairs", pairs, least=1)
+    _check_count("n", n, least=2)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(pairs):
-        p = _random_simplex(rng, n)
-        q = _random_simplex(rng, n)
+        p = rng.dirichlet(np.ones(n))
+        q = rng.dirichlet(np.ones(n))
         mid = g.value((p + q) / 2.0) - (g.value(p) + g.value(q)) / 2.0
         if mid > _MIDPOINT_TOL:
             raise ConvexityViolation(f"midpoint convexity fails by {mid:.3g} at {p}, {q}")

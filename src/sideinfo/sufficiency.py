@@ -43,12 +43,13 @@ import numpy as np
 
 from .benefit import _c_stack, _finite, c_value
 from .errors import AlphabetTooLarge, ParameterOutOfRange, WitnessVerificationFailed, _check_count
-from .losses import ActionMatrixLoss, LossSpec
+from .losses import ActionMatrixLoss, LossSpec, _builtin_name
 from .prob import Joint, _simplex, validate_joint
 
 _MAX_ALPHABET = 12  # the largest X-alphabet whose merges are enumerated
 _PERM_SAMPLES = 24  # permutations sampled beyond n = 5
 _VALUE_TOL = 1e-12  # how closely a witness's stored C must reproduce
+SUFFICIENT_TOL = 1e-9  # how far apart, in total variation, two conditionals P(Y|X=x) of one class may be
 
 
 @dataclass(frozen=True)
@@ -112,22 +113,21 @@ def _conditional_tv(j: Joint) -> tuple[np.ndarray, np.ndarray]:
     return live, 0.5 * np.abs(rows[:, None] - rows[None]).sum(axis=2)
 
 
-def check_sufficient(t: Transform, j: Joint, tol: float = 1e-9) -> SufficiencyCert:
+def check_sufficient(t: Transform, j: Joint) -> SufficiencyCert:
     """Certify X - T(X) - Y (the T - X - Y chain is automatic for deterministic T).
 
-    Every pair of positive-mass symbols that t merges must be within tol in
-    total variation (`_conditional_tv`, the rule `enumerate_sufficient`
-    shares).  A merge it lists at tol always passes; near tol, one that
-    passes may go unlisted.  Raises ParameterOutOfRange when t maps another
-    number of symbols than j has, and for a tol that is negative or not finite.
+    Every pair of positive-mass symbols that t merges must be within
+    SUFFICIENT_TOL in total variation (`_conditional_tv`, the rule
+    `enumerate_sufficient` shares).  A merge it lists always passes; near
+    SUFFICIENT_TOL, one that passes may go unlisted.  Raises
+    ParameterOutOfRange when t maps another number of symbols than j has.
     """
-    _check_tol(tol)
     _same_alphabet(t.n, j.nx)
     live, tv = _conditional_tv(j)
     labels = np.array(t.mapping)[live]
     worst = float(tv[labels[:, None] == labels[None]].max(initial=0.0))
     zero = tuple(np.flatnonzero(~live).tolist())
-    return SufficiencyCert(is_sufficient=worst <= tol, max_class_tv=worst, zero_mass_symbols=zero)
+    return SufficiencyCert(is_sufficient=worst <= SUFFICIENT_TOL, max_class_tv=worst, zero_mass_symbols=zero)
 
 
 def _same_alphabet(n: int, nx: int) -> None:
@@ -171,13 +171,13 @@ def _set_partitions(items: list[int]):
         yield [[first]] + part
 
 
-def _row_classes(j: Joint, tol: float) -> tuple[list[list[int]], list[int]]:
-    """Put each positive-mass symbol in the first class whose every row is within tol of its own; pool zero-mass ones."""
+def _row_classes(j: Joint) -> tuple[list[list[int]], list[int]]:
+    """Put each positive-mass symbol in the first class whose every row is within SUFFICIENT_TOL of its own; pool zero-mass ones."""
     live, tv = _conditional_tv(j)
     classes: list[list[int]] = []
     for i in range(len(tv)):
         for cls in classes:
-            if (tv[i, cls] <= tol).all():
+            if (tv[i, cls] <= SUFFICIENT_TOL).all():
                 cls.append(i)
                 break
         else:
@@ -200,22 +200,20 @@ class SufficientSet:
     permutations_exhaustive: bool
 
 
-def enumerate_sufficient(j: Joint, tol: float = 1e-9, seed: int = 0) -> SufficientSet:
+def enumerate_sufficient(j: Joint, seed: int = 0) -> SufficientSet:
     """Sufficient merge-transforms, from partitions refining the row classes.
 
-    The rows of a class are pairwise within tol, so every listed merge
-    passes `check_sufficient` at tol; near tol, a sufficient merge may go
-    unlisted.  Zero-mass symbols form their own vacuous class.  Raises
+    The rows of a class are pairwise within SUFFICIENT_TOL, so every listed
+    merge passes `check_sufficient`; near SUFFICIENT_TOL, a sufficient merge
+    may go unlisted.  Zero-mass symbols form their own vacuous class.  Raises
     AlphabetTooLarge beyond the partition-enumeration bound, and
-    ParameterOutOfRange for a tol that is negative or not finite and a seed
-    that is negative or not an integer.
+    ParameterOutOfRange for a seed that is negative or not an integer.
     """
-    _check_tol(tol)
     _check_count("seed", seed)
     n = j.nx
     if n > _MAX_ALPHABET:
         raise AlphabetTooLarge(f"alphabet size {n} exceeds enumeration bound {_MAX_ALPHABET}")
-    groups, zero = _row_classes(j, tol)
+    groups, zero = _row_classes(j)
     if zero:
         groups.append(zero)
     combos = itertools.product(*(_set_partitions(g) for g in groups))
@@ -262,12 +260,13 @@ _CERTIFY_MARGIN = 1e-12  # a hit whose float margin over the witness threshold i
 _CERTIFIED_ZERO = "1e-40"  # a 50-digit decimal |delta C| at most this counts as zero
 
 
-def _scaled_risk(l: LossSpec, v: list, ln):
+def _scaled_risk(l: LossSpec, name: Optional[str], v: list, ln):
     """rho(v) = s R(v / s), s = sum(v), for the masses v of one column of a table, in `_certify`'s arithmetic.
 
     R is homogeneous this way, so C of a table of total mass S is
     (rho(P_X) - sum_y rho(P(., y))) / S with no division per column.  A
-    finite action matrix gives a minimum over actions (in Fractions), Brier
+    finite action matrix gives a minimum over actions (in Fractions); a
+    rule is read from its built-in `name` (`losses._builtin_name`): Brier
     s - |v|^2 / s, log s ln s - sum v ln v (`ln` of a Decimal) and
     spherical -|v|.
     """
@@ -278,9 +277,9 @@ def _scaled_risk(l: LossSpec, v: list, ln):
     s = sum(v)
     if not s:
         return s
-    if l.name == "brier":
+    if name == "brier":
         return s - sum(x * x for x in v) / s
-    if l.name == "log":
+    if name == "log":
         return s * ln(s) - sum(x * ln(x) for x in v if x)
     return -sum(x * x for x in v).sqrt()
 
@@ -294,15 +293,18 @@ def _certify(l: LossSpec, tables: np.ndarray, maps: np.ndarray, before, after: n
     with finite entries, and Brier) get delta C exactly, in
     `fractions.Fraction`.  Log and spherical get it in `decimal` at 50
     digits, where |delta C| <= 1e-40 counts as zero: certified to 1e-40,
-    not exact.  Every other rule (a matrix with an infinite entry, a
-    `vector_fn` or Savage rule, the numeric tier) is decided on float C
-    only.  A hit that fails is "".  Hits farther from the threshold, and
-    rows that are no hit, keep their float decision.
+    not exact.  A rule counts as built-in only if it is that built-in
+    (`losses._builtin_name`), never by its name alone.  Every other rule (a
+    matrix with an infinite entry, any other `vector_fn` or Savage rule, the
+    numeric tier) is decided on float C only.  A hit that fails is "".
+    Hits farther from the threshold, and rows that are no hit, keep their
+    float decision.
     """
-    if isinstance(l, ActionMatrixLoss):
-        route = "fraction" if np.isfinite(l.matrix).all() else None
+    if isinstance(l, ActionMatrixLoss):  # a matrix is read as itself, whatever its name
+        name, route = None, "fraction" if np.isfinite(l.matrix).all() else None
     else:
-        route = {"brier": "fraction", "log": "decimal", "spherical": "decimal"}.get(l.name) if l.proper else None
+        name = _builtin_name(l)
+        route = {"brier": "fraction", "log": "decimal", "spherical": "decimal"}.get(name)
     with np.errstate(invalid="ignore"):
         near = (kinds != "") & (np.abs(after - before) - tol <= _CERTIFY_MARGIN)
     if route is None or not near.any():
@@ -327,7 +329,7 @@ def _certify(l: LossSpec, tables: np.ndarray, maps: np.ndarray, before, after: n
                 classes[to] = [a + b for a, b in zip(classes[to], row)] if to in classes else row
             pushed = [classes.get(x, [num(0)] * len(rows[0])) for x in range(len(rows))]
             before_s, after_s = (
-                _scaled_risk(l, [sum(r) for r in t], ln) - sum(_scaled_risk(l, list(col), ln) for col in zip(*t))
+                _scaled_risk(l, name, [sum(r) for r in t], ln) - sum(_scaled_risk(l, name, list(col), ln) for col in zip(*t))
                 for t in (rows, pushed)
             )
             delta = (after_s - before_s) / sum(sum(r) for r in rows)
@@ -356,13 +358,13 @@ def verify_witness(l: LossSpec, w: ViolationWitness, tol: float = 1e-9) -> bool:
     """Recompute both benefits from the stored joint and transform.
 
     The witness holds only if its transform is sufficient for its joint
-    (`check_sufficient` at its default tolerance), both values reproduce
-    within `_VALUE_TOL` (C after is l's, on the joint pushed onto its own n
-    symbols, as `_decide` takes it), and its kind is the one `_decide`
-    gives for its transform, which is never "".  So a witness within 1e-12 of the
-    threshold tol must also hold beyond rounding (`_certify`): exactly for
-    finite action matrices and Brier, to 1e-40 for log and spherical, and
-    on float C alone for other rules.  A non-finite C raises UnboundedBelow,
+    (`check_sufficient`), both values reproduce within `_VALUE_TOL` (C after
+    is l's, on the joint pushed onto its own n symbols, as `_decide` takes
+    it), and its kind is the one `_decide` gives for its transform, which is
+    never "".  So a witness within 1e-12 of the threshold tol must also hold
+    beyond rounding (`_certify`): exactly for finite action matrices and the
+    built-in Brier, to 1e-40 for the built-in log and spherical, and on
+    float C alone for other rules.  A non-finite C raises UnboundedBelow,
     and a tol that is negative or not finite ParameterOutOfRange.
     """
     _check_tol(tol)
@@ -406,8 +408,8 @@ def audit_dpa(l: LossSpec, j: Joint, tol: float = 1e-9, seed: int = 0) -> DpaAud
     """Audit the data-processing requirement on every enumerated sufficient transform.
 
     `tol` compares C only.  Which transforms are sufficient is decided by
-    `enumerate_sufficient` at its own default tolerance, whatever `tol` is,
-    so a loose `tol` never admits a merge of rows that differ.  Raises
+    `enumerate_sufficient` at SUFFICIENT_TOL, whatever `tol` is, so a loose
+    `tol` never admits a merge of rows that differ.  Raises
     ParameterOutOfRange for a tol that is negative or not finite and a seed
     that is negative or not an integer.  The seed picks the permutation
     sample of `enumerate_sufficient` above n = 5; no Bayes tier uses it.

@@ -80,3 +80,22 @@ def random_stationary_markov(
     base = si.MarkovJointProcess(nx, ny, np.full(q, 1.0 / q), kernel)
     pi = base.stationary()
     return si.MarkovJointProcess(nx, ny, pi, kernel)
+
+
+def unroll(m: si.MarkovJointProcess, n: int) -> si.ExplicitProcess:
+    """The explicit sequence distribution of a Markov model at horizon n: the reference the forward recursion is checked against."""
+    q = m.nx * m.ny
+    dist = m.initial.copy()  # flat over pair states, shape (q,)*i flattened
+    for _ in range(n - 1):
+        dist = (dist[..., None] * m.kernel).reshape(dist.shape + (q,))
+    return si.ExplicitProcess(nx=m.nx, ny=m.ny, table=dist.reshape((m.nx, m.ny) * n))
+
+
+def linear_oracle(c) -> si.ConvexOracle:
+    """G(P) = <c, P>; convex with zero Jensen gap."""
+    cv = np.asarray(c, dtype=float)
+    return si.ConvexOracle(
+        value=lambda q: float(np.dot(cv, q)),
+        subgradient=lambda q: cv.copy(),
+        symmetric=bool(np.all(cv == cv[0])),
+    )

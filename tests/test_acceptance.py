@@ -23,6 +23,7 @@ from conftest import (
     random_joint,
     random_joint3,
     random_stationary_markov,
+    unroll,
 )
 
 LN2 = math.log(2)
@@ -193,7 +194,7 @@ def test_criterion_07_rate_identity_log_loss_bridge():
     for seed in range(20):
         m = random_stationary_markov(seed)
         inc = si.reverse_delayed_di(m, n) - si.reverse_delayed_di(m, n - 1)
-        proc = si.unroll(m, n)
+        proc = unroll(m, n)
         t = proc.table
         x_hist = tuple(2 * k for k in range(n - 1))
         y_hist = tuple(2 * k + 1 for k in range(n - 1))

@@ -13,7 +13,8 @@ import sideinfo as si
 from sideinfo.benefit import c_value
 from sideinfo.errors import NegativeMass, NotNormalized, NotProper, ParameterOutOfRange, UnboundedBelow, UnknownLoss
 from sideinfo.losses import _expected_scoring_loss, _lattice, _nelder_mead, _one_block_grid, _simplex_project, simplex_grid
-from sideinfo.prob import linear_oracle
+
+from conftest import linear_oracle
 
 LN2 = math.log(2)
 

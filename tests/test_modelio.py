@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -209,6 +210,23 @@ class TestRoundTrip:
         l = si.ActionMatrixLoss(matrix=mat)
         again = parse_document(serialize_model(l)).payload
         assert np.array_equal(again.matrix, mat)
+
+    def test_a_name_alone_is_no_builtin(self):
+        # once any loss named like a built-in was written as that built-in: the rule -q_x named "log"
+        # came back as log loss, and a weighted matrix named "zero_one" as the plain zero-one matrix
+        fake_log = si.ScoringRuleLoss(
+            eval_fn=lambda x, q: -float(q[x]), n=3, proper=True, name="log", vector_fn=lambda q: -np.asarray(q)
+        )
+        improper_log = dataclasses.replace(si.builtin_loss("log", 3), proper=False)
+        for rule in (fake_log, improper_log):
+            with pytest.raises(SchemaError):
+                serialize_model(rule)
+        weighted = si.ActionMatrixLoss(matrix=np.array([[0.0, 2.0, 2.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]), name="zero_one")
+        doc = serialize_model(weighted)
+        assert "builtin" not in doc
+        assert np.array_equal(parse_document(doc).payload.matrix, weighted.matrix)
+        same = si.ActionMatrixLoss(matrix=1.0 - np.eye(3), name="zero_one")
+        assert serialize_model(same) == {"version": 1, "kind": "loss", "builtin": "zero_one", "n": 3}
 
     def test_file_round_trip(self, tmp_path, witness_joint):
         path = tmp_path / "joint.json"

@@ -7,16 +7,16 @@ from hypothesis import strategies as st
 
 import sideinfo as si
 from sideinfo.errors import NegativeMass, NotNormalized, ParameterOutOfRange, ZeroConditioningEvent
-from sideinfo.prob import _simplex, linear_oracle
+from sideinfo.prob import _simplex
 
-from conftest import random_joint, random_joint3
+from conftest import linear_oracle, random_joint, random_joint3
 
 LN2 = math.log(2)
 
 
 class TestValidateDist:
     def test_exact_simplex_point(self):
-        d = si.validate_dist([0.25, 0.25, 0.5], tol=1e-9)
+        d = si.validate_dist([0.25, 0.25, 0.5])
         assert np.array_equal(d.probs, [0.25, 0.25, 0.5])
         assert d.correction == 0.0
 
@@ -292,6 +292,20 @@ class TestConvexOracleChecks:
         monkeypatch.setattr(np.random, "default_rng", None)  # no work before the check
         with pytest.raises(ParameterOutOfRange, match="seed"):
             check(seed)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"pairs": 0}, "pairs"), ({"pairs": -1}, "pairs"), ({"pairs": 2.5}, "pairs"), ({"pairs": "4"}, "pairs"),
+         ({"n": 0}, "n"), ({"n": 1}, "n"), ({"n": -2}, "n"), ({"n": 2.5}, "n"), ({"n": None}, "n")],
+    )
+    def test_sizes_checked_before_any_work(self, kwargs, name, monkeypatch):
+        # once pairs = 0 let a concave oracle pass, pairs = 2.5 raised a TypeError, n = -2 numpy's ValueError
+        # and n = 0 passed vacuously
+        concave = si.ConvexOracle(value=lambda q: -float((q * q).sum()), subgradient=lambda q: -2.0 * q)
+        assert si.check_convex_oracle(si.sum_squares_oracle(), np.int64(2), pairs=np.uint8(1)) >= 0.0
+        monkeypatch.setattr(np.random, "default_rng", None)  # no work before the check
+        with pytest.raises(ParameterOutOfRange, match=f"^{name} must"):
+            si.check_convex_oracle(concave, **{"n": 3, "pairs": 4, **kwargs})
 
 
 # Each in-memory validator: a valid flat parameter vector, a builder from it, and its documented error.
