@@ -115,13 +115,14 @@ def _resolve_loss(args, n: int) -> losses.LossSpec:
     return l
 
 
-def _witness_doc(w: sufficiency.ViolationWitness) -> dict:
+def _witness_doc(w: sufficiency.ViolationWitness, joint: dict) -> dict:
+    """A witness's report entry; `joint` is `serialize_model(w.joint)`, made once per report."""
     return {
         "kind": w.kind,
         "c_before": w.c_before,
         "c_after": w.c_after,
         "transform": [v + 1 for v in w.transform.mapping],
-        "joint": modelio.serialize_model(w.joint),
+        "joint": joint,
     }
 
 
@@ -259,6 +260,7 @@ def _cmd_benefit(args) -> tuple[dict, int]:
 def _cmd_audit_dpa(args) -> tuple[dict, int]:
     j = _load_kind(args.joint, ("joint",))
     rep = sufficiency.audit_dpa(_resolve_loss(args, j.nx), j, tol=args.tol, seed=args.seed)
+    joint = modelio.serialize_model(j) if rep.violations else None  # every witness holds j itself
     results = {
         "c_before": rep.c_before,
         "transforms_checked": len(rep.entries),
@@ -269,14 +271,14 @@ def _cmd_audit_dpa(args) -> tuple[dict, int]:
     }
     return _report(
         args, results, ("builtin", "loss", "joint"), ("joint",), ("tol",),
-        EXIT_WITNESS if rep.violations else EXIT_OK, witnesses=[_witness_doc(w) for w in rep.violations],
+        EXIT_WITNESS if rep.violations else EXIT_OK, witnesses=[_witness_doc(w, joint) for w in rep.violations],
     )
 
 
 def _cmd_find_violation(args) -> tuple[dict, int]:
     l = _resolve_loss(args, args.n)
     w = sufficiency.find_violation(l, args.n, budget=args.budget, seed=args.seed, tol=args.tol)
-    results = {"witness": _witness_doc(w) if w is not None else None}
+    results = {"witness": _witness_doc(w, modelio.serialize_model(w.joint)) if w is not None else None}
     return _report(args, results, ("builtin", "loss", "n", "budget"), tolerances=("tol",))
 
 

@@ -29,9 +29,12 @@ port of scipy's, pinned bit for bit against it by the parity test in
 tests/test_losses.py), so no Bayes solve loads scipy.
 The polish scores one point at a time, and numpy's per-call cost is far
 larger than arithmetic on 2-6 numbers, so its vertices, the projection of
-one point (`_simplex_project`) and the risk of one forecast
-(`_expected_scoring_loss`) run on Python floats, each with the batch path's
-arithmetic in its order and so its bits.
+one point (`_projected_point`) and the risk of one forecast (`_folded_risk`)
+run on Python floats, each with the batch path's arithmetic in its order
+and so its bits.  Its objective depends on a point only through the
+projected forecast, and Nelder-Mead mostly steps outside the simplex, so
+each row keeps the risk of every forecast it has scored (`_objective`):
+a forecast met again costs a projection and a lookup, not a loss vector.
 
 Every expected loss, in both exact tiers and in the numeric search's
 objective, is one masked elementwise product p_x * ell_x over the x with
@@ -53,7 +56,6 @@ are 0-based here; 1-based indexing lives only at the file/CLI boundary.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -110,6 +112,8 @@ class ScoringRuleLoss:
     row k depending on forecast k alone.  A batch returned in another shape,
     or whose first row is off by more than 1e-12 from that forecast alone,
     raises ParameterOutOfRange.  Without it, `eval_fn` runs per outcome and row.
+    Either must be a function of its forecast, with no state between calls:
+    the numeric search scores a forecast it meets again within one row once.
     An `n` of None takes any alphabet size.
     """
 
@@ -243,8 +247,13 @@ def _expected_scoring_loss(l, p: np.ndarray, q: np.ndarray):
     """
     if q.ndim == 2:
         return _masked_risk(p, *_scored(l, q))
+    return _folded_risk(p.tolist(), l.loss_vector(np.ascontiguousarray(q)).tolist())
+
+
+def _folded_risk(p: list, ell: list) -> float:
+    """`_masked_risk` of one forecast on Python floats: sum_x p_x ell_x from 0 over the live x."""
     risk = 0.0
-    for px, ex in zip(p.tolist(), l.loss_vector(np.ascontiguousarray(q)).tolist()):
+    for px, ex in zip(p, ell):
         if px > 0.0:
             if ex >= HUGE or ex == -math.inf:
                 return math.inf
@@ -261,21 +270,37 @@ def _tier(l: LossSpec, n: int) -> str:
     return "proper-fixed-point" if l.proper else "numeric-search"
 
 
+def _projected_point(x: list) -> Optional[list]:
+    """`_simplex_project` of one point given as Python floats, or None when its entries or sum are not finite.
+
+    The batch's arithmetic in its order, so the bits of row 0 of a batch:
+    the threshold is (cumsum - 1) / i at the last sorted index where the
+    entry exceeds it, the cumsum a left fold, and every entry at or below
+    the threshold becomes +0.0, as np.maximum writes it, never -0.0.
+    """
+    s, theta = 0.0, None
+    for i, a in enumerate(sorted(x, reverse=True), 1):  # a tie between 0.0 and -0.0 changes no threshold
+        s += a  # 0.0 + -0.0 is +0.0 where cumsum keeps -0.0; (s - 1.0) is -1.0 either way
+        c = (s - 1.0) / i
+        if a > c:
+            theta = c
+    if not x or not math.isfinite(s):
+        return None
+    if theta is None:  # no entry exceeds its threshold: argmax's fallback, the last one
+        theta = c
+    return [d if (d := a - theta) > 0.0 else 0.0 for a in x]
+
+
 def _simplex_project(v: np.ndarray) -> np.ndarray:
     """Euclidean projection of a point, or of each row of a batch, onto the unit simplex.
 
-    A point (n,) is projected on Python floats by the batch's arithmetic in
-    its order, so it gets the bits of row 0 of a batch; one whose entries or
-    sum are not finite goes through the batch path.
+    A point (n,) is projected on Python floats (`_projected_point`), with the
+    bits of row 0 of a batch; one whose entries or sum are not finite goes
+    through the batch path.
     """
     if v.ndim == 1:
-        x = v.tolist()
-        u = sorted(x, reverse=True)  # a tie between 0.0 and -0.0 changes no threshold
-        css = [(c - 1.0) / i for i, c in enumerate(itertools.accumulate(u), 1)]  # cumsum's left fold
-        if css and math.isfinite(css[-1]):
-            theta = next((c for a, c in zip(u[::-1], css[::-1]) if a > c), css[-1])  # the last u > css
-            return np.array([d if d > 0.0 else 0.0 for d in [a - theta for a in x]])  # np.maximum's +0.0
-        return _simplex_project(v[None])[0]
+        q = _projected_point(v.tolist())
+        return _simplex_project(v[None])[0] if q is None else np.array(q)
     n = v.shape[-1]
     u = np.sort(v, axis=-1)[:, ::-1]
     css = (np.cumsum(u, axis=-1) - 1.0) / np.arange(1, n + 1)
@@ -399,6 +424,34 @@ def _nelder_mead(f, x0: np.ndarray):
     return np.array(sim[0]), np.min(fsim)
 
 
+def _objective(l: ScoringRuleLoss, p: np.ndarray):
+    """The polish's objective for one row, f(z) = E_p[ell(X, proj(z))], scoring each projected forecast once.
+
+    f depends on z only through the bits of its projection, and Nelder-Mead
+    mostly steps outside the simplex, so most of its points project onto a
+    forecast it has already scored.  A memo of this row, keyed by the exact
+    projected point, keeps each risk: a miss makes one `loss_vector` call and
+    `_expected_scoring_loss`'s fold, a hit returns the same float, NaN and
+    0.0 included.  The key is the point as a tuple of floats: its entries are
+    finite and never -0.0, so two keys are equal exactly when their bits
+    are.  A point whose entries or sum are not finite goes through the batch
+    path and is never kept.
+    """
+    pl, memo = p.tolist(), {}
+
+    def f(z: np.ndarray) -> float:
+        q = _projected_point(z.tolist())
+        if q is None:
+            return _expected_scoring_loss(l, p, _simplex_project(z))
+        key = tuple(q)
+        risk = memo.get(key)
+        if risk is None:  # not by truthiness: a kept 0.0 or NaN is returned as it is
+            risk = memo[key] = _folded_risk(pl, l.loss_vector(np.array(q)).tolist())
+        return risk
+
+    return f
+
+
 def _polished(f, x0: np.ndarray, risk: float, q: np.ndarray):
     """(risk, q), or Nelder-Mead's (value, projected point) from x0 where lower; a start with f not finite is skipped."""
     if math.isfinite(f(x0)):
@@ -417,8 +470,10 @@ def _numeric_bayes(l: ScoringRuleLoss, rows: np.ndarray):
     first in lattice order on ties; NaN never counts) and from itself, each
     start whose own risk is finite, and, if a polish won, once more from its
     point, since a converged simplex can stall beside a kink; the least value
-    is kept, the earlier on ties.  A row with no finite value gets risk inf;
-    its minimizer is never read.
+    is kept, the earlier on ties.  The starts, their checks and the restart
+    share one `_objective`, so each projected forecast of a row is scored
+    once, and its memo is dropped with the row.  A row with no finite value
+    gets risk inf; its minimizer is never read.
     """
     r, n = rows.shape
     steps = 200
@@ -433,7 +488,7 @@ def _numeric_bayes(l: ScoringRuleLoss, rows: np.ndarray):
         first = int(np.argmin(gvals))
         lattice, risks[i], best[i] = gvals[first], gvals[first], grid[first]
         gvals[first] = np.inf  # so the next argmin is the second least
-        f = lambda z, p=p: _expected_scoring_loss(l, p, _simplex_project(z))
+        f = _objective(l, p)
         for x0 in (grid[first], grid[int(np.argmin(gvals))], p):
             risks[i], best[i] = _polished(f, x0, risks[i], best[i])
         if risks[i] < lattice:
@@ -490,12 +545,13 @@ def bayes_risk(l: LossSpec, p, seed: int = 0) -> BayesResult:
     most `GRID_BLOCK` of them, once per call (once per stack in `_solve`),
     and keeps each n's lattice for the process (GRID_BLOCK n floats at most;
     about 1 MB at n = 4).  One call at n = 4 with a `vector_fn` raises the
-    peak RSS by about 4 MB over the 36 MB of numpy loaded.  A rule given only
-    an `eval_fn` scores the lattice by one Python call per outcome and point,
-    so one call takes about 0.2 s at n = 4 and 0.3 s at n = 5 and 6 on a
-    2-core Xeon VM.  The Nelder-Mead polish runs at most 400 n iterations
-    per start and at most four starts per row, each iteration scoring 1 to
-    n + 2 single points.
+    peak RSS by about 4.4 MB over the 30 MB of Python, numpy and this
+    package loaded.  A rule given only an `eval_fn` scores the lattice by one
+    Python call per outcome and point, so one call takes about 0.3 s at
+    n = 4 and 0.35 s at n = 5 and 6 on a 2-core Xeon VM.  The Nelder-Mead
+    polish runs at most 400 n iterations per start and at most four starts
+    per row, each iteration evaluating 1 to n + 2 points; a forecast the
+    row has already scored costs its projection and a lookup.
     """
     _check_count("seed", seed)
     pv = _as_probs(p)

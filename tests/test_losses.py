@@ -1,6 +1,7 @@
 import ast
 import collections
 import dataclasses
+import hashlib
 import itertools
 import math
 from pathlib import Path
@@ -230,37 +231,25 @@ class TestBayesRisk:
             assert (r.risk, r.minimizer.probs.tolist(), r.grid_gap) == expect, (kind, p)
 
     def test_numeric_search_matches_slsqp_multistart_above_n4(self):
-        # the unflagged cubic rule -q_x^3 + |q|^2 / 2 against an independent oracle: SLSQP
-        # from 200 Dirichlet starts and every vertex; 8 p per n from default_rng(1).  The
-        # lockstep descent stopped near the uniform point, up to 0.064 above the oracle
-        def vec(q):
-            q = np.asarray(q, dtype=float)
-            return -q ** 3 + 0.5 * (q * q).sum(axis=-1, keepdims=True)
-
+        # the unflagged cubic rule against an independent oracle, 8 p per n from
+        # default_rng(1).  The lockstep descent stopped near the uniform point, up to
+        # 0.064 above the oracle
         rng = np.random.default_rng(1)
         for n in range(5, 9):
-            rule = si.ScoringRuleLoss(eval_fn=lambda x, q: float(vec(q)[x]), n=n, vector_fn=vec)
             for _ in range(8):
-                p = rng.dirichlet(np.ones(n))
+                _assert_cubic_matches_slsqp(n, rng)
 
-                def f(q):
-                    return float(-(p * q ** 3).sum() + 0.5 * (q * q).sum())
+    def test_numeric_search_matches_slsqp_multistart_above_n8(self):
+        # the same above n = 8, where the lattice has 8 steps (n = 10) and 7 (n = 12)
+        rng = np.random.default_rng(10)
+        for n in (10, 12):
+            for _ in range(2):
+                _assert_cubic_matches_slsqp(n, rng)
 
-                oracle = math.inf
-                for q0 in np.vstack([rng.dirichlet(np.ones(n), size=200), np.eye(n)]):
-                    res = minimize(f, q0, jac=lambda q: -3.0 * p * q * q + q, method="SLSQP",
-                                   bounds=[(0.0, 1.0)] * n, options={"ftol": 1e-12},
-                                   constraints={"type": "eq", "fun": lambda q: q.sum() - 1.0, "jac": np.ones_like})
-                    if res.success:
-                        oracle = min(oracle, f(_simplex_project(res.x)))
-                r = si.bayes_risk(rule, p)
-                assert r.risk <= oracle + 1e-9, (n, p, r.risk, oracle)
-                assert r.grid_gap is not None and r.grid_gap >= 0.0
-                assert _expected_scoring_loss(rule, p, r.minimizer.probs) == pytest.approx(r.risk, abs=1e-15)
-
-    @pytest.mark.parametrize("kind, limit", [("linear", 3000), ("brier", 5000)])
+    @pytest.mark.parametrize("kind, limit", [("linear", 26), ("brier", 655)])
     def test_numeric_search_work(self, kind, limit):
-        # one batch, the whole lattice, and then single points of the polish, at most `limit` of them
+        # one batch, the whole lattice, and then single points of the polish, at most `limit` of
+        # them: each projected forecast is scored once (488 and 882 when each evaluation made one)
         rule, sizes = unflagged_rule(kind, 3), []
 
         def counted(q):
@@ -271,6 +260,40 @@ class TestBayesRisk:
         assert r.method == "numeric-search"
         assert [k for k in sizes if k] == [len(simplex_grid(3, 200))]
         assert 0 < sizes.count(0) <= limit
+
+    @pytest.mark.parametrize("kind, n", [("linear", 3), ("linear", 5), ("brier", 3), ("eval_fn", 2)])
+    def test_polish_scores_each_forecast_once(self, kind, n):
+        # the polish's objective depends on z only through its projection, and one row's
+        # memo scores each projected forecast once across its starts, its finiteness checks
+        # and the restart; on linear at n = 3 the single points are exactly the distinct
+        # forecasts the per-start scipy oracle scores (where it scores the same one many times)
+        def counted_rule(log):
+            rule = _eval_fn_rule(n) if kind == "eval_fn" else unflagged_rule(kind, n)
+            if kind == "eval_fn":
+                return dataclasses.replace(rule, eval_fn=lambda x, q: log.append(tuple(q.tolist())) or rule.eval_fn(x, q))
+
+            def vector_fn(q):
+                log.append("batch" if np.ndim(q) == 2 else tuple(q.tolist()))
+                return rule.vector_fn(q)
+
+            return dataclasses.replace(rule, vector_fn=vector_fn)
+
+        def polish_points(log):  # the single points after the lattice batch and its row-wise check of row 0
+            if kind == "eval_fn":  # one eval_fn call per outcome and forecast
+                return log[len(_one_block_grid(n, 200)) * n :: n]
+            return log[log.index("batch") + 2 :]
+
+        for p in np.random.default_rng(2929).dirichlet(np.ones(n), size=3):
+            got = []
+            si.bayes_risk(counted_rule(got), p)
+            points = polish_points(got)
+            assert points and len(points) == len(set(points)), (kind, p)
+            if (kind, n) == ("linear", 3):
+                scored = []
+                _per_start_numeric_bayes(counted_rule(scored), p)
+                distinct = set(polish_points(scored))
+                assert len(points) == len(distinct) and set(points) == distinct, p
+                assert len(polish_points(scored)) > 10 * len(distinct)
 
     def test_lattice_keeps_the_first_least_point(self):
         # a bonus on the lattice edge (a, 56 - a, 0, 0) / 56, 0 < a < 56, which the
@@ -312,6 +335,33 @@ class TestBayesRisk:
         rule = si.ScoringRuleLoss(eval_fn=lambda x, q: value, n=3)
         with pytest.raises(UnboundedBelow):
             si.bayes_risk(rule, [0.2, 0.3, 0.5])
+
+
+def _assert_cubic_matches_slsqp(n: int, rng: np.random.Generator):
+    """The unflagged cubic rule -q_x^3 + |q|^2 / 2 at one p drawn from rng, against an
+    independent oracle: SLSQP from 200 Dirichlet starts (drawn after p) and every vertex."""
+
+    def vec(q):
+        q = np.asarray(q, dtype=float)
+        return -q ** 3 + 0.5 * (q * q).sum(axis=-1, keepdims=True)
+
+    rule = si.ScoringRuleLoss(eval_fn=lambda x, q: float(vec(q)[x]), n=n, vector_fn=vec)
+    p = rng.dirichlet(np.ones(n))
+
+    def f(q):
+        return float(-(p * q ** 3).sum() + 0.5 * (q * q).sum())
+
+    oracle = math.inf
+    for q0 in np.vstack([rng.dirichlet(np.ones(n), size=200), np.eye(n)]):
+        res = minimize(f, q0, jac=lambda q: -3.0 * p * q * q + q, method="SLSQP",
+                       bounds=[(0.0, 1.0)] * n, options={"ftol": 1e-12},
+                       constraints={"type": "eq", "fun": lambda q: q.sum() - 1.0, "jac": np.ones_like})
+        if res.success:
+            oracle = min(oracle, f(_simplex_project(res.x)))
+    r = si.bayes_risk(rule, p)
+    assert r.risk <= oracle + 1e-9, (n, p, r.risk, oracle)
+    assert r.grid_gap is not None and r.grid_gap >= 0.0
+    assert _expected_scoring_loss(rule, p, r.minimizer.probs) == pytest.approx(r.risk, abs=1e-15)
 
 
 def _eval_fn_rule(n: int) -> si.ScoringRuleLoss:
@@ -440,6 +490,53 @@ class TestSolveStack:
         blind = si.ScoringRuleLoss(eval_fn=proper.eval_fn, n=2, vector_fn=proper.vector_fn)
         with pytest.raises(NegativeMass, match=r"min entry -0\.5.* \(slice 2\)"):
             si.benefit(blind, si.Joint([[0.5, -0.1], [0.3, 0.3]]))
+
+
+def _nan_inf_huge_rule(n: int) -> si.ScoringRuleLoss:
+    """The improper score -q_x, but NaN at outcome 0 where q_0 > 0.6, inf at outcome 1
+    where q_1 < 0.1 and 2 HUGE at the last outcome where its q > 0.8."""
+
+    def vector_fn(q):
+        q = np.asarray(q, dtype=float)
+        out = -q
+        out[..., 0] = np.where(q[..., 0] > 0.6, np.nan, out[..., 0])
+        out[..., 1] = np.where(q[..., 1] < 0.1, np.inf, out[..., 1])
+        out[..., -1] = np.where(q[..., -1] > 0.8, 2.0 * si.losses.HUGE, out[..., -1])
+        return out
+
+    return si.ScoringRuleLoss(eval_fn=lambda x, q: float(vector_fn(q)[x]), n=n, vector_fn=vector_fn)
+
+
+def _rounded_log_rule(n: int) -> si.ScoringRuleLoss:
+    """Unflagged log loss rounded to 12 decimals: np.log may differ in its last bit between
+    CPUs (its SIMD path), and the rounding keeps a pinned digest the same on every one."""
+
+    def vector_fn(q):
+        with np.errstate(divide="ignore"):
+            return np.round(-np.log(np.asarray(q, dtype=float)), 12)
+
+    return si.ScoringRuleLoss(eval_fn=lambda x, q: float(vector_fn(q)[x]), n=n, vector_fn=vector_fn)
+
+
+def test_solve_outputs_digest_pinned():
+    # the numeric tier's outputs, bit for bit: a SHA-256 of `_solve`'s method, risks,
+    # minimizers and gaps over stacks of one inner row and one on a face, n = 2-5
+    rules = {"eval_fn": _eval_fn_rule, "log": _rounded_log_rule, "wild": _nan_inf_huge_rule,
+             "inf0": _inf_at_zero_rule}
+    rng, digest, rows_seen = np.random.default_rng(2828), hashlib.sha256(), 0
+    for n in (2, 3, 4, 5):
+        for kind in ("linear", "brier", "kink", "log", "eval_fn", "wild", "inf0"):
+            if (kind == "eval_fn" and n > 3) or (kind == "inf0" and n != 3):  # keeps the test under a second
+                continue
+            rows = rng.dirichlet(np.ones(n), size=2)
+            rows[1, rng.integers(n)] = 0.0
+            rows = rows / rows.sum(axis=1, keepdims=True)
+            method, risks, minimizers, gaps = si.losses._solve(rules.get(kind, lambda n: unflagged_rule(kind, n))(n), rows)
+            for part in (method.encode(), risks.tobytes(), minimizers.tobytes(), gaps.tobytes()):
+                digest.update(part)
+            rows_seen += len(rows)
+    assert rows_seen == 46
+    assert digest.hexdigest() == "22454f67500fea14325814af2969d0e2ce87e50a45dbf8429d67f8ebcc64f198"
 
 
 def _nm_steps(values, n_dim) -> collections.Counter:
