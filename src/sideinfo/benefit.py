@@ -92,17 +92,13 @@ def _vertex_risks(l: LossSpec) -> np.ndarray:
     return _finite(_solve(l, np.eye(l.n))[1])
 
 
-def benefit(l: LossSpec, j: Joint, seed: int = 0) -> BenefitReport:
+def benefit(l: LossSpec, j: Joint) -> BenefitReport:
     """The benefit of observing Y when predicting X under loss l.
 
     Zero-probability side-information symbols are skipped; their
     conditionals are never formed.  Values are in nats for log loss and in
-    loss units otherwise; the CLI's `--scale` converts them afterwards.  A
-    seed that is negative or not an integer raises ParameterOutOfRange
-    before any work, here and in `c_value`, `conditional_benefit` and
-    `g_normalized`; no Bayes tier uses the seed, so it is only checked.
+    loss units otherwise; the CLI's `--scale` converts them afterwards.
     """
-    _check_count("seed", seed)
     a = _vertex_risks(l)
     c, rows, risks, minimizers, ys, ws = _c_stack(l, j.table[None])
     c = float(_finite(c)[0])
@@ -122,7 +118,11 @@ def benefit(l: LossSpec, j: Joint, seed: int = 0) -> BenefitReport:
 
 
 def c_value(l: LossSpec, j: Joint, seed: int = 0) -> float:
-    """Fast path: just the scalar C, skipping the cross-check and report."""
+    """Fast path: just the scalar C, skipping the cross-check and report.
+
+    A seed that is negative or not an integer raises ParameterOutOfRange
+    before any work; no Bayes tier uses it, so it is only checked.
+    """
     _check_count("seed", seed)
     return float(_finite(_c_stack(l, j.table[None])[0])[0])
 
@@ -156,7 +156,7 @@ def numeric_subgradient(fn, p) -> tuple[np.ndarray, float]:
     return grad, kink
 
 
-def g_normalized(l: LossSpec, seed: int = 0) -> ConvexOracle:
+def g_normalized(l: LossSpec) -> ConvexOracle:
     """The Bayes envelope normalized to vanish at the vertices.
 
     G(P) = V(P) - sum_i V(delta_i) p_i, where V is the negative Bayes
@@ -164,12 +164,11 @@ def g_normalized(l: LossSpec, seed: int = 0) -> ConvexOracle:
     Jensen gap of G.  The subgradient is numeric (central differences on
     tangent directions), so expect kinks for matrix losses.
     """
-    _check_count("seed", seed)
     a = -_vertex_risks(l)  # V(delta_i)
 
     def value(q: np.ndarray) -> float:
         qv = _as_probs(q)
-        return v_envelope(l, qv, seed=seed) - float(np.dot(a, qv))
+        return v_envelope(l, qv) - float(np.dot(a, qv))
 
     def subgradient(q: np.ndarray) -> np.ndarray:
         return numeric_subgradient(value, q)[0]
@@ -184,14 +183,13 @@ def benefit_from_G(g: ConvexOracle, j: Joint) -> float:
     return jensen_gap(g, py[live], [condition_on_y(j, y) for y in live])
 
 
-def conditional_benefit(l: LossSpec, j: Joint, seed: int = 0) -> float:
+def conditional_benefit(l: LossSpec, j: Joint) -> float:
     """Benefit of Y for predicting X given common side information W.
 
     Computed as sum_w P_W(w) * benefit(l, P_{XY|W=w}), one kernel stack over
     the w of positive mass; equals the drop in optimal risk from
     W-measurable to (Y,W)-measurable predictors.
     """
-    _check_count("seed", seed)
     if not j.has_w:
         raise ValueError("conditional benefit needs a 3-axis joint")
     pw = w_marginal(j).probs

@@ -241,9 +241,9 @@ def _cmd_benefit(args) -> tuple[dict, int]:
     j = _load_kind(args.joint, ("joint3",) if args.cond_w else ("joint",))
     l = _resolve_loss(args, j.nx)
     if args.cond_w:
-        results = {"c_value": args.scale * conditional_benefit(l, j, seed=args.seed)}
+        results = {"c_value": args.scale * conditional_benefit(l, j)}
     else:
-        rep = compute_benefit(l, j, seed=args.seed)
+        rep = compute_benefit(l, j)
         results = {
             "c_value": args.scale * rep.c_value,
             "risk_no_side": args.scale * rep.risk_no_side,

@@ -29,12 +29,13 @@ port of scipy's, pinned bit for bit against it by the parity test in
 tests/test_losses.py), so no Bayes solve loads scipy.
 The polish scores one point at a time, and numpy's per-call cost is far
 larger than arithmetic on 2-6 numbers, so its vertices, the projection of
-one point (`_projected_point`) and the risk of one forecast (`_folded_risk`)
-run on Python floats, each with the batch path's arithmetic in its order
-and so its bits.  Its objective depends on a point only through the
-projected forecast, and Nelder-Mead mostly steps outside the simplex, so
-each row keeps the risk of every forecast it has scored (`_objective`):
-a forecast met again costs a projection and a lookup, not a loss vector.
+one point onto the simplex (`_projected_point`, the only projection) and
+the risk of one forecast (`_folded_risk`) run on Python floats; the risk
+has the batch path's arithmetic in its order and so its bits.  Its
+objective depends on a point only through the projected forecast, and
+Nelder-Mead mostly steps outside the simplex, so each row keeps the risk
+of every forecast it has scored (`_objective`): a forecast met again costs
+a projection and a lookup, not a loss vector.
 
 Every expected loss, in both exact tiers and in the numeric search's
 objective, is one masked elementwise product p_x * ell_x over the x with
@@ -271,12 +272,12 @@ def _tier(l: LossSpec, n: int) -> str:
 
 
 def _projected_point(x: list) -> Optional[list]:
-    """`_simplex_project` of one point given as Python floats, or None when its entries or sum are not finite.
+    """The Euclidean projection of one point, given as Python floats, onto the unit simplex; None when its entries or sum are not finite.
 
-    The batch's arithmetic in its order, so the bits of row 0 of a batch:
-    the threshold is (cumsum - 1) / i at the last sorted index where the
-    entry exceeds it, the cumsum a left fold, and every entry at or below
-    the threshold becomes +0.0, as np.maximum writes it, never -0.0.
+    The threshold is (cumsum - 1) / i at the last index, in descending
+    order, where the entry exceeds it, the cumsum a left fold, and every
+    entry at or below the threshold becomes +0.0, never -0.0: the bits of
+    the sort, cumsum and np.maximum form of the projection.
     """
     s, theta = 0.0, None
     for i, a in enumerate(sorted(x, reverse=True), 1):  # a tie between 0.0 and -0.0 changes no threshold
@@ -292,20 +293,9 @@ def _projected_point(x: list) -> Optional[list]:
 
 
 def _simplex_project(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a point, or of each row of a batch, onto the unit simplex.
-
-    A point (n,) is projected on Python floats (`_projected_point`), with the
-    bits of row 0 of a batch; one whose entries or sum are not finite goes
-    through the batch path.
-    """
-    if v.ndim == 1:
-        q = _projected_point(v.tolist())
-        return _simplex_project(v[None])[0] if q is None else np.array(q)
-    n = v.shape[-1]
-    u = np.sort(v, axis=-1)[:, ::-1]
-    css = (np.cumsum(u, axis=-1) - 1.0) / np.arange(1, n + 1)
-    k = n - 1 - np.argmax((u > css)[:, ::-1], axis=-1)  # the last index where u > css
-    return np.maximum(v - css[np.arange(len(css)), k][:, None], 0.0)
+    """`_projected_point` of a point (n,) as an array; all NaN when its entries or sum are not finite."""
+    q = _projected_point(v.tolist())
+    return np.full(v.shape, np.nan) if q is None else np.array(q)
 
 
 def _lattice(prefix: np.ndarray, rest: np.ndarray, n: int) -> np.ndarray:
@@ -434,15 +424,15 @@ def _objective(l: ScoringRuleLoss, p: np.ndarray):
     `_expected_scoring_loss`'s fold, a hit returns the same float, NaN and
     0.0 included.  The key is the point as a tuple of floats: its entries are
     finite and never -0.0, so two keys are equal exactly when their bits
-    are.  A point whose entries or sum are not finite goes through the batch
-    path and is never kept.
+    are.  A point whose entries or sum are not finite has no projection: it
+    scores NaN and is never kept.
     """
     pl, memo = p.tolist(), {}
 
     def f(z: np.ndarray) -> float:
         q = _projected_point(z.tolist())
         if q is None:
-            return _expected_scoring_loss(l, p, _simplex_project(z))
+            return math.nan
         key = tuple(q)
         risk = memo.get(key)
         if risk is None:  # not by truthiness: a kept 0.0 or NaN is returned as it is
@@ -564,13 +554,12 @@ def bayes_risk(l: LossSpec, p, seed: int = 0) -> BayesResult:
     return BayesResult(float(risks[0]), Dist(m) if m.ndim else int(m), method, gap)
 
 
-def v_envelope(l: LossSpec, p, seed: int = 0) -> float:
+def v_envelope(l: LossSpec, p) -> float:
     """Negative Bayes envelope V(P) = -inf_a E_P[ell(X, a)]; convex and bounded.
 
-    Raises as `bayes_risk` does for a p that is not a distribution or a
-    seed that is negative or not an integer; the seed is only checked.
+    Raises as `bayes_risk` does for a p that is not a distribution.
     """
-    return -bayes_risk(l, p, seed=seed).risk
+    return -bayes_risk(l, p).risk
 
 
 def savage_from_G(g: ConvexOracle, n: Optional[int] = None) -> ScoringRuleLoss:

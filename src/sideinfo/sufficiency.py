@@ -19,7 +19,8 @@ loss on the same alphabet.  A row's C is the same bits in any stack as
 alone, so all three agree exactly with `c_value` on the pushed-forward
 joint.  A hit within 1e-12 of the rule's threshold is then re-decided
 beyond float rounding (`_certify`), so a tol of 0 finds no witness in
-rounding noise.
+rounding noise; a hit of the built-in log loss is none by the
+data-processing inequality, which no sufficient map can break for it.
 
 The scan works on arrays.  Each chunk of candidates is one stack of tables
 padded to |Y| = 3 with zero columns, and mappings (`_chunk`), decided as
@@ -260,15 +261,14 @@ _CERTIFY_MARGIN = 1e-12  # a hit whose float margin over the witness threshold i
 _CERTIFIED_ZERO = "1e-40"  # a 50-digit decimal |delta C| at most this counts as zero
 
 
-def _scaled_risk(l: LossSpec, name: Optional[str], v: list, ln):
+def _scaled_risk(l: LossSpec, name: Optional[str], v: list):
     """rho(v) = s R(v / s), s = sum(v), for the masses v of one column of a table, in `_certify`'s arithmetic.
 
     R is homogeneous this way, so C of a table of total mass S is
     (rho(P_X) - sum_y rho(P(., y))) / S with no division per column.  A
     finite action matrix gives a minimum over actions (in Fractions); a
     rule is read from its built-in `name` (`losses._builtin_name`): Brier
-    s - |v|^2 / s, log s ln s - sum v ln v (`ln` of a Decimal) and
-    spherical -|v|.
+    s - |v|^2 / s (in Fractions) and spherical -|v| (in Decimals).
     """
     if isinstance(l, ActionMatrixLoss):
         from fractions import Fraction
@@ -279,32 +279,41 @@ def _scaled_risk(l: LossSpec, name: Optional[str], v: list, ln):
         return s
     if name == "brier":
         return s - sum(x * x for x in v) / s
-    if name == "log":
-        return s * ln(s) - sum(x * ln(x) for x in v if x)
     return -sum(x * x for x in v).sqrt()
 
 
 def _certify(l: LossSpec, tables: np.ndarray, maps: np.ndarray, before, after: np.ndarray, kinds: np.ndarray, tol: float) -> np.ndarray:
-    """`kinds` with each hit whose float margin over the witness threshold is <= `_CERTIFY_MARGIN` re-decided beyond rounding.
+    """`kinds` with the hits that float rounding may have made re-decided beyond it; a hit that fails is "".
 
-    Such a hit's delta C = C after - C before is recomputed on `l` from its
-    table (taken as exact), pushed forward in the same arithmetic onto the
-    same n symbols as `_decide` pushes it.  Rational losses (action matrices
-    with finite entries, and Brier) get delta C exactly, in
-    `fractions.Fraction`.  Log and spherical get it in `decimal` at 50
-    digits, where |delta C| <= 1e-40 counts as zero: certified to 1e-40,
-    not exact.  A rule counts as built-in only if it is that built-in
-    (`losses._builtin_name`), never by its name alone.  Every other rule (a
-    matrix with an infinite entry, any other `vector_fn` or Savage rule, the
-    numeric tier) is decided on float C only.  A hit that fails is "".
-    Hits farther from the threshold, and rows that are no hit, keep their
-    float decision.
+    Every hit of the built-in log loss fails, with no arithmetic.  Its C is
+    I(X;Y), which by the data-processing inequality (Cover & Thomas, 2nd
+    ed., Thm 2.8.1) no map T(X) raises and no relabelling of X changes, so
+    exact delta C = C after - C before is <= 0, and 0 for a permutation: at
+    any tol >= 0 neither a "dpa_violation" (delta C > tol) nor an
+    "asymmetry" (|delta C| > tol).  A log hit farther than 1e-12 from the
+    threshold would need a float error in C above 1e-12, against about
+    1e-15 measured, so none occurs; the rule clears it all the same.
+
+    For the other rules, a hit whose float margin over the threshold is <=
+    `_CERTIFY_MARGIN` has its delta C recomputed on `l` from its table
+    (taken as exact), pushed forward in the same arithmetic onto the same n
+    symbols as `_decide` pushes it.  Rational losses (action matrices with
+    finite entries, and Brier) get delta C exactly, in `fractions.Fraction`.
+    Spherical gets it in `decimal` at 50 digits, where |delta C| <= 1e-40
+    counts as zero: certified to 1e-40, not exact.  A rule counts as
+    built-in only if it is that built-in (`losses._builtin_name`), never by
+    its name alone.  Every other rule (a matrix with an infinite entry, any
+    other `vector_fn` or Savage rule, the numeric tier) is decided on float
+    C only.  Hits farther from the threshold, and rows that are no hit, keep
+    their float decision.
     """
     if isinstance(l, ActionMatrixLoss):  # a matrix is read as itself, whatever its name
         name, route = None, "fraction" if np.isfinite(l.matrix).all() else None
     else:
         name = _builtin_name(l)
-        route = {"brier": "fraction", "log": "decimal", "spherical": "decimal"}.get(name)
+        if name == "log":
+            return np.full_like(kinds, "")
+        route = {"brier": "fraction", "spherical": "decimal"}.get(name)
     with np.errstate(invalid="ignore"):
         near = (kinds != "") & (np.abs(after - before) - tol <= _CERTIFY_MARGIN)
     if route is None or not near.any():
@@ -312,24 +321,18 @@ def _certify(l: LossSpec, tables: np.ndarray, maps: np.ndarray, before, after: n
     from decimal import Decimal, localcontext
     from fractions import Fraction
 
-    kinds, logs = kinds.copy(), {}
-
-    def ln(x):  # rows of one stack share most values (an audit's rows share its whole table)
-        if x not in logs:
-            logs[x] = x.ln()
-        return logs[x]
-
+    kinds = kinds.copy()
     with localcontext() as ctx:
         ctx.prec = 50
         num = Fraction if route == "fraction" else Decimal
         for i in np.flatnonzero(near).tolist():
             rows = [[num(v) for v in row] for row in tables[i].tolist()]
-            classes: dict = {}  # a class of one keeps its row's values, and with them their logs
+            classes: dict = {}  # T(X) = k: the rows of class k summed in ascending x
             for to, row in zip(maps[i].tolist(), rows):
                 classes[to] = [a + b for a, b in zip(classes[to], row)] if to in classes else row
             pushed = [classes.get(x, [num(0)] * len(rows[0])) for x in range(len(rows))]
             before_s, after_s = (
-                _scaled_risk(l, name, [sum(r) for r in t], ln) - sum(_scaled_risk(l, name, list(col), ln) for col in zip(*t))
+                _scaled_risk(l, name, [sum(r) for r in t]) - sum(_scaled_risk(l, name, list(col)) for col in zip(*t))
                 for t in (rows, pushed)
             )
             delta = (after_s - before_s) / sum(sum(r) for r in rows)
@@ -363,8 +366,9 @@ def verify_witness(l: LossSpec, w: ViolationWitness, tol: float = 1e-9) -> bool:
     it), and its kind is the one `_decide` gives for its transform, which is
     never "".  So a witness within 1e-12 of the threshold tol must also hold
     beyond rounding (`_certify`): exactly for finite action matrices and the
-    built-in Brier, to 1e-40 for the built-in log and spherical, and on
-    float C alone for other rules.  A non-finite C raises UnboundedBelow,
+    built-in Brier, to 1e-40 for the built-in spherical, and on float C
+    alone for other rules; the built-in log loss has none, by the
+    data-processing inequality.  A non-finite C raises UnboundedBelow,
     and a tol that is negative or not finite ParameterOutOfRange.
     """
     _check_tol(tol)
@@ -688,6 +692,9 @@ def find_violation(
     becomes a `ViolationWitness` on its own |Y|, is re-verified with
     `verify_witness` and returned.  Numeric-tier rules solve each stack's
     rows as one `losses._solve` stack, its lattice scored once for all.
+    `_certify` clears every hit of the built-in log loss by the
+    data-processing inequality, so its scan returns None at any tol, at the
+    cost of the float C alone.
 
     Raises ParameterOutOfRange, before any work, for n < 2, a budget or
     seed that is negative or not an integer, a tol that is negative or not

@@ -34,22 +34,18 @@ OPTIONS = {
     "audit_dpa": ["tol", "seed"],
     "audit_propriety": ["trials", "seed", "n"],
     "bayes_risk": ["seed"],
-    "benefit": ["seed"],
     "causally_cond_entropy": ["state_limit"],
     "check_convex_oracle": ["pairs", "seed"],
-    "conditional_benefit": ["seed"],
     "conservation_check": ["state_limit"],
     "di_rate": ["direction", "max_n", "tol", "state_limit"],
     "directed_info": ["state_limit"],
     "enumerate_sufficient": ["seed"],
     "find_violation": ["budget", "seed", "tol"],
-    "g_normalized": ["seed"],
     "geweke_F": ["direction", "k_tol", "max_order"],
     "proof_family": ["tail"],
     "reverse_delayed_di": ["state_limit"],
     "savage_from_G": ["n"],
     "transfer_entropy": ["direction"],
-    "v_envelope": ["seed"],
     "verify_witness": ["tol"],
 }
 
@@ -79,4 +75,4 @@ def test_public_surface_pinned():
     for name in names:
         options.update(_options(name, getattr(si, name)))
     assert {k: v for k, v in options.items() if v} == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 38
+    assert sum(map(len, OPTIONS.values())) == 34

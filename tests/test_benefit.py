@@ -257,13 +257,9 @@ def _blind_brier(n):
 
 
 _J2 = si.validate_joint([[0.2, 0.1], [0.1, 0.2], [0.1, 0.3]])
-_J3 = si.Joint(np.full((3, 2, 2), 1.0 / 12.0) * [[[0.5, 1.5]], [[1.0, 1.0]], [[1.5, 0.5]]])
 # each seeded entry point as a float of its result
 _SEEDED = {
     "c_value": lambda l, seed: c_value(l, _J2, seed=seed),
-    "benefit": lambda l, seed: si.benefit(l, _J2, seed=seed).c_value,
-    "conditional_benefit": lambda l, seed: si.conditional_benefit(l, _J3, seed=seed),
-    "g_normalized": lambda l, seed: si.g_normalized(l, seed=seed).value(np.array([0.2, 0.3, 0.5])),
 }
 
 

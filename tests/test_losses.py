@@ -246,7 +246,24 @@ class TestBayesRisk:
             for _ in range(2):
                 _assert_cubic_matches_slsqp(n, rng)
 
-    @pytest.mark.parametrize("kind, limit", [("linear", 26), ("brier", 655)])
+    @pytest.mark.parametrize("n", [10, 12, 16])
+    def test_numeric_search_matches_closed_forms_above_n8(self, n):
+        # three unflagged rules whose Bayes risk is known, at one inner row and one on a face,
+        # where the lattice has 8 steps (n = 10), 7 (n = 12) and 5 (n = 16)
+        rng = np.random.default_rng(n)
+        inner, face = rng.dirichlet(np.ones(n), size=2)
+        face[rng.permutation(n)[: n // 3]] = 0.0
+        face /= face.sum()
+        closed = {
+            "linear": lambda p: -p.max(),
+            "brier": lambda p: 1.0 - (p * p).sum(),
+            "log": lambda p: -(p[p > 0] * np.log(p[p > 0])).sum(),
+        }
+        for kind, form in closed.items():
+            for p in (inner, face):
+                assert si.bayes_risk(unflagged_rule(kind, n), p).risk == pytest.approx(form(p), abs=1e-12), (kind, p)
+
+    @pytest.mark.parametrize("kind, limit",[("linear", 26), ("brier", 655)])
     def test_numeric_search_work(self, kind, limit):
         # one batch, the whole lattice, and then single points of the polish, at most `limit` of
         # them: each projected forecast is scored once (488 and 882 when each evaluation made one)
@@ -916,7 +933,7 @@ def test_one_block_lattices_are_built_once_and_read_only():
 
 
 def _project_along_axis(v):
-    """`_simplex_project` with its threshold read by `take_along_axis`: the reference for direct indexing."""
+    """The simplex projection of each row of a batch in numpy, its threshold read by `take_along_axis`: the reference."""
     n = v.shape[-1]
     u = np.sort(v, axis=-1)[..., ::-1]
     css = (np.cumsum(u, axis=-1) - 1.0) / np.arange(1, n + 1)
@@ -935,32 +952,30 @@ def test_simplex_project_matches_take_along_axis():
             simplex_grid(n, 4),
             np.eye(n),
         ])
-        for row in batch:
-            assert _simplex_project(row).tobytes() == _project_along_axis(row).tobytes()
-        assert _simplex_project(batch).tobytes() == _project_along_axis(batch).tobytes()
-        assert _simplex_project(batch[:0]).shape == (0, n)
+        for row, expect in zip(batch, _project_along_axis(batch)):
+            assert _simplex_project(row).tobytes() == expect.tobytes(), row
 
 
 def test_one_point_projection_is_row_zero_of_a_batch():
-    # a point is projected on Python floats; the batch's np.maximum gives +0.0
-    # where v - theta is -0.0 (Python's max(-0.0, 0.0) is -0.0), and a
-    # non-finite entry or sum takes the batch path
+    # a point is projected on Python floats; the reference's np.maximum gives +0.0
+    # where v - theta is -0.0 (Python's max(-0.0, 0.0) is -0.0), and a point whose
+    # entries or sum are not finite has no projection
     rng = np.random.default_rng(41)
     points = [[1.0, -0.0], [-0.0, 0.0], [-0.0, -0.0, 1.0], [0.5, -0.0, 0.5], [-0.0], [0.0, 1.0, -0.0, -0.0],
-              [math.inf, 0.2], [-math.inf, 0.5, 0.5], [math.nan, 0.5, 0.5], [1e308, 1e308, -1.0], [3.0, 3.0, -3.0]]
+              [3.0, 3.0, -3.0]]
     for n in range(1, 7):
         points += rng.normal(size=(20, n)).tolist() + (rng.integers(-2, 3, size=(20, n)) / 2.0).tolist()
         points += rng.dirichlet(np.ones(n), size=5).tolist() + np.eye(n).tolist()
-    for z in map(np.array, points):
-        with np.errstate(over="ignore", invalid="ignore"):  # 1e308 + 1e308, inf - inf
-            one, row = _simplex_project(z), _simplex_project(z[None])[0]
-        assert one.shape == z.shape and one.dtype == np.float64
-        assert one.tobytes() == row.tobytes(), z
     batch = rng.normal(size=(30, 4))
     batch[batch < -0.8] = -0.0
-    for z, row in zip(batch, _simplex_project(batch)):
-        assert _simplex_project(z).tobytes() == row.tobytes(), z
+    for z in list(map(np.array, points)) + list(batch):
+        one = _simplex_project(z)
+        assert one.shape == z.shape and one.dtype == np.float64
+        assert one.tobytes() == _project_along_axis(z[None])[0].tobytes(), z
     assert _simplex_project(np.array([1.0, -0.0])).tobytes() == np.array([1.0, 0.0]).tobytes()
+    for z in ([math.inf, 0.2], [-math.inf, 0.5, 0.5], [math.nan, 0.5, 0.5], [1e308, 1e308, -1.0], []):
+        assert si.losses._projected_point(z) is None, z
+    assert np.isnan(_simplex_project(np.array([math.nan, 0.5, 0.5]))).all()
 
 
 def _fixed_rule(values) -> si.ScoringRuleLoss:
@@ -1031,7 +1046,6 @@ _P3 = [0.2, 0.3, 0.5]
 # each seeded entry point as a float of its result
 _SEEDED = {
     "bayes_risk": lambda rule, seed: si.bayes_risk(rule, _P3, seed=seed).risk,
-    "v_envelope": lambda rule, seed: si.v_envelope(rule, _P3, seed=seed),
     "audit_propriety": lambda rule, seed: si.audit_propriety(rule, trials=3, seed=seed).worst_margin,
 }
 

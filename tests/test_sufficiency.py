@@ -726,6 +726,40 @@ class TestCertification:
         assert after > before
         assert not si.verify_witness(l, si.ViolationWitness(j, t, before, after, "dpa_violation"), tol=0.0)
 
+    def test_log_hits_cleared_without_arithmetic(self, monkeypatch):
+        # the data-processing inequality decides every log hit, so no exact delta C is computed; the
+        # float rule alone flags hits in all three runs, so the clearing is not vacuous
+        certify, hits = sufficiency._certify, []
+
+        def counted(l, tables, maps, before, after, kinds, tol):
+            hits.append(int((kinds != "").sum()))
+            return certify(l, tables, maps, before, after, kinds, tol)
+
+        def no_arithmetic(*args):
+            raise AssertionError("a log hit needs no delta C")
+
+        monkeypatch.setattr(sufficiency, "_certify", counted)
+        monkeypatch.setattr(sufficiency, "_scaled_risk", no_arithmetic)
+        for n in (3, 5):
+            assert si.find_violation(si.builtin_loss("log", n), n, budget=1_500, seed=0, tol=0.0) is None
+            assert sum(hits) > 0
+            hits.clear()
+        rng = np.random.default_rng(0)  # X and Y independent, as in the test above
+        rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(2))
+        j = si.Joint(np.outer(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(2))))
+        assert si.audit_dpa(si.builtin_loss("log", 3), j, tol=0.0).clean
+        assert sum(hits) > 0
+
+    def test_a_rule_named_log_is_not_cleared_as_log(self, witness_joint):
+        # Brier's scores under the name "log": only the built-in log loss is cleared by the data-processing
+        # inequality, so this rule keeps Brier's violation, decided on float C even at its threshold
+        named = dataclasses.replace(si.builtin_loss("brier", 3), name="log")
+        (w,) = si.audit_dpa(named, witness_joint, tol=0.0).violations
+        tol = w.c_after - w.c_before - 1e-13
+        assert [v.transform for v in si.audit_dpa(named, witness_joint, tol=tol).violations] == [w.transform]
+        assert si.verify_witness(named, w, tol=tol)
+        assert si.find_violation(named, 3, budget=10, seed=0, tol=0.0).kind == "dpa_violation"
+
 
     def test_a_rule_named_brier_is_not_certified_as_brier(self, witness_joint):
         # 3 x Brier named "brier": its float delta C of 0.375 clears the threshold by 1e-13, so the hit is
