@@ -85,11 +85,9 @@ def _finite(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def _vertex_risks(l: LossSpec) -> np.ndarray:
-    """R(delta_i) for each outcome i; G(P) = -R(P) + sum_i R(delta_i) p_i."""
-    if l.n is None:
-        raise ParameterOutOfRange("loss has no declared alphabet size; pass n= to savage_from_G")
-    return _finite(_solve(l, np.eye(l.n))[1])
+def _vertex_risks(l: LossSpec, n: int) -> np.ndarray:
+    """R(delta_i) for each of n outcomes i; G(P) = -R(P) + sum_i R(delta_i) p_i."""
+    return _finite(_solve(l, np.eye(n))[1])
 
 
 def benefit(l: LossSpec, j: Joint) -> BenefitReport:
@@ -99,7 +97,7 @@ def benefit(l: LossSpec, j: Joint) -> BenefitReport:
     conditionals are never formed.  Values are in nats for log loss and in
     loss units otherwise; the CLI's `--scale` converts them afterwards.
     """
-    a = _vertex_risks(l)
+    a = _vertex_risks(l, j.nx)
     c, rows, risks, minimizers, ys, ws = _c_stack(l, j.table[None])
     c = float(_finite(c)[0])
     lin = _masked_risk(rows, a, np.isinf(a))  # sum_i R(delta_i) q_i for every solved row
@@ -164,7 +162,9 @@ def g_normalized(l: LossSpec) -> ConvexOracle:
     Jensen gap of G.  The subgradient is numeric (central differences on
     tangent directions), so expect kinks for matrix losses.
     """
-    a = -_vertex_risks(l)  # V(delta_i)
+    if l.n is None:
+        raise ParameterOutOfRange("loss has no declared alphabet size; pass n= to savage_from_G")
+    a = -_vertex_risks(l, l.n)  # V(delta_i)
 
     def value(q: np.ndarray) -> float:
         qv = _as_probs(q)

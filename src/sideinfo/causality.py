@@ -11,14 +11,15 @@ H(X^i, Y^{i-1}) and H(X^{i-1}, Y^i) are the running pair marginal dotted
 with row entropies of the kernel, and H(X^i) and H(Y^i) come from forward
 arrays P(X^{i-1}, X_i, Y_i) and their mirror (Rabiner 1989).  Their size is
 at most max(nx, ny)^n * nx * ny, and that is the enumeration bound checked
-against state_limit.  An explicit table (`ExplicitProcess`, the way to
+against STATE_LIMIT.  An explicit table (`ExplicitProcess`, the way to
 give a process that is not Markov) is summed directly, and its own horizon
 bounds the one requested.  Exactness makes identities like the conservation
 law hard numeric tests rather than statistical ones.  Geweke's measure is
 the one continuous-valued quantity: the restricted prediction variance
 comes from the innovations Riccati recursion on the VAR's companion form,
-started at the exact stationary covariance, never from simulation; numpy
-is the only numeric dependency.
+started at the exact stationary covariance and stopped by GEWEKE_K_TOL or
+GEWEKE_MAX_ORDER, never from simulation; numpy is the only numeric
+dependency.
 """
 
 from __future__ import annotations
@@ -29,10 +30,12 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from .errors import HorizonTooLarge, NotStationary, ParameterOutOfRange
+from .errors import HorizonTooLarge, NotStationary, ParameterOutOfRange, _check_count, _check_tol
 from .prob import entropy
 
-STATE_LIMIT = 10**7
+STATE_LIMIT = 10**7  # the most entries a Markov model's forward arrays may hold
+GEWEKE_K_TOL = 1e-10  # geweke_F stops once a Riccati step lowers the variance by less than this squared, relative
+GEWEKE_MAX_ORDER = 10_000  # the most Riccati steps geweke_F takes
 ZERO_TOL = 1e-9  # a stationarity residual max |pi K - pi|, or a delayed reverse DI in nats, at most this counts as zero
 
 
@@ -51,6 +54,8 @@ class MarkovJointProcess:
     kernel: np.ndarray
 
     def __post_init__(self):
+        _check_count("nx", self.nx, least=1)
+        _check_count("ny", self.ny, least=1)
         init = np.asarray(self.initial, dtype=float).reshape(-1)
         ker = np.asarray(self.kernel, dtype=float)
         object.__setattr__(self, "initial", init)
@@ -135,7 +140,7 @@ def _coordinate_entropies(nc: int, no: int, initial: np.ndarray, kernel: np.ndar
         fwd = (fwd @ k3).reshape(-1, nc, no).transpose(1, 0, 2)
 
 
-def _markov_steps(m: MarkovJointProcess, state_limit: int) -> Iterator[dict]:
+def _markov_steps(m: MarkovJointProcess) -> Iterator[dict]:
     """Yield the prefix entropies new at horizon i = 1, 2, ..., while i is within the bound.
 
     Horizon i adds the keys (i, i), (i, i - 1), (i - 1, i), (i, 0) and (0, i).
@@ -152,12 +157,12 @@ def _markov_steps(m: MarkovJointProcess, state_limit: int) -> Iterator[dict]:
     ys = _coordinate_entropies(
         ny, nx, m.initial.reshape(nx, ny).T.reshape(q), k4.transpose(1, 0, 3, 2).reshape(q, q)
     )
-    if _forward_size(m, 1) > state_limit:
+    if _forward_size(m, 1) > STATE_LIMIT:
         return
     mu, hz = m.initial, entropy(m.initial)  # law of Z_i and H(Z^i)
     yield {(1, 0): next(xs), (0, 1): next(ys), (1, 1): hz}
     i = 2
-    while _forward_size(m, i) <= state_limit:
+    while _forward_size(m, i) <= STATE_LIMIT:
         hx, hy, hp = (mu @ cond).tolist()
         step = {(i, i - 1): hz + hx, (i - 1, i): hz + hy}
         hz += hp
@@ -167,25 +172,24 @@ def _markov_steps(m: MarkovJointProcess, state_limit: int) -> Iterator[dict]:
         i += 1
 
 
-def _prefix_entropies(m: ProcessModel, n: int, state_limit: int) -> dict[tuple[int, int], float]:
+def _prefix_entropies(m: ProcessModel, n: int) -> dict[tuple[int, int], float]:
     """{(a, b): H(X^a, Y^b)} for every prefix a measure reads up to horizon n.
 
     The keys are a = b, a = b +- 1, a = 0 and b = 0.  A Markov model runs the
     forward recursion, which raises HorizonTooLarge when its forward arrays
-    (max(nx, ny)^n * nx * ny entries) exceed state_limit.  An explicit table
+    (max(nx, ny)^n * nx * ny entries) exceed STATE_LIMIT.  An explicit table
     has each marginal taken from the previous one by summing off its trailing
     axis, so the table is the one large array.
     """
-    if n < 1:
-        raise ParameterOutOfRange(f"horizon must be >= 1, got {n}")
+    _check_count("horizon", n, least=1)
     h = {(0, 0): 0.0}
     if isinstance(m, MarkovJointProcess):
-        if _forward_size(m, n) > state_limit:
+        if _forward_size(m, n) > STATE_LIMIT:
             raise HorizonTooLarge(
                 f"forward arrays of max({m.nx}, {m.ny})**{n} * {m.nx * m.ny} entries "
-                f"exceed the enumeration bound {state_limit}"
+                f"exceed the enumeration bound {STATE_LIMIT}"
             )
-        for step in islice(_markov_steps(m, state_limit), n):
+        for step in islice(_markov_steps(m), n):
             h.update(step)
         return h
     if n > m.horizon:
@@ -232,20 +236,20 @@ def _sum_steps(h: dict, n: int, step) -> float:
     return sum(step(h, i) for i in range(1, n + 1))
 
 
-def directed_info(m: ProcessModel, n: int, state_limit: int = STATE_LIMIT) -> float:
+def directed_info(m: ProcessModel, n: int) -> float:
     """I(X^n -> Y^n) = sum_i I(X^i; Y_i | Y^{i-1}), exactly."""
-    return _sum_steps(_prefix_entropies(m, n, state_limit), n, _di_step)
+    return _sum_steps(_prefix_entropies(m, n), n, _di_step)
 
 
-def causally_cond_entropy(m: ProcessModel, n: int, state_limit: int = STATE_LIMIT) -> float:
+def causally_cond_entropy(m: ProcessModel, n: int) -> float:
     """H(Y^n || X^n) = sum_i H(Y_i | Y^{i-1}, X^i), exactly."""
-    h = _prefix_entropies(m, n, state_limit)
+    h = _prefix_entropies(m, n)
     return sum(h[i, i] - h[i, i - 1] for i in range(1, n + 1))
 
 
-def reverse_delayed_di(m: ProcessModel, n: int, state_limit: int = STATE_LIMIT) -> float:
+def reverse_delayed_di(m: ProcessModel, n: int) -> float:
     """I(Y^{n-1} -> X^n) = sum_i [H(X_i | X^{i-1}) - H(X_i | X^{i-1}, Y^{i-1})]."""
-    return _sum_steps(_prefix_entropies(m, n, state_limit), n, _reverse_step)
+    return _sum_steps(_prefix_entropies(m, n), n, _reverse_step)
 
 
 @dataclass(frozen=True)
@@ -266,14 +270,14 @@ class DIReport:
     residual_refined: float
 
 
-def conservation_check(m: ProcessModel, n: int, state_limit: int = STATE_LIMIT) -> DIReport:
+def conservation_check(m: ProcessModel, n: int) -> DIReport:
     """Both forms of the conservation law at horizon n.
 
     Both sides of each identity are sums over one table of prefix entropies,
     so the law holds as a telescoping identity; the residuals measure the
     floating-point rounding of that sum, not a second computation.
     """
-    h = _prefix_entropies(m, n, state_limit)
+    h = _prefix_entropies(m, n)
     forward = _sum_steps(h, n, _di_step)
     reverse = _sum_steps(h, n, _reverse_step)
     inst = _sum_steps(h, n, _instantaneous_step)
@@ -322,7 +326,7 @@ def transfer_entropy(m: MarkovJointProcess, direction: str = "y->x") -> float:
     (y->x) or delayed forward (x->y) directed-information sum.
     """
     step = _flow_step(m, direction)
-    return step(_prefix_entropies(m, 2, STATE_LIMIT), 2)
+    return step(_prefix_entropies(m, 2), 2)
 
 
 @dataclass(frozen=True)
@@ -340,7 +344,6 @@ def di_rate(
     direction: str = "y->x",
     max_n: int = 16,
     tol: float = 1e-6,
-    state_limit: int = STATE_LIMIT,
 ) -> DiRateResult:
     """lim (1/n) of the delayed directed information, via stabilized increments.
 
@@ -348,16 +351,18 @@ def di_rate(
     of I(X^{n-1} -> Y^n) for x->y, read from one prefix-entropy table that
     grows a horizon at a time.  Returns the latest increment once
     consecutive increments agree within tol; if the horizon cap is reached,
-    or the next horizon's forward arrays would exceed state_limit, the
+    or the next horizon's forward arrays would exceed STATE_LIMIT, the
     latest increment is returned with converged=False; if not even the
     horizon-2 arrays fit, no increment is measured and HorizonTooLarge is
     raised.  last_gap is the last measured distance between consecutive
-    increments, inf when only one was measured.
+    increments, inf when only one was measured.  A max_n that is not an
+    integer >= 2, or a tol that is not finite and >= 0, raises
+    ParameterOutOfRange.
     """
     step = _flow_step(m, direction)
-    if max_n < 2:
-        raise ParameterOutOfRange(f"max_n must be >= 2, got {max_n}")
-    steps = _markov_steps(m, state_limit)
+    _check_count("max_n", max_n, least=2)
+    _check_tol(tol)
+    steps = _markov_steps(m)
     h = {(0, 0): 0.0, **next(steps, {})}
     rate, gap, horizon = 0.0, np.inf, 1
     for n, new in zip(range(2, max_n + 1), steps):  # the table grows only while n is in range
@@ -368,8 +373,8 @@ def di_rate(
             if gap <= tol:
                 return DiRateResult(rate=inc, converged=True, horizon=n, last_gap=gap)
         rate, horizon = inc, n
-    if horizon == 1:  # the horizon-2 arrays exceed state_limit, so this raises HorizonTooLarge
-        _prefix_entropies(m, 2, state_limit)
+    if horizon == 1:  # the horizon-2 arrays exceed STATE_LIMIT, so this raises HorizonTooLarge
+        _prefix_entropies(m, 2)
     return DiRateResult(rate=rate, converged=False, horizon=horizon, last_gap=gap)
 
 
@@ -423,7 +428,7 @@ class VarModel:
         return f
 
 
-def _restricted_variance(v: VarModel, comp: int, k_tol: float, max_order: int) -> float:
+def _restricted_variance(v: VarModel, comp: int) -> float:
     """Prediction error variance of component comp from its own past (see geweke_F).
 
     P starts at the stationary covariance Gamma0 = F Gamma0 F' + Q of the
@@ -436,39 +441,34 @@ def _restricted_variance(v: VarModel, comp: int, k_tol: float, max_order: int) -
     q[:2, :2] = v.sigma
     p = np.linalg.solve(np.eye(d * d) - np.kron(f, f), q.reshape(-1)).reshape(d, d)
     err = float(p[comp, comp])
-    for _ in range(max_order):
+    for _ in range(GEWEKE_MAX_ORDER):
         fp = f @ p
         p = fp @ f.T + q - np.outer(fp[:, comp], fp[:, comp]) / err
         err, prev = float(p[comp, comp]), err
         if err <= 0:
             raise NotStationary("prediction error variance hit zero; model is degenerate")
-        if 1.0 - err / prev < k_tol * k_tol:
+        if 1.0 - err / prev < GEWEKE_K_TOL * GEWEKE_K_TOL:
             break
     return err
 
 
-def geweke_F(
-    v: VarModel,
-    direction: str = "y->x",
-    k_tol: float = 1e-10,
-    max_order: int = 10_000,
-) -> float:
+def geweke_F(v: VarModel, direction: str = "y->x") -> float:
     """F_{Y => X} = ln[ sigma^2(X_t | X-past) / sigma^2(X_t | X,Y-past) ].
 
     The full-model residual variance is the x-component of the innovation
     covariance.  The restricted variance is the prediction error of x from
     its own past, read off the innovations Riccati recursion on the
     companion form, one step per past value conditioned on (at most
-    max_order steps).  The recursion stops once a step lowers that variance
-    by a relative amount below k_tol**2: 1 - P_ee(m) / P_ee(m-1) is k_m**2
-    for Levinson-Durbin's reflection coefficient k_m, so in exact
-    arithmetic this is Levinson's stop rule |k_m| < k_tol.  In float the
-    relative drop resolves only to about 1.1e-16, so a k_tol at or below
-    about 1e-8 means "run until the variance stops falling in float": the
-    default 1e-10 then stops earlier than Levinson would (after at most 166
-    steps, against 220 orders, on the test and benchmark corpora) with the
-    measure within 4e-14 of Levinson's.  For k_tol of 1e-6 and above the
-    stop order is Levinson's.
+    GEWEKE_MAX_ORDER steps).  The recursion stops once a step lowers that
+    variance by a relative amount below GEWEKE_K_TOL**2: 1 - P_ee(m) /
+    P_ee(m-1) is k_m**2 for Levinson-Durbin's reflection coefficient k_m,
+    so in exact arithmetic this is Levinson's stop rule |k_m| <
+    GEWEKE_K_TOL.  In float the relative drop resolves only to about
+    1.1e-16, so a GEWEKE_K_TOL at or below about 1e-8 means "run until the
+    variance stops falling in float": its 1e-10 then stops earlier than
+    Levinson would (after at most 166 steps, against 220 orders, on the
+    test and benchmark corpora) with the measure within 4e-14 of
+    Levinson's.  At 1e-6 and above the stop order is Levinson's.
 
     Units: Geweke's log variance ratio.  For jointly Gaussian processes
     this equals twice the directed-information rate in nats per step; no
@@ -476,4 +476,4 @@ def geweke_F(
     """
     comp = 0 if _is_y_to_x(direction) else 1
     full = float(v.sigma[comp, comp])
-    return float(np.log(_restricted_variance(v, comp, k_tol, max_order) / full))
+    return float(np.log(_restricted_variance(v, comp) / full))

@@ -1,4 +1,6 @@
-"""Semantic exception hierarchy shared by all sideinfo modules, and their shared seed and budget check."""
+"""Semantic exception hierarchy shared by all sideinfo modules, and their shared count and tolerance checks."""
+
+import math
 
 import numpy as np
 
@@ -98,3 +100,9 @@ def _check_count(name: str, v, least: int = 0) -> None:
         raise ParameterOutOfRange(f"{name} must be an integer, got {type(v).__name__}")
     if v < least:
         raise ParameterOutOfRange(f"{name} must be >= {least}, got {v}")
+
+
+def _check_tol(tol: float) -> None:
+    """A tolerance: finite and >= 0, else ParameterOutOfRange."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ParameterOutOfRange(f"tol must be finite and >= 0, got {tol}")

@@ -36,14 +36,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .benefit import _c_stack, _finite, c_value
-from .errors import AlphabetTooLarge, ParameterOutOfRange, WitnessVerificationFailed, _check_count
+from .errors import AlphabetTooLarge, ParameterOutOfRange, WitnessVerificationFailed, _check_count, _check_tol
 from .losses import ActionMatrixLoss, LossSpec, _builtin_name
 from .prob import Joint, _simplex, validate_joint
 
@@ -134,11 +133,6 @@ def check_sufficient(t: Transform, j: Joint) -> SufficiencyCert:
 def _same_alphabet(n: int, nx: int) -> None:
     if n != nx:
         raise ParameterOutOfRange(f"transform maps {n} symbols but the joint has {nx}")
-
-
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ParameterOutOfRange(f"tol must be finite and >= 0, got {tol}")
 
 
 def _push(tables: np.ndarray, maps: np.ndarray, m: int) -> np.ndarray:

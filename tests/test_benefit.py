@@ -101,12 +101,22 @@ class TestBenefit:
 
 class TestGNormalized:
     def test_savage_rule_without_n(self):
-        # c_value never needs the alphabet size; the normalized envelope does
+        # c_value and benefit take the alphabet size from the joint; the normalized envelope has none
         rule = si.savage_from_G(si.neg_entropy_oracle())
         j = si.validate_joint([[0.3, 0.2], [0.1, 0.4]])
         assert c_value(rule, j) == pytest.approx(si.mutual_information(j), abs=1e-12)
         with pytest.raises(si.ParameterOutOfRange, match="savage_from_G"):
-            si.benefit(rule, j)
+            si.g_normalized(rule)
+
+    @pytest.mark.parametrize("g", [si.sum_squares_oracle(), si.neg_entropy_oracle()], ids=["sum_squares", "neg_entropy"])
+    def test_benefit_of_a_rule_without_n(self, g):
+        rule = si.savage_from_G(g)
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            j = random_joint(rng, int(rng.integers(2, 5)), int(rng.integers(2, 5)))
+            rep = si.benefit(rule, j)
+            assert rep.c_value == c_value(rule, j)
+            assert rep.decomposition_residual <= 1e-12
 
     def test_log_gives_neg_entropy(self):
         g = si.g_normalized(si.builtin_loss("log", 3))

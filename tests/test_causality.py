@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_discrete_lyapunov
 
 import sideinfo as si
-from sideinfo.causality import STATE_LIMIT, ProcessModel, _prefix_entropies
+from sideinfo import causality
+from sideinfo.causality import ProcessModel, _prefix_entropies
 from sideinfo.errors import HorizonTooLarge, NotStationary, ParameterOutOfRange
 
 from conftest import (
@@ -55,6 +56,12 @@ class TestProcessValidation:
         with pytest.raises(ParameterOutOfRange):
             si.di_rate(unroll(independent_process(), 3))
 
+    @pytest.mark.parametrize("nx, ny, q", [(-1, -1, 1), (-2, -2, 4), (0, 2, 0), (2.0, 2, 4)])
+    def test_markov_alphabets_are_positive_integers(self, nx, ny, q):
+        # a product of nx and ny that fits the arrays is not enough
+        with pytest.raises(ParameterOutOfRange):
+            si.MarkovJointProcess(nx, ny, np.full(q, 1 / max(q, 1)), np.full((q, q), 1 / max(q, 1)))
+
 
 class TestDirectedInfo:
     def test_copy_process(self):
@@ -72,14 +79,16 @@ class TestDirectedInfo:
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
         assert all(v >= -1e-12 for v in vals)
 
-    def test_horizon_bound(self):
+    def test_horizon_bound(self, monkeypatch):
+        monkeypatch.setattr(causality, "STATE_LIMIT", 63)
         with pytest.raises(HorizonTooLarge):
-            si.directed_info(copy_process(), 4, state_limit=63)
+            si.directed_info(copy_process(), 4)
 
     def test_degenerate_horizon_rejected(self):
-        for n in (0, -1):
-            with pytest.raises(ParameterOutOfRange):
-                si.directed_info(copy_process(), n)
+        for n in (0, -1, 2.5, 2.0, "3"):
+            for m in (copy_process(), unroll(copy_process(), 3)):
+                with pytest.raises(ParameterOutOfRange, match=r"^horizon must be (>= 1|an integer)"):
+                    si.directed_info(m, n)
 
     def test_explicit_shorter_prefix(self):
         proc = unroll(copy_process(), 4)
@@ -224,14 +233,26 @@ class TestDiRate:
             inc = si.reverse_delayed_di(m, r.horizon) - si.reverse_delayed_di(m, r.horizon - 1)
             assert r.rate == pytest.approx(inc, abs=1e-12)
 
-    def test_self_consistency_at_horizon_twelve(self):
+    def test_self_consistency_at_horizon_twelve(self, monkeypatch):
         # the per-step average lags the limit increment by about rate/n, so the
         # 1e-3 agreement is checked on weakly coupled kernels where it holds
+        monkeypatch.setattr(causality, "STATE_LIMIT", 2**25)
         for seed in range(2):
             m = random_stationary_markov(seed, conc=10.0)
-            r = si.di_rate(m, "y->x", max_n=12, tol=1e-12, state_limit=2**25)
-            total = si.reverse_delayed_di(m, 12, state_limit=2**25)
+            r = si.di_rate(m, "y->x", max_n=12, tol=1e-12)
+            total = si.reverse_delayed_di(m, 12)
             assert r.rate == pytest.approx(total / 12, abs=1e-3)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ParameterOutOfRange, match="tol must be finite and >= 0"):
+            si.di_rate(x_from_y_process(), "y->x", tol=tol)
+
+    def test_max_n_must_be_an_integer_of_at_least_two(self):
+        with pytest.raises(ParameterOutOfRange, match="max_n must be an integer"):
+            si.di_rate(x_from_y_process(), "y->x", max_n=2.5)
+        with pytest.raises(ParameterOutOfRange, match=r"^max_n must be >= 2, got 1$"):
+            si.di_rate(x_from_y_process(), "y->x", max_n=1)
 
     def test_unstationary_rejected(self):
         m = si.MarkovJointProcess(
@@ -248,20 +269,23 @@ class TestDiRate:
         assert r.last_gap > 0
         assert r.last_gap == pytest.approx(abs(incs[1] - incs[0]), abs=1e-12)
 
-    def test_last_gap_at_enumeration_bound(self):
+    def test_last_gap_at_enumeration_bound(self, monkeypatch):
         m = random_stationary_markov(0)
-        r = si.di_rate(m, "y->x", max_n=12, tol=1e-15, state_limit=2**4 * 4)
+        monkeypatch.setattr(causality, "STATE_LIMIT", 2**4 * 4)
+        r = si.di_rate(m, "y->x", max_n=12, tol=1e-15)
         incs = [si.reverse_delayed_di(m, n) - si.reverse_delayed_di(m, n - 1) for n in (3, 4)]
         assert (r.converged, r.horizon) == (False, 4)
         assert r.last_gap == pytest.approx(abs(incs[1] - incs[0]), abs=1e-12)
         # one measured increment leaves nothing to compare
-        assert si.di_rate(m, "y->x", max_n=12, state_limit=2**2 * 4).last_gap == math.inf
+        monkeypatch.setattr(causality, "STATE_LIMIT", 2**2 * 4)
+        assert si.di_rate(m, "y->x", max_n=12).last_gap == math.inf
 
-    def test_no_increment_under_the_bound_raises(self):
+    def test_no_increment_under_the_bound_raises(self, monkeypatch):
         # once rate=0.0 at horizon 1, a rate measured from nothing
         m = random_stationary_markov(0)
+        monkeypatch.setattr(causality, "STATE_LIMIT", 5)
         with pytest.raises(HorizonTooLarge, match=r"max\(2, 2\)\*\*2 \* 4 entries exceed the enumeration bound 5"):
-            si.di_rate(m, "y->x", max_n=12, state_limit=5)
+            si.di_rate(m, "y->x", max_n=12)
 
 
 def _axes_entropy(table: np.ndarray, axes: frozenset) -> float:
@@ -354,14 +378,15 @@ class TestReferenceOracle:
     )
     def test_engine_matches_unrolled_table(self, m, horizon):
         for n in range(1, horizon + 1):
-            engine = _prefix_entropies(m, n, STATE_LIMIT)
-            oracle = _prefix_entropies(unroll(m, n), n, STATE_LIMIT)
+            engine = _prefix_entropies(m, n)
+            oracle = _prefix_entropies(unroll(m, n), n)
             assert engine.keys() == oracle.keys()
             assert max(abs(engine[k] - oracle[k]) for k in engine) <= 1e-12
 
-    def test_conservation_at_horizon_twenty_two(self):
+    def test_conservation_at_horizon_twenty_two(self, monkeypatch):
         # the forward arrays reach 2**22 * 4 entries; the sequence space would be 4**22
-        rep = si.conservation_check(random_stationary_markov(0), 22, state_limit=2**22 * 4)
+        monkeypatch.setattr(causality, "STATE_LIMIT", 2**22 * 4)
+        rep = si.conservation_check(random_stationary_markov(0), 22)
         assert rep.residual <= 1e-9
         assert rep.residual_refined <= 1e-9
 
@@ -579,23 +604,28 @@ class TestGewekeRiccati:
                 lags_used.append(lags)
         assert max(lags_used) > 64  # the corpus includes a model that outgrows the first block
 
-    def test_max_order_matches_oracle_order(self):
+    def test_max_order_matches_oracle_order(self, monkeypatch):
         v = _seeded_var(2)  # Levinson needs 76 orders in the y->x direction
         full = float(v.sigma[0, 0])
+        unbounded = si.geweke_F(v)
         for max_order in (1, 5, 63):
             r = _block_autocovariances(v, max_order)[:, 0, 0]
             restricted, settled = _block_levinson(r, 1e-10)
             assert not settled
-            assert abs(si.geweke_F(v, max_order=max_order) - float(np.log(restricted / full))) <= 1e-12
-        assert si.geweke_F(v, max_order=5) != si.geweke_F(v)
+            monkeypatch.setattr(causality, "GEWEKE_MAX_ORDER", max_order)
+            f = si.geweke_F(v)
+            assert abs(f - float(np.log(restricted / full))) <= 1e-12
+            if max_order == 5:
+                assert f != unbounded
 
     @pytest.mark.parametrize("k_tol", [1e-2, 1e-4, 1e-6])
-    def test_k_tol_matches_oracle_stop(self, k_tol):
+    def test_k_tol_matches_oracle_stop(self, k_tol, monkeypatch):
+        monkeypatch.setattr(causality, "GEWEKE_K_TOL", k_tol)
         for seed in range(12):
             v = _seeded_var(seed)
             for direction in ("y->x", "x->y"):
                 expected, _ = _block_geweke(v, direction, k_tol)
-                assert abs(si.geweke_F(v, direction, k_tol=k_tol) - expected) <= 1e-12
+                assert abs(si.geweke_F(v, direction) - expected) <= 1e-12
 
 
 class TestVarModelValidation:

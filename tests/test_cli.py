@@ -342,13 +342,20 @@ class TestExitCodes:
             (["scoring-rule", "--g", "", "--eval", "1", "0.5,0.5"], 65),
             # a gap in a transform file's 1-based labels
             (["mi", "--joint", "{gap_map}"], 65),
+            # negative alphabets whose product fits the arrays
+            (["directed-info", "--model", "{neg_model}", "--horizon", "3"], 65),
         ],
     )
     def test_exit_code_contract(self, tmp_path, flags, expected, witness_file, copy_model_file):
         # a child process, so an uncaught exception shows as exit 1 with a traceback
         gap_map = tmp_path / "gap_map.json"
         gap_map.write_text('{"kind": "transform", "map": [1, 3]}')
-        argv = [f.format(joint=witness_file, model=copy_model_file, gap_map=gap_map) for f in flags]
+        neg_model = tmp_path / "neg_model.json"
+        neg_model.write_text(
+            '{"kind": "markov_process", "nx": -1, "ny": -1, "initial": ["1.0"], "kernel": [["1.0"]]}'
+        )
+        argv = [f.format(joint=witness_file, model=copy_model_file, gap_map=gap_map, neg_model=neg_model)
+                for f in flags]
         out = subprocess.run(
             [sys.executable, "-m", "sideinfo.cli", *argv],
             capture_output=True, text=True, cwd=tmp_path, env=package_env(),
