@@ -97,6 +97,8 @@ class ExplicitProcess:
     table: np.ndarray
 
     def __post_init__(self):
+        _check_count("nx", self.nx, least=1)
+        _check_count("ny", self.ny, least=1)
         t = np.asarray(self.table, dtype=float)
         object.__setattr__(self, "table", t)
         t.setflags(write=False)

@@ -95,8 +95,8 @@ class UnknownSymbol(SideinfoError):
 
 
 def _check_count(name: str, v, least: int = 0) -> None:
-    """A seed, budget or size: an integer (numpy integers count) that is >= least, else ParameterOutOfRange."""
-    if not isinstance(v, (int, np.integer)):
+    """A seed, budget or size: an integer (numpy integers count, bools do not) that is >= least, else ParameterOutOfRange."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
         raise ParameterOutOfRange(f"{name} must be an integer, got {type(v).__name__}")
     if v < least:
         raise ParameterOutOfRange(f"{name} must be >= {least}, got {v}")

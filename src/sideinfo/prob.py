@@ -17,6 +17,7 @@ from .errors import (
     ConvexityViolation,
     NegativeMass,
     NotNormalized,
+    ParameterOutOfRange,
     ZeroConditioningEvent,
     _check_count,
 )
@@ -231,11 +232,14 @@ class ConvexOracle:
 
 
 def jensen_gap(g: ConvexOracle, weights, points: Sequence) -> float:
-    """sum_y w_y g(P_y) - g(sum_y w_y P_y); nonnegative for convex g."""
+    """sum_y w_y g(P_y) - g(sum_y w_y P_y); nonnegative for convex g.
+
+    Raises ParameterOutOfRange when weights and points differ in length.
+    """
     w = _as_probs(weights)
     pts = [_as_probs(p) for p in points]
     if len(pts) != w.shape[0]:
-        raise ValueError("weights and points must have equal length")
+        raise ParameterOutOfRange(f"weights and points must have equal length, got {w.shape[0]} and {len(pts)}")
     mix = np.zeros_like(pts[0])
     acc = 0.0
     for wy, p in zip(w, pts):

@@ -11,16 +11,17 @@ losses on alphabets of three or more symbols.
 Every C here comes from the benefit kernel (`benefit._c_stack`).  One
 decision (`_decide`) serves the scan, `audit_dpa` and `verify_witness`: it
 pushes a stack of tables through their mappings in one batch (`_push`, of
-which `push_forward` is the one-table case), takes one kernel stack for C
-after on the loss itself, and applies the witness rule.  The push keeps
-the original n-symbol alphabet: T(X) = k lands on symbol k, and symbols
-past the image get zero rows, so C before and C after compare the same
-loss on the same alphabet.  A row's C is the same bits in any stack as
-alone, so all three agree exactly with `c_value` on the pushed-forward
-joint.  A hit within 1e-12 of the rule's threshold is then re-decided
-beyond float rounding (`_certify`), so a tol of 0 finds no witness in
-rounding noise; a hit of the built-in log loss is none by the
-data-processing inequality, which no sufficient map can break for it.
+which `push_forward` is the one-table case), takes C before and C after
+from one kernel stack on the loss itself, the tables ahead of their
+pushes, and applies the witness rule.  The push keeps the original
+n-symbol alphabet: T(X) = k lands on symbol k, and symbols past the image
+get zero rows, so C before and C after compare the same loss on the same
+alphabet.  A row's C is the same bits in any stack as alone, so all three
+agree exactly with `c_value` on each joint and its push-forward.  A hit
+within 1e-12 of the rule's threshold is then re-decided beyond float
+rounding (`_certify`), so a tol of 0 finds no witness in rounding noise; a
+hit of the built-in log loss is none by the data-processing inequality,
+which no sufficient map can break for it.
 
 The scan works on arrays.  Each chunk of candidates is one stack of tables
 padded to |Y| = 3 with zero columns, and mappings (`_chunk`), decided as
@@ -28,8 +29,8 @@ one stack; only the first witness, cut back to its own |Y|, becomes
 `Joint`, `Transform` and `ViolationWitness` objects.  Every random draw
 here, the scan's and `enumerate_sufficient`'s, reads one counter-based
 stream (`_words`): a word is a pure function of (seed, stream, candidate
-k, word index), so a chunk draws each stream's candidates as one array,
-and candidate k is the same in any chunk.
+k, word index), so a chunk draws the words of all three streams as one
+array, and candidate k is the same in any chunk.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .benefit import _c_stack, _finite, c_value
+from .benefit import _c_stack, _finite, c_value  # c_value is not called here: bench/tracer.py spans it by this name
 from .errors import AlphabetTooLarge, ParameterOutOfRange, WitnessVerificationFailed, _check_count, _check_tol
 from .losses import ActionMatrixLoss, LossSpec, _builtin_name
 from .prob import Joint, _simplex, validate_joint
@@ -215,11 +216,17 @@ def enumerate_sufficient(j: Joint, seed: int = 0) -> SufficientSet:
     merges = tuple(Transform.from_blocks([block for part in combo for block in part], n) for combo in combos)
     exhaustive = n <= 5
     if exhaustive:
-        perms = itertools.permutations(range(n))
+        perms = _permutations(n)
     else:  # each sample is the stable argsort of n stream words
-        drawn = np.argsort(_words(seed, _PERM_SAMPLE, np.arange(_PERM_SAMPLES), n), axis=1, kind="stable")
-        perms = sorted({tuple(range(n)), *map(tuple, drawn.tolist())})
-    return SufficientSet(merges, tuple(Transform(p) for p in perms), exhaustive)
+        drawn = np.argsort(_words(_key(int(seed), _PERM_SAMPLE), np.arange(_PERM_SAMPLES), n), axis=1, kind="stable")
+        perms = tuple(Transform(p) for p in sorted({tuple(range(n)), *map(tuple, drawn.tolist())}))
+    return SufficientSet(merges, perms, exhaustive)
+
+
+@functools.lru_cache(maxsize=5)
+def _permutations(n: int) -> tuple[Transform, ...]:
+    """All n! permutations of 0..n-1 as Transforms, in lexicographic order, built once per n <= 5 (Transforms are frozen)."""
+    return tuple(Transform(p) for p in itertools.permutations(range(n)))
 
 
 @dataclass(frozen=True)
@@ -337,18 +344,22 @@ def _certify(l: LossSpec, tables: np.ndarray, maps: np.ndarray, before, after: n
     return kinds
 
 
-def _decide(l: LossSpec, tables: np.ndarray, maps: np.ndarray, before, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """C after each table of a (K, n, b) stack is pushed through its row of `maps` (K, n), and each row's witness kind.
+def _decide(l: LossSpec, tables: np.ndarray, maps: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """C before and after each table is pushed through its row of `maps` (K, n), and each row's witness kind.
 
     The one place a witness is decided, for the scan, `audit_dpa` and
     `verify_witness` alike: the witness rule on float C, then `_certify`
-    on the hits near its threshold.  The whole stack takes one push-forward
-    onto its own n symbols (`_push`) and one kernel stack on `l`; a row's C
-    is the same bits as `c_value` of its pushed joint.  `before` is C
-    before, per row or one for all.  Non-finite C is returned, not raised.
+    on the hits near its threshold.  `tables` is a (K, n, b) stack, or one
+    table (1, n, b) for all K maps.  The whole stack takes one push-forward
+    onto its own n symbols (`_push`), and C before and C after come from
+    one kernel stack on `l`, the tables ahead of their pushes; a row's C is
+    the same bits as `c_value` of its joint alone.  C before is returned
+    per table (K or 1).  Non-finite C is returned, not raised.
     """
-    after = _c_stack(l, _push(tables, maps, tables.shape[1]))[0]
-    return after, _certify(l, tables, maps, before, after, _witness_kinds(maps, before, after, tol), tol)
+    full = np.broadcast_to(tables, (len(maps),) + tables.shape[1:])
+    c = _c_stack(l, np.concatenate([tables, _push(full, maps, tables.shape[1])]))[0]
+    before, after = c[: len(tables)], c[len(tables) :]
+    return before, after, _certify(l, full, maps, before, after, _witness_kinds(maps, before, after, tol), tol)
 
 
 def verify_witness(l: LossSpec, w: ViolationWitness, tol: float = 1e-9) -> bool:
@@ -368,9 +379,8 @@ def verify_witness(l: LossSpec, w: ViolationWitness, tol: float = 1e-9) -> bool:
     _check_tol(tol)
     if not check_sufficient(w.transform, w.joint).is_sufficient:
         return False
-    before = c_value(l, w.joint)
-    after, kinds = _decide(l, w.joint.table[None], np.array([w.transform.mapping]), before, tol)
-    after = float(_finite(after)[0])
+    before, after, kinds = _decide(l, w.joint.table[None], np.array([w.transform.mapping]), tol)
+    before, after = _finite(np.concatenate([before, after])).tolist()
     if abs(before - w.c_before) > _VALUE_TOL or abs(after - w.c_after) > _VALUE_TOL:
         return False
     return kinds[0] != "" and kinds[0] == w.kind
@@ -409,19 +419,20 @@ def audit_dpa(l: LossSpec, j: Joint, tol: float = 1e-9, seed: int = 0) -> DpaAud
     `enumerate_sufficient` at SUFFICIENT_TOL, whatever `tol` is, so a loose
     `tol` never admits a merge of rows that differ.  Raises
     ParameterOutOfRange for a tol that is negative or not finite and a seed
-    that is negative or not an integer.  The seed picks the permutation
-    sample of `enumerate_sufficient` above n = 5; no Bayes tier uses it.
+    that is negative or not an integer, and AlphabetTooLarge beyond the
+    enumeration bound, before any C.  C before and every C after are one
+    kernel stack (`_decide`).  The seed picks the permutation sample of
+    `enumerate_sufficient` above n = 5; no Bayes tier uses it.
     """
     _check_tol(tol)
     _check_count("seed", seed)
-    before = c_value(l, j, seed=seed)
     suff = enumerate_sufficient(j, seed=seed)
     transforms = suff.merges + suff.permutations
     maps = np.array([t.mapping for t in transforms])
-    after, kinds = _decide(l, np.broadcast_to(j.table, (len(maps),) + j.table.shape), maps, before, tol)
-    _finite(after)
+    before, after, kinds = _decide(l, j.table[None], maps, tol)
+    before, after = float(_finite(before)[0]), _finite(after)
     moved = (maps.max(axis=1) + 1 < j.nx) & (np.abs(after - before) > tol)
-    entries = tuple(AuditEntry(transform=t, c_after=float(c)) for t, c in zip(transforms, after))
+    entries = tuple(AuditEntry(transform=t, c_after=c) for t, c in zip(transforms, after.tolist()))
     return DpaAuditReport(
         c_before=before,
         entries=entries,
@@ -443,46 +454,27 @@ def proof_family(
     P_lambda = (lambda*t, lambda*(1-t), r-lambda, tail...), r = 1 - sum(tail),
     with P(X|Y=1) at lambda1, P(X|Y=2) at lambda2, and P(Y=1) = alpha.  Both
     conditionals put x1 and x2 in ratio t : (1-t), so P(Y|x1) = P(Y|x2).
+    r is Python's left fold over the tail, as the scan's grid takes it.
     """
-    tail = np.array([[float(v) for v in tail]])
-    params = (np.array([float(v)]) for v in (t, lambda1, lambda2, alpha))
-    return validate_joint(_proof_tables(n, *params, tail)[0])
-
-
-def _proof_tables(
-    n: int, t: np.ndarray, lambda1: np.ndarray, lambda2: np.ndarray, alpha: np.ndarray, tail: np.ndarray
-) -> np.ndarray:
-    """Raw `proof_family` tables (K, n, 2), one per row of the parameters (K,) and tail (K, n - 3).
-
-    The range checks run once over the stack and raise as `proof_family`
-    would for the first row that fails.  r = 1 - sum(tail) is Python's
-    left fold over the tail, so each table is the same bits as alone.
-    """
+    tail = [float(v) for v in tail]
+    t, lambda1, lambda2, alpha = (float(v) for v in (t, lambda1, lambda2, alpha))
     if n < 3:
         raise ParameterOutOfRange("proof family needs an alphabet of size >= 3")
-    if tail.shape[1] != n - 3:
-        raise ParameterOutOfRange(f"tail must have {n - 3} entries, got {tail.shape[1]}")
-    mass = np.zeros(len(tail))
-    for col in tail.T:
-        mass = mass + col
-    if ((tail < 0).any(axis=1) | (mass >= 1.0)).any():
+    if len(tail) != n - 3:
+        raise ParameterOutOfRange(f"tail must have {n - 3} entries, got {len(tail)}")
+    if any(v < 0 for v in tail) or sum(tail) >= 1.0:
         raise ParameterOutOfRange("tail entries must be >= 0 and sum to < 1")
-    r = 1.0 - mass
+    r = 1.0 - sum(tail)
     for name, v in (("t", t), ("alpha", alpha)):
-        out = ~((0.0 <= v) & (v <= 1.0))
-        if out.any():
-            raise ParameterOutOfRange(f"{name} must be in [0, 1], got {float(v[out.argmax()])}")
-    out = ~((0.0 <= lambda1) & (lambda1 < lambda2) & (lambda2 <= r + 1e-15))
-    if out.any():
-        i = out.argmax()
-        raise ParameterOutOfRange(
-            f"need 0 <= lambda1 < lambda2 <= r = {float(r[i])}, got {float(lambda1[i])}, {float(lambda2[i])}"
-        )
+        if not 0.0 <= v <= 1.0:
+            raise ParameterOutOfRange(f"{name} must be in [0, 1], got {v}")
+    if not 0.0 <= lambda1 < lambda2 <= r + 1e-15:
+        raise ParameterOutOfRange(f"need 0 <= lambda1 < lambda2 <= r = {r}, got {lambda1}, {lambda2}")
 
-    def member(lam: np.ndarray) -> np.ndarray:
-        return np.column_stack([lam * t, lam * (1.0 - t), r - lam, tail])
+    def member(lam: float) -> np.ndarray:
+        return np.array([lam * t, lam * (1.0 - t), r - lam, *tail])
 
-    return np.stack([alpha[:, None] * member(lambda1), (1.0 - alpha)[:, None] * member(lambda2)], axis=2)
+    return validate_joint(np.stack([alpha * member(lambda1), (1.0 - alpha) * member(lambda2)], axis=1))
 
 
 def _center_out(values: np.ndarray) -> np.ndarray:
@@ -493,12 +485,11 @@ def _center_out(values: np.ndarray) -> np.ndarray:
 _GRID_POINTS = 20
 _T_GRID = _center_out(np.linspace(0.0, 1.0, _GRID_POINTS))
 _ALPHA_GRID = _center_out(np.linspace(0.0, 1.0, _GRID_POINTS))
+_WEIGHTS = np.column_stack([_ALPHA_GRID, 1.0 - _ALPHA_GRID])  # (P(Y=1), P(Y=2)) per alpha
 _S_GRID = np.linspace(0.0, 1.0, _GRID_POINTS)
 # the (lambda1, lambda2) grid pairs s_i < s_j: i ascending, then j descending
-_S1, _S2 = _S_GRID[
-    np.array([(i, j) for i in range(_GRID_POINTS) for j in range(_GRID_POINTS - 1, i, -1)]).T
-]
-_PER_T = len(_ALPHA_GRID) * len(_S1)
+_S12 = _S_GRID[np.array([(i, j) for i in range(_GRID_POINTS) for j in range(_GRID_POINTS - 1, i, -1)])]
+_PER_T = len(_ALPHA_GRID) * len(_S12)
 _GRID_SIZE = len(_T_GRID) * _PER_T
 
 # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): its state advances by the
@@ -525,16 +516,17 @@ def _key(seed: int, stream: int) -> np.uint64:
     return key[0]
 
 
-def _words(seed: int, stream: int, ks, d: int) -> np.ndarray:
-    """d random words (K, d) uint64 for each candidate k of ks on a stream, a pure function of (seed, stream, k, word).
+def _words(keys, ks, d: int) -> np.ndarray:
+    """d random words (K, d) uint64 for each candidate k of ks, a pure function of (seed, stream, k, word).
 
+    `keys` is the `_key` of (seed, stream), one for all ks or one per k.
     The key folds in the seed 64 bits at a time (little end first, so any
     seed >= 0 is valid), then the stream, then k: each step xors the next
-    value into the key and takes SplitMix64's first output from it (the
-    (seed, stream) part once, in `_key`).  The words are SplitMix64's first
-    d outputs from the key.
+    value into the key and takes SplitMix64's first output from it.  The
+    words are SplitMix64's first d outputs from the key, so d words are a
+    prefix of any more.
     """
-    return _splitmix(_splitmix(_key(int(seed), stream) ^ np.asarray(ks, dtype=np.uint64), 1)[:, 0], d)
+    return _splitmix(_splitmix(keys ^ np.asarray(ks, dtype=np.uint64), 1)[:, 0], d)
 
 
 def _uniforms(w: np.ndarray) -> np.ndarray:
@@ -563,26 +555,33 @@ def _dirichlet(u: np.ndarray) -> np.ndarray:
     return cuts[..., 1:] - cuts[..., :-1]
 
 
-def _grid_stream(n: int, ks: np.ndarray, seed: int) -> np.ndarray:
-    """Raw tables (K, n, 2) of grid-stream candidates ks, all inside the grid; each merges x1 with x2.
+def _grid_stream(n: int, ks: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+    """Grid-stream candidates ks, all inside the grid, written as raw `proof_family` tables into the first two columns of `out` (K, n, 3).
 
     (t, alpha, lambda pair) come from index arithmetic on k.  For n >= 4
-    candidate k reads n - 3 words: a tail mass uniform on [0.05, 0.6) and
-    its split over the n - 3 tail symbols, one Dirichlet row.
+    candidate k reads its first n - 3 words `w`: a tail mass uniform on
+    [0.05, 0.6) and its split over the n - 3 tail symbols, one Dirichlet
+    row.  lambda = s r with r = 1 - mass, while r - lambda takes r = 1 - the
+    left fold of the tail, as `proof_family` does, so each table is the same
+    bits as `proof_family` gives.
     lambda1 < lambda2 always holds: s1 < s2 on the grid and r >= 0.4.
     """
-    t, rem = _T_GRID[ks // _PER_T], ks % _PER_T
-    alpha, pair = _ALPHA_GRID[rem // len(_S1)], rem % len(_S1)
-    tail, r = np.zeros((len(ks), 0)), 1.0
+    ti, rem = np.divmod(ks, _PER_T)
+    ai, pair = np.divmod(rem, len(_S12))
+    t, weight, lam, r = _T_GRID[ti][:, None], _WEIGHTS[ai], _S12[pair], 1.0
     if n > 3:
-        u = _uniforms(_words(seed, _GRID, ks, n - 3))
-        mass = 0.05 + (0.6 - 0.05) * u[:, 0]
-        tail, r = mass[:, None] * _dirichlet(u[:, 1:]), 1.0 - mass
-    return _proof_tables(n, t, _S1[pair] * r, _S2[pair] * r, alpha, tail)
+        u = _uniforms(w[:, : n - 3])
+        mass = 0.05 + (0.6 - 0.05) * u[:, :1]
+        tail = mass * _dirichlet(u[:, 1:])
+        lam, r = lam * (1.0 - mass), 1.0 - np.cumsum(tail, axis=1)[:, -1:]
+        out[:, 3:, :2] = weight[:, None] * tail[:, :, None]
+    out[:, 0, :2] = weight * (lam * t)
+    out[:, 1, :2] = weight * (lam * (1.0 - t))
+    out[:, 2, :2] = weight * (r - lam)
 
 
-def _merge_stream(n: int, ks: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge-stream candidates ks as (raw tables (K, n, 3), mappings (K, n), |Y| (K,)); a |Y| = 2 table's third column is 0.
+def _merge_stream(n: int, w: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge-stream candidates from their words (K, 5n) and |Y| (K,), as (mappings (K, n), raw tables (K, n, 3)); a |Y| = 2 table's third column is 0.
 
     A random joint whose conditional rows repeat within classes, and the
     sufficient merge of one class with two or more members (one exists, as
@@ -593,37 +592,39 @@ def _merge_stream(n: int, ks: np.ndarray, seed: int) -> tuple[np.ndarray, np.nda
     from n - 1 words; and two words per class row, whose first |Y| - 1 make
     its conditional.  Labels number the classes by first appearance.
     """
-    w, x = _words(seed, _MERGE, ks, 5 * n), np.arange(n)
-    classes = 1 + _ints(w[:, 1], n - 1)[:, None]
+    x, rows = np.arange(n), np.arange(len(w))[:, None]
+    classes = 1 + _ints(w[:, 1:2], n - 1)
     drawn = np.where(x < classes, x, _ints(w[:, 3 : 3 + n], classes))
-    assignment = np.take_along_axis(drawn, np.argsort(w[:, 3 + n : 3 + 2 * n], axis=1, kind="stable"), axis=1)
+    assignment = drawn[rows, np.argsort(w[:, 3 + n : 3 + 2 * n], axis=1, kind="stable")]
     mergeable = (assignment[:, :, None] == x[: n - 1]).sum(axis=1) >= 2
-    pick = _ints(w[:, 2], mergeable.sum(axis=1))[:, None]
+    pick = _ints(w[:, 2:3], mergeable.sum(axis=1, keepdims=True))
     merged = assignment == (mergeable & (np.cumsum(mergeable, axis=1) == pick + 1)).argmax(axis=1)[:, None]
     rep = np.where(merged, merged.argmax(axis=1)[:, None], x)  # each symbol's class representative
-    maps = np.take_along_axis(np.cumsum(rep == x, axis=1) - 1, rep, axis=1)
-    px = _dirichlet(_uniforms(w[:, 3 + 2 * n : 2 + 3 * n]))[:, :, None]
-    ys, cuts = 2 + _ints(w[:, 0], 2), _uniforms(w[:, 2 + 3 * n :].reshape(len(ks), n - 1, 2))
+    u = _uniforms(w[:, 3 + 2 * n :])
+    cuts = u[:, n - 1 :].reshape(len(w), n - 1, 2)
     cuts[ys == 2, :, 1] = 1.0  # so a |Y| = 2 row's third cell is 0
-    return px * np.take_along_axis(_dirichlet(cuts), assignment[:, :, None], axis=1), maps, ys
+    maps = (np.cumsum(rep == x, axis=1) - 1)[rows, rep]
+    return maps, _dirichlet(u[:, : n - 1])[:, :, None] * _dirichlet(cuts)[rows, assignment]
 
 
-def _perm_stream(n: int, ks: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Permutation-stream candidates ks as (raw tables (K, n, 3), mappings (K, n), |Y| (K,)); a |Y| = 2 table's third column is 0.
+def _perm_stream(n: int, w: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Permutation-stream candidates from their words (K, 4n or more) and |Y| (K,), as (mappings (K, n), raw tables (K, n, 3)); a |Y| = 2 table's third column is 0.
 
     Candidate k reads 4n words: |Y|; n sort keys, whose stable argsort is
     the permutation (the identity becomes the cycle (n-1, 0, 1, ...)); and
     the joint, one Dirichlet row over its n |Y| cells from the first
-    n |Y| - 1 of the last 3n - 1 words.
+    n |Y| - 1 of the last 3n - 1 words.  A |Y| = 2 row's other n cuts are
+    set to 1, so its 3n spacings are its own 2n and then n zeros.
     """
-    w, x = _words(seed, _PERM, ks, 4 * n), np.arange(n)
+    x = np.arange(n)
     maps = np.argsort(w[:, 1 : 1 + n], axis=1, kind="stable")
-    maps[(maps == x).all(axis=1)] = np.roll(x, 1)
-    ys, tables = 2 + _ints(w[:, 0], 2), np.zeros((len(ks), n, 3))
-    for b in (2, 3):
-        sel = ys == b
-        tables[sel, :, :b] = _dirichlet(_uniforms(w[sel, 1 + n : n * (b + 1)])).reshape(-1, n, b)
-    return tables, maps, ys
+    maps[(maps == x).all(axis=1)] = (x - 1) % n
+    cuts = _uniforms(w[:, 1 + n : 4 * n])
+    cuts[ys == 2, 2 * n - 1 :] = 1.0
+    cells = _dirichlet(cuts)
+    two = np.zeros((len(w), n, 3))
+    two[:, :, :2] = cells[:, : 2 * n].reshape(-1, n, 2)
+    return maps, np.where((ys == 3)[:, None, None], cells.reshape(-1, n, 3), two)
 
 
 def _chunk(n: int, start: int, stop: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -631,21 +632,27 @@ def _chunk(n: int, start: int, stop: int, seed: int) -> tuple[np.ndarray, np.nda
 
     Scan index idx is candidate idx // 3 of stream idx % 3 (grid, merge,
     permutation); its position is idx - start.  Grid candidates are skipped
-    for n = 2 and past the end of the grid, and appear nowhere.  Each stream
-    is one `_words` call.  The tables are validated as `validate_joint`
-    would, one pass per |Y| over their own |Y| columns, so each sum groups
-    its terms as the table's alone does; the other columns are 0.  Every
-    mapping is a contiguous labelling by construction.
+    for n = 2 and past the end of the grid, and appear nowhere.  The chunk
+    is one `_words` call of 5n words per scan index, each on its own
+    stream's key; a stream reads a prefix of them.  The tables are
+    validated as `validate_joint` would, one pass per |Y| over their own |Y|
+    columns, so each sum groups its terms as the table's alone does; the
+    other columns are 0.  Every mapping is a contiguous labelling by
+    construction.
     """
-    tables, maps, ys = np.zeros((stop - start, n, 3)), np.zeros((stop - start, n), dtype=int), np.zeros(stop - start, dtype=int)
-    for stream, first in ((_merge_stream, 1), (_perm_stream, 2)):
-        idx = np.arange(start + (first - start) % 3, stop, 3)
-        if len(idx):  # a chunk of one or two scan indices leaves a stream out
-            tables[idx - start], maps[idx - start], ys[idx - start] = stream(n, idx // 3, seed)
+    idx = np.arange(start, stop)
+    keys = np.array([_key(int(seed), s) for s in (_GRID, _MERGE, _PERM)])
+    w = _words(keys[idx % 3], idx // 3, 5 * n)
+    ys, tables, maps = 2 + _ints(w[:, 0], 2), np.zeros((len(idx), n, 3)), np.zeros((len(idx), n), dtype=int)
+    merge, perm, grid = (slice((s - start) % 3, None, 3) for s in (1, 2, 0))
+    maps[merge], tables[merge] = _merge_stream(n, w[merge], ys[merge])
+    maps[perm], tables[perm] = _perm_stream(n, w[perm], ys[perm])
+    ys[grid] = 0
     if n >= 3:
         ks = np.arange(-(-start // 3), min(-(-stop // 3), _GRID_SIZE))
-        pos = 3 * ks - start
-        tables[pos, :, :2], maps[pos], ys[pos] = _grid_stream(n, ks, seed), [0, 0, *range(1, n - 1)], 2
+        grid = slice(grid.start, grid.start + 3 * len(ks), 3)
+        _grid_stream(n, ks, w[grid], tables[grid])
+        maps[grid], ys[grid] = [0, 0, *range(1, n - 1)], 2
     for b in (2, 3):
         sel = ys == b
         raw, s = _simplex(tables[sel, :, :b], 2)
@@ -677,10 +684,10 @@ def find_violation(
     candidate k of a random stream, and the n >= 4 tail of grid candidate
     k, is decoded from the `_words` of (seed, stream, k); the grid's own
     parameters come from k alone.  A chunk is one stack of tables padded to
-    |Y| = 3 (`_chunk`): C before is one kernel stack, and C after and each
-    witness kind come from `_decide`, which `audit_dpa` and `verify_witness`
+    |Y| = 3 (`_chunk`): C before, C after and each witness kind come from
+    one kernel stack in `_decide`, which `audit_dpa` and `verify_witness`
     share; a chunk with no candidate (at n = 2, the first, a grid slot) takes
-    neither.  A zero column adds nothing to C, so each C is the same bits as
+    none.  A zero column adds nothing to C, so each C is the same bits as
     the candidate's alone.  The chunk is decided in scan order: a non-finite
     C first raises UnboundedBelow, as `c_value` would; a witness first
     becomes a `ViolationWitness` on its own |Y|, is re-verified with
@@ -708,8 +715,7 @@ def find_violation(
         start, size = stop, min(4 * size, _MAX_CHUNK)
         if not len(maps):
             continue
-        before = _c_stack(l, tables)[0]
-        after, kinds = _decide(l, tables, maps, before, tol)
+        before, after, kinds = _decide(l, tables, maps, tol)
         first = np.flatnonzero((kinds != "") | ~np.isfinite(before) | ~np.isfinite(after))
         if first.size:
             i = first[0]

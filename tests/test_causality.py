@@ -56,11 +56,17 @@ class TestProcessValidation:
         with pytest.raises(ParameterOutOfRange):
             si.di_rate(unroll(independent_process(), 3))
 
-    @pytest.mark.parametrize("nx, ny, q", [(-1, -1, 1), (-2, -2, 4), (0, 2, 0), (2.0, 2, 4)])
+    @pytest.mark.parametrize("nx, ny, q", [(-1, -1, 1), (-2, -2, 4), (0, 2, 0), (2.0, 2, 4), (True, 2, 2), (2, True, 2)])
     def test_markov_alphabets_are_positive_integers(self, nx, ny, q):
         # a product of nx and ny that fits the arrays is not enough
-        with pytest.raises(ParameterOutOfRange):
+        with pytest.raises(ParameterOutOfRange, match="^n[xy] must be"):
             si.MarkovJointProcess(nx, ny, np.full(q, 1 / max(q, 1)), np.full((q, q), 1 / max(q, 1)))
+
+    @pytest.mark.parametrize("nx, ny, shape", [(0, 2, (0, 2)), (2.0, 2, (2, 2)), (True, 2, (1, 2)), (2, True, (2, 1)), (-1, -1, (1, 1))])
+    def test_explicit_alphabets_are_positive_integers(self, nx, ny, shape):
+        # 2.0 and True once constructed, as the table's shape compares equal to (nx, ny); the others failed later, on the table
+        with pytest.raises(ParameterOutOfRange, match="^n[xy] must be"):
+            si.ExplicitProcess(nx, ny, np.full(shape, 1 / max(math.prod(shape), 1)))
 
 
 class TestDirectedInfo:

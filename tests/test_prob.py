@@ -225,6 +225,12 @@ class TestJensenGap:
         gap = si.jensen_gap(g, [0.5, 0.5], [si.point_mass(0, 2), si.point_mass(1, 2)])
         assert gap == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_unequal_lengths_rejected(self, k):
+        # once a bare ValueError, which the CLI does not map to an exit code
+        with pytest.raises(ParameterOutOfRange, match="equal length"):
+            si.jensen_gap(si.sum_squares_oracle(), [0.5, 0.5], [si.point_mass(0, 2)] * k)
+
     def test_degenerate_mixture(self):
         g = si.neg_entropy_oracle()
         p = si.validate_dist([0.2, 0.8])

@@ -399,7 +399,7 @@ class TestFindViolation:
         with pytest.raises(ParameterOutOfRange, match="seed"):
             si.find_violation(si.builtin_loss("log", 3), 3, budget=budget, seed=seed)
 
-    @pytest.mark.parametrize("budget", [2.5, 5.0, "5", None])
+    @pytest.mark.parametrize("budget", [2.5, 5.0, "5", None, True])
     def test_budget_not_an_integer(self, budget):
         with pytest.raises(ParameterOutOfRange, match="budget"):
             si.find_violation(si.builtin_loss("log", 3), 3, budget=budget)
@@ -802,11 +802,25 @@ class TestChunkOracle:
             rows = _chunk_rows(n, _GRID_END - 3, _GRID_END + 3, 0)
             assert sorted(rows) == [_GRID_END - 3, _GRID_END - 2, _GRID_END - 1, _GRID_END + 1, _GRID_END + 2]
 
+    def test_chunk_digest(self):
+        # positions, table bytes, mappings and |Y| of the scan's chunks of 1, 4, 16, 64 and 256 candidates and
+        # of chunks across the end of the grid, n = 2-8 (n >= 6 grid tails have three or more entries); the
+        # hash was recorded before the decoders were cut to a fixed number of numpy calls per chunk
+        h = hashlib.sha256()
+        ranges = [(0, 1), (1, 5), (5, 21), (21, 85), (85, 341), (_GRID_END - 10, _GRID_END + 11), (_GRID_END - 128, _GRID_END + 128)]
+        for n in range(2, 9):
+            for seed in (0, 7, 2**70 + 3):
+                for start, stop in ranges:
+                    pos, tables, maps, ys = sufficiency._chunk(n, start, stop, seed)
+                    for a, dtype in ((pos, "<i8"), (tables, "<f8"), (maps, "<i8"), (ys, "<i8")):
+                        h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
+        assert h.hexdigest() == "52352353a9d1e04a88bb5cce04c7cd53461aea47780eee7b9d2983bfeda2bed4"
+
 
 @pytest.mark.parametrize("name, n, budget", [("log", 3, 600), ("zero_one", 2, 700)])
 def test_one_kernel_stack_per_chunk_and_image_size(name, n, budget, monkeypatch):
-    # chunks of 1, 4, 16, 64, 256, 256 and the rest; each takes one kernel stack for C before and one for C
-    # after, whatever its image sizes, and a chunk with no candidate (at n = 2, the first) takes none
+    # chunks of 1, 4, 16, 64, 256, 256 and the rest; each takes one kernel stack for C before and C after
+    # together, whatever its image sizes, and a chunk with no candidate (at n = 2, the first) takes none
     chunk, c_stack, calls = sufficiency._chunk, sufficiency._c_stack, []
 
     def counted_chunk(*args):
@@ -822,8 +836,28 @@ def test_one_kernel_stack_per_chunk_and_image_size(name, n, budget, monkeypatch)
     monkeypatch.setattr(sufficiency, "_c_stack", counted_c_stack)
     assert si.find_violation(si.builtin_loss(name, n), n, budget=budget, seed=9) is None
     assert len(calls) == 7
-    assert [stacks for _, stacks in calls] == [2 if rows else 0 for rows, _ in calls]
+    assert [stacks for _, stacks in calls] == [1 if rows else 0 for rows, _ in calls]
     assert (calls[0][0] == 0) == (n == 2)
+
+
+@pytest.mark.parametrize("name", ["log", "zero_one", "brier"])
+def test_one_kernel_stack_per_audit_and_verification(name, witness_joint, monkeypatch):
+    # C before and every C after of an audit, and both C of a re-verified witness, come from one kernel stack
+    c_stack, calls = sufficiency._c_stack, []
+
+    def counted_c_stack(*args, **kwargs):
+        calls.append(len(args[1]))
+        return c_stack(*args, **kwargs)
+
+    monkeypatch.setattr(sufficiency, "_c_stack", counted_c_stack)
+    l = si.builtin_loss(name, 3)
+    rep = si.audit_dpa(l, witness_joint)
+    assert calls == [1 + len(rep.entries)]
+    assert bool(rep.violations) == (name != "log")
+    for w in rep.violations:
+        calls.clear()
+        assert si.verify_witness(l, w)
+        assert calls == [2]
 
 
 @pytest.mark.parametrize(
@@ -912,10 +946,11 @@ class TestBatchedPush:
                 tables /= tables.sum(axis=(1, 2), keepdims=True)
                 ms = rng.integers(2, n + 1, size=12)
                 maps = np.array([rng.permutation(np.concatenate([np.arange(m), rng.integers(0, m, size=n - m)])) for m in ms])
-                after, _ = sufficiency._decide(l, tables, maps, np.nan, 1e-9)  # C before NaN: no row is a hit
-                for table, mapping, m, c in zip(tables, maps.tolist(), ms.tolist(), after.tolist()):
+                before, after, _ = sufficiency._decide(l, tables, maps, 1e-9)
+                for table, mapping, m, b4, c in zip(tables, maps.tolist(), ms.tolist(), before.tolist(), after.tolist()):
                     oracle = c_value(si.builtin_loss(name, m), si.push_forward(si.Joint(table), si.Transform(tuple(mapping))))
                     assert c.hex() == oracle.hex()
+                    assert b4.hex() == c_value(l, si.Joint(table)).hex()  # C before, from the same stack, as alone
 
     @pytest.mark.parametrize("name", si.losses.BUILTIN_LOSSES)
     def test_audit_entries_equal_c_after_alone(self, name):
