@@ -18,24 +18,25 @@ tier; `bayes_risk` is its R = 1 case and the C kernel in `benefit` its caller.
 Simplex-action rules share one batched contract: `loss_vector` maps a
 forecast (n,) or a batch (K, n) to the same shape, row k holding ell(x, Q_k)
 for every x.  The numeric search and the propriety audit evaluate their
-forecasts as batches through it.  The search runs the same way at every n
-and draws nothing at random.  A Bayes risk is a minimum of functions affine
-in P, so the risk at any forecast bounds it from above: the search scores
-one simplex lattice (the finest of at most 200 steps with at most
-`GRID_BLOCK` points, built once per process) once per stack, then polishes
-each row from its two least lattice points and from itself, and once more
-from the best polished point, by Nelder-Mead (`_nelder_mead`, an in-house
-port of scipy's, pinned bit for bit against it by the parity test in
-tests/test_losses.py), so no Bayes solve loads scipy.
+forecasts as batches through it, the audit a block of trials per batch.  The
+search runs the same way at every n and draws nothing at random.  A Bayes
+risk is a minimum of functions affine in P, so the risk at any forecast
+bounds it from above: the search scores one simplex lattice (the finest of
+at most 200 steps with at most `GRID_BLOCK` points, built once per process)
+once per stack, then polishes each row from its two least lattice points
+and from itself, and once more from the best polished point, by Nelder-Mead
+(`_nelder_mead`, an in-house port of scipy's, pinned bit for bit against it
+by the parity test in tests/test_losses.py), so no Bayes solve loads scipy.
 The polish scores one point at a time, and numpy's per-call cost is far
-larger than arithmetic on 2-6 numbers, so its vertices, the projection of
+larger than arithmetic on 2-7 numbers, so its vertices, the projection of
 one point onto the simplex (`_projected_point`, the only projection) and
-the risk of one forecast (`_folded_risk`) run on Python floats; the risk
-has the batch path's arithmetic in its order and so its bits.  Its
-objective depends on a point only through the projected forecast, and
-Nelder-Mead mostly steps outside the simplex, so each row keeps the risk
-of every forecast it has scored (`_objective`): a forecast met again costs
-a projection and a lookup, not a loss vector.
+the risk of one forecast (`_folded_risk`) run on Python floats end to end,
+numpy only ordering the vertices; the risk has the batch path's arithmetic
+in its order and so its bits.  Its objective depends on a point only
+through the projected forecast, and Nelder-Mead mostly steps outside the
+simplex, so each row keeps the risk of every forecast it has scored
+(`_objective`): a forecast met again costs a projection and a lookup, not a
+loss vector.
 
 Every expected loss, in both exact tiers and in the numeric search's
 objective, is one masked elementwise product p_x * ell_x over the x with
@@ -339,10 +340,10 @@ def _nelder_mead(f, x0: np.ndarray):
     scipy's, in scipy's order, so (x, fun) are its bits and f is called as
     often; the parity test pins this against scipy.  The vertices and their
     values are Python floats, since numpy's per-call cost dwarfs arithmetic on
-    2-6 numbers: the centroid sums each coordinate from 0.0 as numpy's axis-0
-    reduce does, and the vertex order is still `np.argsort`'s, ties included.
-    f is called with a 1-D float array.  Returns (sim[0] as an array, min of
-    the simplex values), a NaN minimum included.
+    2-7 numbers: f gets each vertex as a list of floats it must not change,
+    the centroid sums each coordinate from 0.0 as numpy's axis-0 reduce does,
+    and the vertex order is numpy's argsort of the values, ties included.
+    Returns (sim[0] as an array, min of the simplex values), NaN included.
     """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     x0 = np.array(x0, dtype=float).tolist()  # scipy's own copy
@@ -356,10 +357,10 @@ def _nelder_mead(f, x0: np.ndarray):
         else:
             y[k] = 0.00025
         sim.append(y)
-    fsim = [float(f(np.array(x))) for x in sim]
+    fsim = [float(f(x)) for x in sim]
 
     def order(sim, fsim):  # scipy's `np.take(., np.argsort(fsim), 0)` of both
-        ind = np.argsort(fsim).tolist()
+        ind = np.array(fsim).argsort().tolist()  # ndarray.argsort: np.argsort(list) costs about 3x
         return [sim[i] for i in ind], [fsim[i] for i in ind]
 
     sim, fsim = order(sim, fsim)  # scipy sorts twice before the loop
@@ -379,10 +380,10 @@ def _nelder_mead(f, x0: np.ndarray):
             xbar.append(s / N)
         worst = sim[-1]
         xr = [(1 + rho) * b - rho * w for b, w in zip(xbar, worst)]
-        fxr = float(f(np.array(xr)))
+        fxr = float(f(xr))
         if fxr < f0:  # expand
             xe = [(1 + rho * chi) * b - rho * chi * w for b, w in zip(xbar, worst)]
-            fxe = float(f(np.array(xe)))
+            fxe = float(f(xe))
             if fxe < fxr:
                 sim[-1], fsim[-1] = xe, fxe
             else:
@@ -393,14 +394,14 @@ def _nelder_mead(f, x0: np.ndarray):
             doshrink = False
             if fxr < fsim[-1]:  # outside contraction
                 xc = [(1 + psi * rho) * b - psi * rho * w for b, w in zip(xbar, worst)]
-                fxc = float(f(np.array(xc)))
+                fxc = float(f(xc))
                 if fxc <= fxr:
                     sim[-1], fsim[-1] = xc, fxc
                 else:
                     doshrink = True
             else:  # inside contraction
                 xcc = [(1 - psi) * b + psi * w for b, w in zip(xbar, worst)]
-                fxcc = float(f(np.array(xcc)))
+                fxcc = float(f(xcc))
                 if fxcc < fsim[-1]:
                     sim[-1], fsim[-1] = xcc, fxcc
                 else:
@@ -408,7 +409,7 @@ def _nelder_mead(f, x0: np.ndarray):
             if doshrink:  # toward the best vertex, one vertex at a time
                 for j in range(1, N + 1):
                     sim[j] = [b + sigma * (a - b) for a, b in zip(sim[j], best)]
-                    fsim[j] = float(f(np.array(sim[j])))
+                    fsim[j] = float(f(sim[j]))
         iterations += 1
         sim, fsim = order(sim, fsim)
     return np.array(sim[0]), np.min(fsim)
@@ -429,8 +430,8 @@ def _objective(l: ScoringRuleLoss, p: np.ndarray):
     """
     pl, memo = p.tolist(), {}
 
-    def f(z: np.ndarray) -> float:
-        q = _projected_point(z.tolist())
+    def f(z: list) -> float:
+        q = _projected_point(z)
         if q is None:
             return math.nan
         key = tuple(q)
@@ -444,7 +445,7 @@ def _objective(l: ScoringRuleLoss, p: np.ndarray):
 
 def _polished(f, x0: np.ndarray, risk: float, q: np.ndarray):
     """(risk, q), or Nelder-Mead's (value, projected point) from x0 where lower; a start with f not finite is skipped."""
-    if math.isfinite(f(x0)):
+    if math.isfinite(f(x0.tolist())):
         x, fun = _nelder_mead(f, x0)
         if fun < risk:  # NaN never
             return fun, _simplex_project(x)
@@ -537,11 +538,11 @@ def bayes_risk(l: LossSpec, p, seed: int = 0) -> BayesResult:
     about 1 MB at n = 4).  One call at n = 4 with a `vector_fn` raises the
     peak RSS by about 4.4 MB over the 30 MB of Python, numpy and this
     package loaded.  A rule given only an `eval_fn` scores the lattice by one
-    Python call per outcome and point, so one call takes about 0.3 s at
-    n = 4 and 0.35 s at n = 5 and 6 on a 2-core Xeon VM.  The Nelder-Mead
-    polish runs at most 400 n iterations per start and at most four starts
-    per row, each iteration evaluating 1 to n + 2 points; a forecast the
-    row has already scored costs its projection and a lookup.
+    Python call per outcome and point, so one call takes about 0.3 s at n = 4
+    and 0.35 s at n = 5 and 6 on a 2-core Xeon VM.  The polish runs at most
+    400 n Nelder-Mead iterations per start, four starts per row, each scoring
+    1 to n + 2 points on Python floats (numpy only to order the vertices); a
+    forecast the row has already scored costs its projection and a lookup.
     """
     _check_count("seed", seed)
     pv = _as_probs(p)
@@ -596,9 +597,15 @@ _PROPRIETY_TOL = 1e-9  # how far a dishonest report may beat the honest one in `
 def audit_propriety(l: LossSpec, trials: int = 100, seed: int = 0, n: Optional[int] = None) -> ProprietyReport:
     """Check E_P[ell(X,P)] <= E_P[ell(X,Q)] + 1e-9 on random P against random and grid Q.
 
-    Returns the worst (most negative) margin seen; raises NotProper with the
-    offending (P, Q) witness if any dishonest report strictly wins.  An `n`
-    that differs from the rule's declared alphabet size raises
+    Returns the worst (most negative) margin seen, the earliest of equal ones
+    (NaN never counts); raises NotProper with the first trial's first
+    dishonest report that strictly wins.  Trials run in blocks of at most
+    3 `GRID_BLOCK` floats per (trial, candidate, outcome) stack (one trial if
+    it is larger), one `loss_vector` batch each, with the draws and bits of
+    one trial at a time.  A hit costs the rest of its block: an `eval_fn`-only
+    rule may be called more often, and an error the rule raises on any
+    forecast of the block is raised in place of the hit.  Reports hold
+    copies.  An `n` that differs from the rule's declared alphabet size raises
     ParameterOutOfRange, as in `bayes_risk`, and so do an `n` that is not an
     integer >= 2, `trials` that is not an integer >= 1 and a seed that is
     negative or not an integer, before any work.
@@ -615,20 +622,21 @@ def audit_propriety(l: LossSpec, trials: int = 100, seed: int = 0, n: Optional[i
     if size is None:
         raise ParameterOutOfRange("alphabet size unknown; pass n=")
     rng = np.random.default_rng(seed)
-    fixed = [np.full((1, size), 1.0 / size), np.eye(size)]
-    if size <= 3:
-        fixed.append(_one_block_grid(size, 20))  # read-only; the concatenate below copies it
-    worst = np.inf
-    worst_p = worst_q = None
-    for _ in range(trials):
-        p = rng.dirichlet(np.ones(size))
-        honest = _expected_scoring_loss(l, p, p)
-        candidates = np.concatenate([rng.dirichlet(np.ones(size), size=8)] + fixed)
-        margins = _expected_scoring_loss(l, p, candidates) - honest
+    fixed = np.concatenate([np.full((1, size), 1.0 / size), np.eye(size)] + ([_one_block_grid(size, 20)] if size <= 3 else []))
+    per_trial = 8 + len(fixed)  # a trial's candidates: its 8 random Q, then the fixed ones
+    block = max(1, 3 * GRID_BLOCK // (per_trial * size))  # each (b, C, n) stack about 3 GRID_BLOCK floats
+    worst, worst_p, worst_q = np.inf, None, None
+    for start in range(0, trials, block):
+        draws = rng.dirichlet(np.ones(size), size=(min(block, trials - start), 9))  # each trial's P, then its Q
+        ps, cands = draws[:, 0], np.concatenate([draws[:, 1:], np.broadcast_to(fixed, (len(draws), *fixed.shape))], 1)
+        honest = np.array([_expected_scoring_loss(l, p, p) for p in ps])
+        vec, bad = _scored(l, cands.reshape(-1, size))
+        margins = _masked_risk(ps[:, None], vec.reshape(cands.shape), bad.reshape(cands.shape)) - honest[:, None]
         hits = np.flatnonzero(margins < -_PROPRIETY_TOL)
-        if hits.size:  # the first dishonest report in candidate order
-            raise NotProper(p=p, q=candidates[hits[0]], margin=float(margins[hits[0]]))
-        i = int(np.argmin(np.where(np.isnan(margins), np.inf, margins)))  # NaN margins never count
-        if margins[i] < worst:
-            worst, worst_p, worst_q = margins[i], p, candidates[i]
+        k = int(hits[0]) if hits.size else int(np.argmin(np.where(np.isnan(margins), np.inf, margins)))
+        t, j = divmod(k, per_trial)
+        if hits.size:
+            raise NotProper(p=ps[t].copy(), q=cands[t, j].copy(), margin=float(margins[t, j]))
+        if margins[t, j] < worst:  # copies: a view would keep the whole block alive
+            worst, worst_p, worst_q = margins[t, j], ps[t].copy(), cands[t, j].copy()
     return ProprietyReport(trials=trials, worst_margin=float(worst), worst_p=worst_p, worst_q=worst_q)

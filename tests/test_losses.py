@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -563,9 +564,19 @@ def _nm_steps(values, n_dim) -> collections.Counter:
     starting values, each iteration scores a reflection, then an expansion
     (below the best), nothing more (below the second worst) or a contraction,
     outside (below the worst) or inside; a failed contraction shrinks, which
-    rescores every vertex but the best.
+    rescores every vertex but the best.  Each ordering of the simplex values,
+    the two before the first iteration and one after each, is counted as
+    "distinct order" or as "tie or NaN order": only the second can tell
+    numpy's order of equal values from another sort's.
     """
     fsim, i, steps = np.sort(values[: n_dim + 1]), n_dim + 1, collections.Counter()
+
+    def order(v):
+        tied = len(set(v.tolist())) < len(v) or np.isnan(v).any()  # 0.0 and -0.0 are one set entry
+        steps["tie or NaN order" if tied else "distinct order"] += 1
+        return np.sort(v)
+
+    fsim = order(order(fsim))
     while i < len(values):
         fxr, i = values[i], i + 1
         if fxr < fsim[0]:
@@ -582,7 +593,7 @@ def _nm_steps(values, n_dim) -> collections.Counter:
             else:
                 steps["shrink"] += 1
                 fsim[1:], i = values[i : i + n_dim], i + n_dim
-        fsim = np.sort(fsim)
+        fsim = order(fsim)
     return steps
 
 
@@ -598,7 +609,12 @@ def _nan_rule(n: int) -> si.ScoringRuleLoss:
 
 
 def _nelder_mead_corpus():
-    """72 refinements of the numeric tier's kind: n = 2-6, starts and rows on faces, inf, ties and NaN."""
+    """81 refinements of the numeric tier's kind: n = 2-6, starts and rows on faces, inf, ties and NaN.
+
+    The last 9 are `rounded`, the improper score -q_x rounded to 2 decimals:
+    piecewise constant, so its simplices hold ties among otherwise distinct
+    values.
+    """
     rng = np.random.default_rng(2020)
     const = lambda n: si.ScoringRuleLoss(eval_fn=lambda x, q: 1.0, n=n, vector_fn=lambda q: np.ones_like(q))
     rules = {**{k: (lambda n, k=k: unflagged_rule(k, n)) for k in ("linear", "brier", "kink", "log", "steep")},
@@ -617,6 +633,17 @@ def _nelder_mead_corpus():
             p[0] = 0.0
             p /= p.sum()
         corpus.append((kind, rules[kind](n), p, x0))
+    rounded = lambda q: np.round(-np.asarray(q, dtype=float), 2)
+    for k in range(9):  # rows on a face at every n, off one at n = 2-5
+        n = 2 + k % 5
+        p, x0 = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        if k % 2 == 0:
+            p[rng.integers(n)] = 0.0
+            p /= p.sum()
+        if k % 4 < 2:
+            x0[rng.permutation(n)[: 1 + k % (n - 1)]] = 0.0
+            x0 /= x0.sum()
+        corpus.append(("rounded", si.ScoringRuleLoss(eval_fn=lambda x, q: float(rounded(q)[x]), n=n, vector_fn=rounded), p, x0))
     return corpus
 
 
@@ -637,7 +664,7 @@ class TestNelderMead:
             n = len(x0)
             res = minimize(lambda z: objective(z, logs[0]), x0, method="Nelder-Mead",
                            options={"maxiter": 400 * n, "xatol": 1e-10, "fatol": 1e-12})
-            x, fun = _nelder_mead(lambda z: objective(z, logs[1]), x0)
+            x, fun = _nelder_mead(lambda z: objective(np.array(z), logs[1]), x0)
             assert x.tobytes() == res.x.tobytes(), (kind, p, x0)
             assert np.float64(fun).tobytes() == np.float64(res.fun).tobytes(), (kind, p, x0)
             assert len(logs[1]) == res.nfev, (kind, p, x0)
@@ -645,6 +672,7 @@ class TestNelderMead:
             steps += _nm_steps(np.array(logs[1]), n)
             nan_seen |= bool(np.isnan(logs[1]).any())
         assert all(steps[s] > 0 for s in ("expand", "expand rejected", "outside", "inside", "shrink")), steps
+        assert steps["distinct order"] > 0 and steps["tie or NaN order"] > 0, steps
         assert nan_seen
 
     def test_step_reader_counts_every_evaluation(self):
@@ -653,7 +681,7 @@ class TestNelderMead:
         # steps (0.025) fall within xatol = 1e-10 after 28 halvings
         values = []
         _nelder_mead(lambda z: values.append(1.0) or 1.0, np.array([0.5, 0.5]))
-        assert _nm_steps(np.array(values), 2) == collections.Counter(inside=28, shrink=28)
+        assert _nm_steps(np.array(values), 2) == collections.Counter(inside=28, shrink=28, **{"tie or NaN order": 30})
         assert len(values) == 3 + 28 * (2 + 2)
 
     def test_losses_module_imports_no_scipy(self):
@@ -884,6 +912,111 @@ class TestAuditPropriety:
         assert type(exc.value.margin) is float
 
 
+def _audit_one_trial_at_a_time(l, trials: int, seed: int, size: int):
+    """`audit_propriety` as it ran before its trials were stacked, the oracle of the batched audit.
+
+    One trial at a time: draw P, score it honestly, draw 8 random Q, score
+    them with the fixed candidates as one batch.  Returns ("NotProper", p, q,
+    margin, trial) for the first dishonest report, else ("report", worst_p,
+    worst_q, worst_margin, None).
+    """
+    rng = np.random.default_rng(seed)
+    fixed = [np.full((1, size), 1.0 / size), np.eye(size)]
+    if size <= 3:
+        fixed.append(simplex_grid(size, 20))
+    worst, worst_p, worst_q = np.inf, None, None
+    for trial in range(trials):
+        p = rng.dirichlet(np.ones(size))
+        honest = _expected_scoring_loss(l, p, p)
+        candidates = np.concatenate([rng.dirichlet(np.ones(size), size=8)] + fixed)
+        margins = _expected_scoring_loss(l, p, candidates) - honest
+        hits = np.flatnonzero(margins < -1e-9)
+        if hits.size:
+            return "NotProper", p, candidates[hits[0]], float(margins[hits[0]]), trial
+        i = int(np.argmin(np.where(np.isnan(margins), np.inf, margins)))
+        if margins[i] < worst:
+            worst, worst_p, worst_q = margins[i], p, candidates[i]
+    return "report", worst_p, worst_q, float(worst), None
+
+
+def _audit_rules(n: int) -> dict:
+    """Rules of every kind the audit meets, proper or not, with NaN and inf."""
+
+    def all_nan(q):
+        return np.full(np.shape(q), np.nan)
+
+    def late(q):
+        # Brier, but a forecast with 0.975 < q_0 < 1 scores -10: dishonest, met by a random Q
+        # only about once in 200 trials at n = 3 and never by a fixed one
+        q = np.asarray(q, dtype=float)
+        out = si.builtin_loss("brier", n).loss_vector(q)
+        return np.where(((q[..., :1] > 0.975) & (q[..., :1] < 1.0)), -10.0, out)
+
+    rule = lambda fn: si.ScoringRuleLoss(eval_fn=lambda x, q: float(fn(q)[x]), n=n, vector_fn=fn)
+    return {
+        **{name: si.builtin_loss(name, n) for name in ("log", "brier", "spherical")},
+        "savage": si.savage_from_G(si.neg_entropy_oracle(), n=n),
+        "eval_fn brier": si.ScoringRuleLoss(eval_fn=lambda x, q: float((q * q).sum() - 2.0 * q[x] + 1.0), n=n),
+        "eval_fn improper": _eval_fn_rule(n),
+        "linear": unflagged_rule("linear", n),
+        "nan": _nan_rule(n),
+        "all nan": rule(all_nan),
+        "const": rule(np.ones_like),  # every margin 0.0: the earliest of equal margins is the worst
+        "late": rule(late),
+    }
+
+
+class TestBatchedAudit:
+    """`audit_propriety` scores its trials as stacks of at most GRID_BLOCK candidate rows, with the
+    bits, the witness and the report of one trial at a time."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")  # nan - nan
+    @pytest.mark.parametrize("grid_block", [si.losses.GRID_BLOCK, 500, 10])
+    def test_matches_one_trial_at_a_time(self, grid_block, monkeypatch):
+        # GRID_BLOCK 500 puts 23, 2 and 28 trials in a block at n = 2, 3 and 4, and 10 one
+        monkeypatch.setattr(si.losses, "GRID_BLOCK", grid_block)
+        late_hit, kinds = False, set()
+        for n in (2, 3, 4):
+            per_trial = 9 + n + (len(simplex_grid(n, 20)) if n <= 3 else 0)
+            block = max(1, 3 * grid_block // (per_trial * n))
+            counts = (1, 7, block + 1) if grid_block < si.losses.GRID_BLOCK else (1, 7)
+            for (name, rule), trials in itertools.product(_audit_rules(n).items(), counts):
+                if grid_block == si.losses.GRID_BLOCK and name in ("brier", "late") and n == 3:
+                    trials = 2 * block + 3  # two boundaries at full size
+                for seed in (0, 5):
+                    kind, p, q, margin, trial = _audit_one_trial_at_a_time(rule, trials, seed, n)
+                    try:
+                        rep = si.audit_propriety(rule, trials=trials, seed=seed, n=n)
+                        got = ("report", rep.worst_p, rep.worst_q, rep.worst_margin)
+                    except NotProper as exc:
+                        got = ("NotProper", exc.p, exc.q, exc.margin)
+                    case = (name, n, trials, seed)
+                    assert got[0] == kind and np.float64(got[3]).tobytes() == np.float64(margin).tobytes(), case
+                    if p is None:  # no finite margin
+                        assert got[1] is None and got[2] is None and margin == math.inf, case
+                    else:
+                        assert got[1].tobytes() == p.tobytes() and got[2].tobytes() == q.tobytes(), case
+                        assert got[1].base is None and got[2].base is None, case  # copies, not views of a block
+                    kinds.add((kind, p is None))
+                    late_hit |= kind == "NotProper" and trial >= block
+        assert kinds == {("report", False), ("report", True), ("NotProper", False)}
+        assert late_hit  # a first hit past the first block
+
+    @pytest.mark.parametrize("n, trials", [(3, 20_000), (200, 50)])
+    def test_memory_does_not_grow_with_trials_or_n(self, n, trials):
+        # 20,000 trials at n = 3 as one stack would hold about 117 MB of candidates; a block of
+        # GRID_BLOCK candidate rows at n = 200 (156 trials) about 52 MB per (b, C, n) array
+        rule = si.builtin_loss("brier", n)
+        si.audit_propriety(rule, trials=1)  # the fixed lattice is built once per process, outside the count
+        tracemalloc.start()
+        try:
+            si.audit_propriety(rule, trials=trials, n=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+
+
 def _stars_and_bars(n: int, steps: int) -> np.ndarray:
     """The lattice from its definition: the n - 1 bar slots among steps + n - 1, lexicographic."""
     rows = [
@@ -1028,7 +1161,7 @@ def test_nelder_mead_edge_cases_match_scipy():
 
         res = minimize(lambda z: objective(z, logs[0]), np.array(x0), method="Nelder-Mead",
                        options={"maxiter": 400 * len(x0), "xatol": 1e-10, "fatol": 1e-12})
-        x, fun = _nelder_mead(lambda z: objective(z, logs[1]), np.array(x0))
+        x, fun = _nelder_mead(lambda z: objective(np.array(z), logs[1]), np.array(x0))
         assert (x.tobytes(), np.float64(fun).tobytes()) == (res.x.tobytes(), np.float64(res.fun).tobytes()), x0
         assert [z for z, _ in logs[1]] == [z for z, _ in logs[0]], x0
         assert np.array([v for _, v in logs[1]]).tobytes() == np.array([v for _, v in logs[0]]).tobytes(), x0
